@@ -231,7 +231,6 @@ def cmd_campaign(args) -> int:
                     lease_items=args.lease_items,
                     worker_wait=args.worker_wait,
                     min_workers=args.min_workers,
-                    max_retries=args.max_retries,
                     metrics=registry,
                     telemetry_interval=args.telemetry,
                     campaign=args.journal or "",

@@ -16,7 +16,7 @@ from repro.sfi.chip_campaign import (
     ChipExperiment,
     ChipInjectionRecord,
 )
-from repro.sfi.parallel import run_parallel_campaign, shard_sites
+from repro.sfi.parallel import run_parallel_campaign
 from repro.sfi.storage import (
     RECORD_ROW_FIELDS,
     CampaignJournal,
@@ -85,7 +85,6 @@ __all__ = [
     "plan_injections",
     "run_parallel_campaign",
     "run_supervised_campaign",
-    "shard_sites",
     "load_campaign",
     "macro_campaign",
     "merge_campaigns",

@@ -84,13 +84,13 @@ def plan_injections(sites: list[int], suite_size: int) -> list[InjectionPlan]:
 
 
 def partition_plan(items: list, shards: int) -> list[list]:
-    """Contiguous, size-balanced split of plan items (the same shape as
-    :func:`repro.sfi.parallel.shard_sites` over site lists).
+    """Contiguous, size-balanced split of plan items into at most
+    ``shards`` non-empty slices.
 
-    Both execution back ends partition through here: the in-process pool
-    splits by worker count, the distributed coordinator by lease size —
-    so a shard/lease boundary is always a plan-order cut, and every
-    slice stays self-contained and order-independent.
+    Every lease is cut here (the local pool sizes leases by worker
+    count, the distributed coordinator by ``lease_items``), so a lease
+    boundary is always a plan-order cut, and every slice stays
+    self-contained and order-independent.
     """
     if shards < 1:
         raise ValueError("need at least one shard")

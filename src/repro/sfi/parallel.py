@@ -8,7 +8,7 @@ campaign configuration and runs its slice; the shards merge into one
 :class:`~repro.sfi.results.CampaignResult`.
 
 Execution is delegated to :class:`~repro.sfi.supervisor.CampaignSupervisor`,
-so shards are individually tracked jobs with timeouts, retries and
+so each worker's slice is a lease with a timeout, retries and
 incremental journaling — see that module for the failure policy.  Because
 every injection's RNG stream is keyed by ``(seed, site, occurrence)``
 (never the shard index), the merged result is bit-identical for any
@@ -20,20 +20,6 @@ from __future__ import annotations
 from repro.sfi.campaign import CampaignConfig
 from repro.sfi.results import CampaignResult
 from repro.sfi.supervisor import CampaignSupervisor
-
-
-def shard_sites(sites: list[int], shards: int) -> list[list[int]]:
-    """Split a site list into ``shards`` contiguous, size-balanced slices."""
-    if shards < 1:
-        raise ValueError("need at least one shard")
-    base, extra = divmod(len(sites), shards)
-    slices = []
-    start = 0
-    for i in range(shards):
-        size = base + (1 if i < extra else 0)
-        slices.append(sites[start:start + size])
-        start += size
-    return [s for s in slices if s]
 
 
 def run_parallel_campaign(config: CampaignConfig, sites: list[int],

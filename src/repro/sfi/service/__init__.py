@@ -9,15 +9,18 @@ across TCP worker processes
 (:class:`~repro.sfi.service.coordinator.SocketTransport` +
 ``repro-sfi worker``).
 
-Robustness is coordinator-owned: shards are handed out as *leases* with
-heartbeat-backed deadlines and monotonically increasing fencing tokens
-(:mod:`repro.sfi.service.leases`), stale post-partition results are
-rejected instead of double-journaled, retries back off exponentially
-with deterministic seeded jitter (:mod:`repro.sfi.service.backoff`),
-and loss of every remote worker degrades to the in-process pool
-mid-campaign.  A :class:`~repro.sfi.service.queue.CampaignQueue`
-(``repro-sfi serve`` / ``submit``) layers many queued campaigns on top,
-with the PR 1 journal as the single durable source of truth.
+Robustness lives in one engine both transports drive: work is handed
+out as *leases* with monotonically increasing fencing tokens
+(:mod:`repro.sfi.service.leases`), reclaimed when a worker is lost —
+a missed heartbeat or dropped connection remotely, a dead, erroring or
+timed-out process locally — and retried, split or poisoned under one
+policy, with exponential backoff and deterministic seeded jitter
+(:mod:`repro.sfi.service.backoff`).  Stale results are rejected
+instead of double-journaled, and loss of every remote worker degrades
+to the in-process pool mid-campaign.  A
+:class:`~repro.sfi.service.queue.CampaignQueue` (``repro-sfi serve`` /
+``submit``) layers many queued campaigns on top, with the campaign
+journal as the single durable source of truth.
 
 ``coordinator``, ``worker`` and ``queue`` are imported by module path
 (they pull in the supervisor); this front re-exports only the

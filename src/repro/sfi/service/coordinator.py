@@ -7,11 +7,13 @@ robustness lives here, on the coordinator side, so workers stay dumb
 and restartable:
 
 * every lease carries a fencing token from one monotonic counter
-  (:class:`~repro.sfi.service.leases.LeaseManager`); a worker returning
+  (:class:`~repro.sfi.service.leases.LeaseManager`, the same engine and
+  failure policy the local process pool runs on); a worker returning
   from a partition with results for a reclaimed lease is *fenced* — its
   records rejected at receive, never double-journaled;
 * workers heartbeat on an interval; a missed deadline reclaims every
-  lease the worker held and re-queues it (with deterministic backoff);
+  lease the worker held and re-queues it under the supervisor's
+  retry → split → poison policy;
 * records stream back incrementally and go straight to the supervisor's
   ``collect`` (journal included), so a coordinator SIGKILL resumes from
   the journal exactly like the in-process pool;
@@ -33,7 +35,6 @@ from dataclasses import replace
 
 from repro.obs.fleet import FleetRegistry, FleetSpanPhase, pack_payload
 from repro.sfi.campaign import InjectionPlan
-from repro.sfi.service.backoff import DEFAULT_CAP
 from repro.sfi.service.leases import LeaseLog, LeaseManager
 from repro.sfi.service.messages import (
     PROTOCOL_VERSION,
@@ -56,7 +57,7 @@ from repro.sfi.service.messages import (
 )
 from repro.sfi.service.transport import ShardTransport
 from repro.sfi.service.wire import FrameError, FrameReader, encode_frame
-from repro.sfi.storage import FencedAppendError, _record_from_dict
+from repro.sfi.storage import _record_from_dict
 
 
 class _ServiceInstruments:
@@ -105,7 +106,9 @@ class SocketTransport(ShardTransport):
     remainder back to the supervisor (``None`` waits forever);
     ``min_workers`` makes ``execute`` wait for that many connections
     before granting the first lease, so a fixed fleet gets a stable
-    partition.  ``metrics`` is a repro.obs registry (optional).
+    partition.  ``metrics`` is a repro.obs registry (optional).  The
+    retry/backoff policy is the supervisor's (``max_retries``,
+    ``backoff_base``, ``backoff_cap``), shared with the local pool.
     """
 
     name = "socket"
@@ -114,9 +117,6 @@ class SocketTransport(ShardTransport):
                  heartbeat_interval: float = 0.5,
                  heartbeat_grace: float = 4.0,
                  lease_items: int = 8,
-                 max_retries: int = 2,
-                 backoff_base: float = 0.25,
-                 backoff_cap: float = DEFAULT_CAP,
                  worker_wait: float | None = 10.0,
                  min_workers: int = 0,
                  metrics=None,
@@ -128,9 +128,6 @@ class SocketTransport(ShardTransport):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_grace = heartbeat_grace
         self.lease_items = lease_items
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.worker_wait = worker_wait
         self.min_workers = min_workers
         self._inst = (_ServiceInstruments(metrics)
@@ -175,10 +172,8 @@ class SocketTransport(ShardTransport):
             log = LeaseLog(self._lease_log_path, fresh=fresh)
         elif journal_path is not None:
             log = LeaseLog(str(journal_path) + ".leases", fresh=fresh)
-        leases = LeaseManager(
-            pending, seed=seed, lease_items=self.lease_items,
-            max_retries=self.max_retries, backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap, log=log)
+        leases = supervisor.lease_manager(
+            pending, seed, lease_items=self.lease_items, log=log)
         config_payload = config_to_dict(supervisor.config)
         self._config_payload = config_payload
         # Coordinator-side spans share the supervisor's recorder (same
@@ -227,8 +222,6 @@ class SocketTransport(ShardTransport):
                         starved_since = now
                     elif now - starved_since >= self.worker_wait:
                         break
-            # Revoke whatever is still issued before draining, so a
-            # worker surfacing after the fallback cannot double-journal.
             if fleet_wait_span is not None:
                 self._trace.finish(fleet_wait_span)
                 fleet_wait_span = None
@@ -236,9 +229,10 @@ class SocketTransport(ShardTransport):
             if self._trace is not None:
                 drain_span = self._trace.begin(
                     FleetSpanPhase.DRAIN, parent_id=self._trace_root)
-            for token in sorted(leases.active):
-                supervisor.raise_fence(token)
+            for token in leases.active:
                 self._finish_lease_span(token)
+            # Fences whatever is still issued, so a worker surfacing
+            # after the fallback cannot double-journal.
             leftover = leases.drain()
             if drain_span is not None:
                 self._trace.finish(drain_span)
@@ -290,7 +284,7 @@ class SocketTransport(ShardTransport):
                 if key.fileobj in self._workers \
                         and events & selectors.EVENT_WRITE:
                     self._flush(conn)
-        self._check_heartbeats(supervisor, leases)
+        self._check_heartbeats(leases)
         if grant_ok:
             self._grant_ready(supervisor, leases, seed, config_payload)
         self._push_monitors()
@@ -325,22 +319,22 @@ class SocketTransport(ShardTransport):
         except BlockingIOError:
             return
         except OSError:
-            self._lose(conn, supervisor, leases, "read error")
+            self._lose(conn, leases, "read error")
             return
         if not data:
-            self._lose(conn, supervisor, leases, "connection closed")
+            self._lose(conn, leases, "connection closed")
             return
         conn.last_seen = time.monotonic()
         try:
             frames = conn.reader.feed(data)
         except FrameError as exc:
-            self._lose(conn, supervisor, leases, f"bad frame: {exc}")
+            self._lose(conn, leases, f"bad frame: {exc}")
             return
         for payload in frames:
             try:
                 message = decode_message(payload)
             except ValueError as exc:
-                self._lose(conn, supervisor, leases, str(exc))
+                self._lose(conn, leases, str(exc))
                 return
             self._dispatch(conn, message, supervisor, leases, collect)
             if conn.sock not in self._workers:
@@ -389,70 +383,41 @@ class SocketTransport(ShardTransport):
                 frame["worker"] = conn.name  # coordinator-side identity
                 self._absorb_worker_spans(self.fleet.absorb(frame))
         elif isinstance(message, RecordMessage):
-            lease = leases.accept(message.token, message.pos)
-            if lease is None:
-                return  # fenced: stale or alien record, not journaled
             try:
                 record = _record_from_dict(message.record)
             except Exception as exc:  # noqa: BLE001 - corrupt payload
-                leases.reclaim(message.token, f"bad record: {exc}")
-                self._finish_lease_span(message.token)
-                self._lose(conn, supervisor, leases,
-                           f"undecodable record: {exc}")
-                return
-            try:
-                collect(message.pos, record, fence=message.token)
-            except FencedAppendError:
-                pass  # journal-side fence agreed: drop silently
-            else:
-                if self._convergence is not None:
-                    self._convergence.fold(record.unit,
-                                           record.outcome.value)
+                if message.token in leases.active:
+                    self._lose(conn, leases,
+                               f"undecodable record: {exc}")
+                    return
+                record = None  # stale as well: deliver() fences it
+            if leases.deliver(message.token, message.pos, record, collect) \
+                    and self._convergence is not None:
+                self._convergence.fold(record.unit, record.outcome.value)
         elif isinstance(message, ExtraMessage):
             lease = leases.active.get(message.token)
             if lease is not None and getattr(collect, "extra", None):
                 collect.extra(message.kind, message.pos, message.payload)
         elif isinstance(message, ShardDoneMessage):
-            lease = leases.complete(message.token)
+            supervisor.lease_done(leases, message.token, message.population)
             self._finish_lease_span(message.token)
-            if lease is not None \
-                    and not supervisor.population_bits \
-                    and isinstance(message.population, int) \
-                    and message.population > 0:
-                supervisor.population_bits = message.population
-            if lease is not None:
-                supervisor.progress.on_shard_complete(
-                    lease.shard_id, len(lease.items), lease.attempt + 1)
         elif isinstance(message, ShardErrorMessage):
-            lease = leases.active.get(message.token)
-            if lease is not None:
-                supervisor.raise_fence(message.token)
-                leases.reclaim(message.token,
-                               f"worker error: {message.message}")
-                self._finish_lease_span(message.token)
+            leases.reclaim(message.token, f"worker error: {message.message}")
+            self._finish_lease_span(message.token)
 
-    def _lose(self, conn: _WorkerConn, supervisor, leases: LeaseManager,
+    def _lose(self, conn: _WorkerConn, leases: LeaseManager,
               reason: str) -> None:
-        """Connection-level loss: revoke the worker's issued tokens at
-        the journal, reclaim its leases, drop the socket."""
-        if conn.monitor:
-            self._drop(conn.sock, notify=False)
-            return
-        name = conn.name or f"{conn.address}"
-        if conn.name is not None:
+        """Connection-level loss: reclaim the worker's leases (each
+        fenced at the journal first), drop the socket."""
+        if conn.name is not None:  # monitors hold no leases
             tokens = [token for token, lease
                       in sorted(leases.active.items())
                       if lease.worker == conn.name]
             for token in tokens:
-                # Fence first, reclaim second: once reclaim re-queues
-                # the work there must be no window where the old issue
-                # could still reach the journal.
-                supervisor.raise_fence(token)
-                leases.reclaim(token, reason)
+                leases.reclaim(token,
+                               f"worker {conn.name!r} lost ({reason})")
                 self._finish_lease_span(token)
         self._drop(conn.sock, notify=False)
-        supervisor.progress.on_shard_retry(
-            -1, 0, f"worker {name!r} lost ({reason})", 0.0)
 
     def _drop(self, sock: socket.socket, notify: bool = True) -> None:
         conn = self._workers.pop(sock, None)
@@ -469,7 +434,7 @@ class SocketTransport(ShardTransport):
         except OSError:
             pass
 
-    def _check_heartbeats(self, supervisor, leases: LeaseManager) -> None:
+    def _check_heartbeats(self, leases: LeaseManager) -> None:
         deadline = self.heartbeat_interval * self.heartbeat_grace
         now = time.monotonic()
         for sock, conn in list(self._workers.items()):
@@ -478,7 +443,7 @@ class SocketTransport(ShardTransport):
             if now - conn.last_seen > deadline:
                 if self._inst is not None:
                     self._inst.heartbeat_misses.inc()
-                self._lose(conn, supervisor, leases,
+                self._lose(conn, leases,
                            f"heartbeat missed for "
                            f"{now - conn.last_seen:.2f}s")
 

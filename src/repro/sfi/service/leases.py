@@ -1,20 +1,23 @@
 """Lease bookkeeping: deadlines, fencing tokens, retry/split policy.
 
-A *lease* is the distributed analogue of the supervisor's ``_ShardJob``:
-a slice of plan items handed to one worker, reclaimable the moment its
-worker stops heartbeating.  Every issue of a lease carries a fencing
-token drawn from one monotonically increasing counter; when a lease is
-reclaimed and re-issued, the old token is dead forever, so a worker
-returning from a network partition and streaming results under a stale
-token is *fenced* — its records rejected, never double-journaled — while
-the reissued lease's records flow normally.
+A *lease* is one slice of plan items handed to one worker — a process of
+the local pool or a TCP worker of the coordinator — and reclaimable the
+moment that worker fails.  Both transports drive the same
+:class:`LeaseManager`, so the retry → split → poison policy exists once.
+Every issue of a lease carries a fencing token drawn from one
+monotonically increasing counter; when a lease is reclaimed and
+re-issued, the old token is dead forever, so a worker returning from a
+network partition (or a killed pool worker whose last records were
+still queued) streaming results under a stale token is *fenced* — its
+records rejected, never double-journaled — while the reissued lease's
+records flow normally.
 
 The manager is transport-agnostic and purely event-driven (the
-coordinator tells it about grants, results, completions and losses), so
-its state machine is testable without sockets.  An optional
-:class:`LeaseLog` journals every grant/reclaim/fence event as JSONL next
-to the campaign journal; ``repro-sfi journal verify`` replays it and
-flags token regressions.
+transport tells it about grants, results, completions and losses), so
+its state machine is testable without sockets or processes.  An
+optional :class:`LeaseLog` journals every grant/reclaim/fence event as
+JSONL next to the campaign journal; ``repro-sfi journal verify``
+replays it and flags token regressions.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 
 from repro.sfi.campaign import InjectionPlan, partition_plan
 from repro.sfi.service.backoff import DEFAULT_CAP, backoff_delay
+from repro.sfi.storage import FencedAppendError
 
 
 @dataclass
@@ -41,10 +45,28 @@ class Lease:
     not_before: float = 0.0    # earliest re-grant time (backoff)
     queued_at: float = 0.0     # when this issue (re)entered the queue
     accepted: set[int] = field(default_factory=set)
+    # Positions of ``items``: accept() checks membership once per record,
+    # and a pool lease holds a whole worker's share of the plan.
+    positions: frozenset[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.positions = frozenset(item.position for item in self.items)
 
     def remaining(self) -> list[InjectionPlan]:
         return [item for item in self.items
                 if item.position not in self.accepted]
+
+
+@dataclass(frozen=True)
+class Requeue:
+    """The failure-policy branch one failed lease issue took."""
+
+    action: str         # "retry", "split" or "poison"
+    shard_id: int
+    attempt: int        # failed issues of this shard so far
+    reason: str
+    items: int          # plan items still to run
+    delay: float = 0.0  # backoff before a retry may be granted
 
 
 class LeaseLog:
@@ -82,13 +104,22 @@ class LeaseLog:
 class LeaseManager:
     """Hands out leases, fences stale issues, retries and splits.
 
-    ``clock`` is injectable (monotonic seconds) so reclaim deadlines and
-    backoff windows are testable without sleeping.  The failure policy
-    mirrors the in-process pool: a reclaimed or failed lease is
-    re-queued with exponential backoff (deterministic jitter keyed by
-    ``(seed, shard_id, attempt)``); after ``max_retries`` it is split in
-    half; a single item that still cannot complete lands in
+    This is the campaign's one failure policy: a reclaimed or failed
+    lease is re-queued with exponential backoff (deterministic jitter
+    keyed by ``(seed, shard_id, attempt)``); after ``max_retries`` it is
+    split in half; a single item that still cannot complete lands in
     ``poisoned`` for the caller to run in-process — loud, never dropped.
+    ``on_requeue`` (optional) receives a :class:`Requeue` naming the
+    branch each failure took, so transports report it without knowing
+    the policy.
+
+    ``fence`` (optional) is called with a token *before* its issue is
+    reclaimed or drained — the caller revokes it at the journal, so no
+    window exists in which a stale issue could append after its work
+    was re-queued.  Tokens start at ``first_token``: a manager that takes
+    over from another transport's must start above every token that one
+    revoked.  ``clock`` is injectable (monotonic seconds) so backoff
+    windows are testable without sleeping.
     """
 
     def __init__(self, plan: list[InjectionPlan], *, seed: int,
@@ -96,7 +127,8 @@ class LeaseManager:
                  backoff_base: float = 0.25,
                  backoff_cap: float = DEFAULT_CAP,
                  log: LeaseLog | None = None,
-                 clock=None) -> None:
+                 clock=None, first_token: int = 1,
+                 fence=None, on_requeue=None) -> None:
         if lease_items < 1:
             raise ValueError("lease_items must be >= 1")
         self.seed = seed
@@ -105,7 +137,9 @@ class LeaseManager:
         self.backoff_cap = backoff_cap
         self.log = log
         self._clock = clock or _monotonic
-        self._tokens = itertools.count(1)
+        self._fence = fence
+        self._on_requeue = on_requeue
+        self._tokens = itertools.count(first_token)
         self._shard_ids = itertools.count()
         shards = partition_plan(plan, max(1, -(-len(plan) // lease_items))) \
             if plan else []
@@ -165,13 +199,26 @@ class LeaseManager:
         """
         lease = self.active.get(token)
         if lease is None or position in lease.accepted \
-                or all(item.position != position for item in lease.items):
+                or position not in lease.positions:
             self.fenced += 1
             if self.log is not None:
                 self.log.write("fenced", token=token, pos=position)
             return None
         lease.accepted.add(position)
         return lease
+
+    def deliver(self, token: int, position: int, record, collect) -> bool:
+        """Accept one record and hand it to ``collect`` under its fencing
+        token; False when it was fenced here or, as a second line of
+        defence, by the journal (:class:`FencedAppendError`)."""
+        if self.accept(token, position) is None:
+            return False
+        try:
+            collect(position, record, fence=token)
+        except FencedAppendError:
+            self.fenced += 1
+            return False
+        return True
 
     def complete(self, token: int) -> Lease | None:
         """The worker reported the lease's shard done."""
@@ -191,10 +238,13 @@ class LeaseManager:
         return lease
 
     def reclaim(self, token: int, reason: str) -> Lease | None:
-        """Take a lease back from a lost/failed worker and re-queue it."""
-        lease = self.active.pop(token, None)
-        if lease is None:
+        """Take a lease back from a lost/failed worker and re-queue it:
+        fence first, so the old issue is dead before its work is."""
+        if token not in self.active:
             return None
+        if self._fence is not None:
+            self._fence(token)
+        lease = self.active.pop(token)
         if self.log is not None:
             self.log.write("reclaim", token=token, shard=lease.shard_id,
                            worker=lease.worker, reason=reason)
@@ -202,22 +252,18 @@ class LeaseManager:
             self._requeue(lease, reason)
         return lease
 
-    def reclaim_worker(self, worker: str, reason: str) -> list[Lease]:
-        """Reclaim every active lease held by ``worker``."""
-        tokens = [token for token, lease in sorted(self.active.items())
-                  if lease.worker == worker]
-        return [lease for token in tokens
-                if (lease := self.reclaim(token, reason)) is not None]
-
     def drain(self) -> list[InjectionPlan]:
-        """Give up on remote execution: every unaccepted item, for the
-        caller's in-process fallback; the manager empties."""
+        """Give up on leased execution: every unaccepted item (poisoned
+        ones included), for the caller's in-process fallback; issued
+        tokens are fenced and the manager empties."""
         items: list[InjectionPlan] = list(self.poisoned)
         self.poisoned = []
         for lease in self.queued:
             items.extend(lease.remaining())
         self.queued = []
         for token in sorted(self.active):
+            if self._fence is not None:
+                self._fence(token)
             lease = self.active.pop(token)
             if self.log is not None:
                 self.log.write("reclaim", token=token, shard=lease.shard_id,
@@ -234,7 +280,9 @@ class LeaseManager:
         lease.attempt += 1
         remaining = lease.remaining()
         self.reissues += 1
+        delay = 0.0
         if lease.attempt <= self.max_retries:
+            action = "retry"
             delay = backoff_delay(self.backoff_base, lease.attempt,
                                   cap=self.backoff_cap, seed=self.seed,
                                   stream=lease.shard_id)
@@ -242,8 +290,8 @@ class LeaseManager:
             lease.not_before = now + delay
             lease.queued_at = now
             self.queued.append(lease)
-            return
-        if len(remaining) > 1:
+        elif len(remaining) > 1:
+            action = "split"
             half = len(remaining) // 2
             for piece in (remaining[:half], remaining[half:]):
                 self.queued.append(Lease(shard_id=next(self._shard_ids),
@@ -252,8 +300,12 @@ class LeaseManager:
             if self.log is not None:
                 self.log.write("split", shard=lease.shard_id,
                                remaining=len(remaining))
-            return
-        self.poisoned.extend(remaining)
+        else:
+            action = "poison"
+            self.poisoned.extend(remaining)
+        if self._on_requeue is not None:
+            self._on_requeue(Requeue(action, lease.shard_id, lease.attempt,
+                                     reason, len(remaining), delay))
 
 
 def _monotonic() -> float:

@@ -40,11 +40,11 @@ class ShardTransport:
 
 
 class PoolTransport(ShardTransport):
-    """The existing in-process worker pool, behind the seam.
+    """The local worker pool, behind the seam.
 
     Delegates to the supervisor's serial path at ``workers <= 1`` and
-    its supervised multiprocessing pool otherwise — behaviour, metrics
-    and journal bytes are unchanged from the pre-seam engine.
+    otherwise to its multiprocessing pool, which runs one lease per
+    worker process on the same lease engine as the socket transport.
     """
 
     name = "pool"

@@ -6,11 +6,16 @@ copies of the simulation environment can be run relatively easily"
 hours of accumulated injections with it.  This module supervises a
 campaign the way a RAS design supervises a core:
 
-* every shard is an individually tracked job running in its own worker
-  process, with a per-shard timeout;
-* a failed or timed-out shard is retried with exponential backoff and,
-  once its retry budget is exhausted, *split* and requeued — a straggler
-  costs its own retries, never the campaign;
+* pending work is handed out as *leases*
+  (:class:`~repro.sfi.service.leases.LeaseManager`), one per local
+  worker process or per TCP worker slice, each under its own fencing
+  token; a local worker that errors, dies or outlives ``shard_timeout``
+  loses its lease exactly as a remote worker that drops its connection
+  or misses heartbeats does;
+* a reclaimed lease is fenced at the journal, then retried with
+  exponential backoff and, once its retry budget is exhausted, *split*
+  and requeued — a straggler costs its own retries, never the campaign;
+  a single injection that still fails runs in-process;
 * completed injections stream back to the parent and are journaled
   incrementally (:class:`~repro.sfi.storage.CampaignJournal`), so a
   campaign killed at any point — worker or parent, SIGKILL included —
@@ -27,12 +32,10 @@ retry count or resume point.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import queue as queue_module
 import time
-from dataclasses import dataclass, field
 
 from repro.obs.provenance import ProvenanceReport
 from repro.sfi.campaign import (
@@ -44,11 +47,11 @@ from repro.sfi.campaign import (
     SfiExperiment,
     injection_rng,
     observe_provenance_metrics,
-    partition_plan,
     plan_injections,
 )
 from repro.sfi.results import CampaignResult
-from repro.sfi.service.backoff import DEFAULT_CAP, backoff_delay
+from repro.sfi.service.backoff import DEFAULT_CAP
+from repro.sfi.service.leases import Lease, LeaseManager, Requeue
 from repro.sfi.service.transport import PoolTransport, ShardTransport
 from repro.sfi.storage import CampaignJournal, CampaignStorageError
 
@@ -328,57 +331,167 @@ def run_shard(config: CampaignConfig, items: list[InjectionPlan], seed: int,
     return len(experiment.latch_map)
 
 
-def _shard_worker(runner, config: CampaignConfig, shard_id: int,
+def _shard_worker(runner, config: CampaignConfig, token: int,
                   items: list[InjectionPlan], seed: int, out_queue) -> None:
-    """Process entry point: run one shard, streaming records back."""
+    """Process entry point: run one lease, streaming records back keyed
+    by the lease's fencing token."""
     try:
         def emit(pos, rec):
-            out_queue.put(("record", shard_id, pos, rec))
+            out_queue.put(("record", token, pos, rec))
 
         # Sidecar channel: fast-path / provenance payloads ride the same
         # queue with their own kinds ("fast", "prov").  Per-process FIFO
         # ordering guarantees they arrive before their position's record.
         emit.extra = lambda kind, pos, payload: out_queue.put(
-            (kind, shard_id, pos, payload))
+            (kind, token, pos, payload))
         population = runner(config, items, seed, emit)
-        out_queue.put(("done", shard_id, population))
+        out_queue.put(("done", token, population))
     except BaseException as exc:  # noqa: BLE001 - report, don't crash silently
-        out_queue.put(("error", shard_id, f"{type(exc).__name__}: {exc}"))
+        out_queue.put(("error", token, f"{type(exc).__name__}: {exc}"))
 
 
 # ----------------------------------------------------------------------
 # Parent side.
 
-# Partitioning lives in repro.sfi.campaign (the coordinator leases
-# through the same cut); kept importable under its old name.
-_shard_items = partition_plan
+class _ProcessPool:
+    """One run of the local pool: a worker process per active lease of
+    ``leases``.  Failure handling is the lease manager's — a worker
+    error, a dead process or an expired ``shard_timeout`` (the lease's
+    deadline) reclaims the lease, and the manager retries, splits or
+    poisons it exactly as it does for the TCP coordinator."""
 
+    def __init__(self, supervisor: "CampaignSupervisor", leases: LeaseManager,
+                 seed: int, collect) -> None:
+        self.supervisor = supervisor
+        self.leases = leases
+        self.seed = seed
+        self.collect = collect
+        context = multiprocessing.get_context(supervisor._mp_context)
+        self.queue = context.Queue()
+        #: token -> (worker process, monotonic spawn time)
+        self.running: dict[int, tuple] = {}
 
-@dataclass
-class _ShardJob:
-    """One tracked unit of dispatch."""
+    def run(self) -> str | None:
+        """Drive every lease to completion (or poison); returns why the
+        pool broke down when workers could not be spawned."""
+        supervisor, leases = self.supervisor, self.leases
+        inst = supervisor._inst
+        timeout = supervisor.shard_timeout
+        while leases.queued or leases.active:
+            if inst is not None:
+                inst.workers_running.set(len(self.running))
+            while len(self.running) < supervisor.workers:
+                lease = leases.grant("pool")
+                if lease is None:
+                    break
+                try:
+                    process = supervisor._spawn(lease, self.seed, self.queue)
+                except OSError as exc:
+                    # The pool itself is broken (fork/spawn failure):
+                    # stop every worker and keep what they reported.
+                    self.stop()
+                    self._settle(0.5)
+                    return f"cannot spawn workers ({exc})"
+                now = time.monotonic()
+                if inst is not None:
+                    inst.queue_wait.observe(now - lease.queued_at)
+                self.running[lease.token] = (process, now)
 
-    shard_id: int
-    items: list[InjectionPlan]
-    attempt: int = 0
-    process: multiprocessing.process.BaseProcess | None = None
-    deadline: float | None = None
-    done_positions: set[int] = field(default_factory=set)
-    queued_at: float | None = None    # when last (re)queued, for queue-wait
-    started_at: float | None = None   # when last spawned, for wall time
+            if not self.running:
+                # Everything pending is backing off; sleep it out.
+                wait = leases.next_ready_at() - time.monotonic()
+                time.sleep(max(0.0, min(wait, 0.2)))
+                continue
 
-    def remaining(self) -> list[InjectionPlan]:
-        return [item for item in self.items
-                if item.position not in self.done_positions]
+            # Records stream in continuously, so a later crash only
+            # loses the not-yet-reported tail.
+            try:
+                self.handle(self.queue.get(timeout=0.05))
+                continue
+            except queue_module.Empty:
+                pass
+
+            # No message pending: check deadlines and silent deaths.
+            now = time.monotonic()
+            for token, (process, started) in list(self.running.items()):
+                if token not in self.running:
+                    continue  # settled while handling another worker
+                if timeout and now - started > timeout:
+                    process.kill()
+                    process.join()
+                    self._fail(token, f"timed out after {timeout:.1f}s", 0.2)
+                elif not process.is_alive():
+                    # Died without an error message (e.g. SIGKILL, OOM).
+                    process.join()
+                    self._fail(token, f"worker died (exit "
+                               f"{process.exitcode})", 0.5)
+        return None
+
+    def handle(self, message) -> None:
+        """Absorb one worker message; a stale token's are fenced."""
+        kind, token = message[0], message[1]
+        if kind == "record":
+            self.leases.deliver(token, message[2], message[3], self.collect)
+        elif kind in ("fast", "prov"):
+            if token in self.leases.active:
+                self.collect.extra(kind, message[2], message[3])
+        elif kind == "done":
+            if self.supervisor.lease_done(self.leases, token,
+                                          message[2]) is not None:
+                self._end(token, "ok")
+        elif kind == "error" and token in self.leases.active:
+            self._end(token, "failed")
+            self.leases.reclaim(token, message[2])
+
+    def _fail(self, token: int, reason: str, grace: float) -> None:
+        """Reclaim a dead or killed worker's lease, unless its queued
+        messages show it finished after all."""
+        self._settle(grace, token)
+        if token in self.leases.active:
+            self._end(token, "failed")
+            self.leases.reclaim(token, reason)
+
+    def _settle(self, grace: float, token: int | None = None) -> None:
+        """Handle queued messages for up to ``grace`` seconds, until the
+        queue runs dry or ``token``'s lease has ended."""
+        deadline = time.monotonic() + grace
+        while (token is None or token in self.leases.active) \
+                and time.monotonic() < deadline:
+            try:
+                self.handle(self.queue.get(timeout=0.05))
+            except queue_module.Empty:
+                return
+
+    def _end(self, token: int, status: str) -> None:
+        entry = self.running.pop(token, None)
+        if entry is None:
+            return
+        process, started = entry
+        inst = self.supervisor._inst
+        if inst is not None:
+            inst.shard_wall.observe(time.monotonic() - started, status=status)
+        process.join(timeout=5)
+        if process.is_alive():
+            process.kill()
+            process.join()
+
+    def stop(self) -> None:
+        """Kill every worker still running (idempotent)."""
+        for process, _ in self.running.values():
+            process.kill()
+            process.join()
+        self.running.clear()
 
 
 class CampaignSupervisor:
     """Dispatch a campaign plan across supervised worker processes.
 
-    Parameters mirror the failure policy: ``shard_timeout`` (seconds a
-    shard may run before it is killed; ``None`` disables), ``max_retries``
-    (re-runs of a shard before it is split), ``backoff_base`` (first retry
-    delay; doubles per attempt).  ``journal`` names a JSONL journal file;
+    Parameters mirror the failure policy, which every transport applies
+    through :meth:`lease_manager`: ``shard_timeout`` (seconds a pool
+    worker may hold its lease before it is killed; ``None`` disables),
+    ``max_retries`` (re-runs of a lease before it is split),
+    ``backoff_base`` (first retry delay; doubles per attempt) and
+    ``backoff_cap``.  ``journal`` names a JSONL journal file;
     with ``resume=True`` an existing journal is recovered and its
     positions skipped.  ``runner`` is the shard execution function
     (top-level, picklable); tests substitute fault-injecting runners.
@@ -437,9 +550,10 @@ class CampaignSupervisor:
         #: and merged worker spans land in ``transport.worker_spans``.
         self.trace = trace
         self.trace_root: str | None = None
-        self._ids = itertools.count()
-        self._degraded = False
         self._journal: CampaignJournal | None = None
+        # Highest fencing token revoked so far: a lease manager taking
+        # over from another transport issues tokens above it.
+        self._fence_floor = 0
         #: Merged provenance aggregate of the last run (None unless
         #: ``config.provenance``); per-position payloads in
         #: ``provenance_payloads``.  Commutative folding makes both
@@ -527,7 +641,6 @@ class CampaignSupervisor:
                                 if item.position not in records]
                     leftover.sort(key=lambda item: item.position)
                 if leftover:
-                    self._degraded = True
                     if inst is not None:
                         inst.degrades.inc()
                     self.progress.on_degrade(
@@ -623,17 +736,65 @@ class CampaignSupervisor:
             if self.workers <= 1:
                 self._run_serial(items, seed, collect)
             else:
-                self._run_supervised(items, seed, collect)
+                self._run_leased(items, seed, collect)
         finally:
             if span is not None:
                 self.trace.finish(span)
 
     def raise_fence(self, token: int) -> None:
-        """Revoke a lease issue's fencing token at the journal (the
-        coordinator calls this when it reclaims a lease, so a stale
+        """Revoke a lease issue's fencing token at the journal (every
+        lease manager calls this before it reclaims a lease, so a stale
         writer surfacing later cannot double-journal its records)."""
+        self._fence_floor = max(self._fence_floor, token)
         if self._journal is not None:
             self._journal.raise_fence(token)
+
+    # -- the lease engine every transport drives ------------------------
+
+    def lease_manager(self, items: list[InjectionPlan], seed: int, *,
+                      lease_items: int, log=None) -> LeaseManager:
+        """A :class:`LeaseManager` under this campaign's failure policy:
+        it fences reclaimed tokens at the journal, reports each requeue
+        to progress and metrics, and issues tokens above any revoked
+        earlier in the campaign (e.g. by a transport that gave up)."""
+        return LeaseManager(
+            items, seed=seed, lease_items=lease_items,
+            max_retries=self.max_retries, backoff_base=self.backoff_base,
+            backoff_cap=self.backoff_cap, log=log,
+            first_token=self._fence_floor + 1, fence=self.raise_fence,
+            on_requeue=self._report_requeue)
+
+    def _report_requeue(self, requeue: Requeue) -> None:
+        if requeue.action == "retry":
+            if self._inst is not None:
+                self._inst.retries.inc()
+            self.progress.on_shard_retry(requeue.shard_id, requeue.attempt,
+                                         requeue.reason, requeue.delay)
+        elif requeue.action == "split":
+            if self._inst is not None:
+                self._inst.splits.inc()
+            self.progress.on_shard_split(requeue.shard_id, requeue.items)
+        else:
+            self.progress.on_degrade(
+                f"shard {requeue.shard_id} ({requeue.items} injection) "
+                f"exhausted {self.max_retries} retries ({requeue.reason}); "
+                f"running in-process")
+
+    def lease_done(self, leases: LeaseManager, token: int,
+                   population) -> Lease | None:
+        """A worker reported lease ``token`` finished: complete it, adopt
+        the worker's latch population and report the shard.  None when
+        the token was stale."""
+        lease = leases.complete(token)
+        if lease is None:
+            return None
+        if not self.population_bits and isinstance(population, int) \
+                and population > 0:
+            self.population_bits = population
+        if not lease.remaining():
+            self.progress.on_shard_complete(
+                lease.shard_id, len(lease.items), lease.attempt + 1)
+        return lease
 
     # -- serial / degraded path ---------------------------------------
 
@@ -647,208 +808,37 @@ class CampaignSupervisor:
         if not self.population_bits and isinstance(population, int):
             self.population_bits = population
 
-    def _degrade(self, reason: str, jobs: list[_ShardJob], seed: int,
-                 collect) -> None:
-        self._degraded = True
-        if self._inst is not None:
-            self._inst.degrades.inc()
-        self.progress.on_degrade(reason)
-        remaining = [item for job in jobs for item in job.remaining()]
-        remaining.sort(key=lambda item: item.position)
-        self._run_serial(remaining, seed, collect)
+    def _run_leased(self, items: list[InjectionPlan], seed: int,
+                    collect) -> None:
+        """The multiprocessing pool: one lease per worker, so each of
+        ``workers`` processes prepares its machine once.  Whatever the
+        leases cannot finish — poisoned items, or everything left when
+        workers cannot be spawned — runs once in-process."""
+        leases = self.lease_manager(
+            items, seed, lease_items=-(-len(items) // self.workers))
+        pool = _ProcessPool(self, leases, seed, collect)
+        try:
+            reason = pool.run()
+        finally:
+            pool.stop()
+        leftover = leases.drain()
+        if leftover:
+            if self._inst is not None:
+                self._inst.degrades.inc()
+            if reason is not None:
+                self.progress.on_degrade(reason)
+            self._run_serial(leftover, seed, collect)
 
-    # -- supervised pool ----------------------------------------------
-
-    def _spawn(self, job: _ShardJob, seed: int, out_queue) -> None:
-        """Start one worker process for ``job`` (patchable in tests)."""
+    def _spawn(self, lease: Lease, seed: int, out_queue):
+        """Start one worker process for ``lease`` (patchable in tests)."""
         context = multiprocessing.get_context(self._mp_context)
         process = context.Process(
             target=_shard_worker,
-            args=(self.runner, self.config, job.shard_id, job.remaining(),
+            args=(self.runner, self.config, lease.token, lease.remaining(),
                   seed, out_queue),
             daemon=True)
         process.start()
-        job.process = process
-        now = time.monotonic()
-        if self._inst is not None and job.queued_at is not None:
-            self._inst.queue_wait.observe(now - job.queued_at)
-        job.started_at = now
-        job.deadline = (now + self.shard_timeout
-                        if self.shard_timeout else None)
-
-    def _run_supervised(self, items: list[InjectionPlan], seed: int,
-                        collect) -> None:
-        shards = _shard_items(items, min(self.workers, len(items)))
-        now = time.monotonic()
-        todo: list[_ShardJob] = [
-            _ShardJob(shard_id=next(self._ids), items=shard, queued_at=now)
-            for shard in shards]
-        context = multiprocessing.get_context(self._mp_context)
-        out_queue = context.Queue()
-        running: dict[int, _ShardJob] = {}
-        backoff_until: dict[int, float] = {}
-        inst = self._inst
-
-        def observe_shard_end(job: _ShardJob, status: str) -> None:
-            if inst is not None and job.started_at is not None:
-                inst.shard_wall.observe(time.monotonic() - job.started_at,
-                                        status=status)
-                job.started_at = None
-
-        def fail(job: _ShardJob, reason: str) -> None:
-            """Retry, split, or degrade one failed shard."""
-            observe_shard_end(job, "failed")
-            job.process = None
-            job.attempt += 1
-            remaining = job.remaining()
-            if not remaining:
-                # Every record arrived before the worker died; treat the
-                # shard as complete.
-                self.progress.on_shard_complete(
-                    job.shard_id, len(job.items), job.attempt)
-                return
-            if job.attempt <= self.max_retries:
-                delay = backoff_delay(self.backoff_base, job.attempt,
-                                      cap=self.backoff_cap, seed=seed,
-                                      stream=job.shard_id)
-                if inst is not None:
-                    inst.retries.inc()
-                self.progress.on_shard_retry(
-                    job.shard_id, job.attempt, reason, delay)
-                backoff_until[job.shard_id] = time.monotonic() + delay
-                job.queued_at = time.monotonic()
-                todo.append(job)
-                return
-            if len(remaining) > 1:
-                if inst is not None:
-                    inst.splits.inc()
-                self.progress.on_shard_split(job.shard_id, len(remaining))
-                half = len(remaining) // 2
-                for piece in (remaining[:half], remaining[half:]):
-                    todo.append(_ShardJob(shard_id=next(self._ids),
-                                          items=piece,
-                                          queued_at=time.monotonic()))
-                return
-            # A single injection that keeps failing in workers: last
-            # resort is running it in-process — loud failure if even
-            # that raises, never a silent drop.
-            if inst is not None:
-                inst.degrades.inc()
-            self.progress.on_degrade(
-                f"shard {job.shard_id} (1 injection) exhausted "
-                f"{self.max_retries} retries; running in-process")
-            self._degraded = True
-            self._run_serial(remaining, seed, collect)
-
-        def handle(message) -> None:
-            kind, shard_id = message[0], message[1]
-            job = running.get(shard_id)
-            if kind == "record":
-                _, _, position, record = message
-                if job is not None:
-                    job.done_positions.add(position)
-                collect(position, record)
-            elif kind in ("fast", "prov"):
-                _, _, position, payload = message
-                collect.extra(kind, position, payload)
-            elif kind == "done" and job is not None:
-                _, _, population = message
-                if not self.population_bits and isinstance(population, int):
-                    self.population_bits = population
-                observe_shard_end(job, "ok")
-                self._reap(job)
-                del running[shard_id]
-                self.progress.on_shard_complete(
-                    shard_id, len(job.items), job.attempt + 1)
-            elif kind == "error" and job is not None:
-                self._reap(job)
-                del running[shard_id]
-                fail(job, message[2])
-
-        def settle(job: _ShardJob, grace: float) -> bool:
-            """Give a dead/killed worker's queued messages ``grace``
-            seconds to surface; True if the shard completed after all."""
-            deadline = time.monotonic() + grace
-            while job.shard_id in running and time.monotonic() < deadline:
-                try:
-                    handle(out_queue.get(timeout=0.05))
-                except queue_module.Empty:
-                    break
-            return job.shard_id not in running
-
-        while todo or running:
-            if inst is not None:
-                inst.workers_running.set(len(running))
-            # Launch whatever fits, respecting per-shard backoff.
-            now = time.monotonic()
-            launchable = [job for job in todo
-                          if backoff_until.get(job.shard_id, 0) <= now]
-            while launchable and len(running) < self.workers:
-                job = launchable.pop(0)
-                todo.remove(job)
-                try:
-                    self._spawn(job, seed, out_queue)
-                except OSError as exc:
-                    # The pool itself is broken (fork/spawn failure):
-                    # stop every worker and finish in-process.
-                    job.process = None
-                    for other in running.values():
-                        if other.process is not None:
-                            other.process.kill()
-                            other.process.join()
-                    while True:  # salvage already-reported records
-                        try:
-                            handle(out_queue.get_nowait())
-                        except queue_module.Empty:
-                            break
-                    self._degrade(f"cannot spawn workers ({exc})",
-                                  [job] + todo + list(running.values()),
-                                  seed, collect)
-                    return
-                running[job.shard_id] = job
-
-            if not running:
-                # Everything pending is backing off; sleep it out.
-                wake = min(backoff_until.get(job.shard_id, now)
-                           for job in todo)
-                time.sleep(max(0.0, min(wake - now, 0.2)))
-                continue
-
-            # Drain worker messages (records stream in continuously, so a
-            # later crash only loses the not-yet-reported tail).
-            try:
-                handle(out_queue.get(timeout=0.05))
-                continue
-            except queue_module.Empty:
-                pass
-
-            # No message pending: check deadlines and silent deaths.
-            now = time.monotonic()
-            for shard_id, job in list(running.items()):
-                process = job.process
-                if shard_id not in running or process is None:
-                    continue
-                if job.deadline is not None and now > job.deadline:
-                    process.kill()
-                    process.join()
-                    if not settle(job, grace=0.2):
-                        del running[shard_id]
-                        fail(job, f"timed out after {self.shard_timeout:.1f}s")
-                elif not process.is_alive():
-                    # Died without an error message (e.g. SIGKILL, OOM).
-                    process.join()
-                    if not settle(job, grace=0.5):
-                        del running[shard_id]
-                        fail(job, f"worker died (exit {process.exitcode})")
-
-    @staticmethod
-    def _reap(job: _ShardJob) -> None:
-        if job.process is not None:
-            job.process.join(timeout=5)
-            if job.process.is_alive():
-                job.process.kill()
-                job.process.join()
-            job.process = None
+        return process
 
 
 def run_supervised_campaign(config: CampaignConfig, sites: list[int],

@@ -616,7 +616,7 @@ class TestTelemetryDifferential:
         tracker = ConvergenceTracker()
         trace = SpanRecorder()
         transport = SocketTransport(
-            heartbeat_interval=0.1, lease_items=1, backoff_base=0.0,
+            heartbeat_interval=0.1, lease_items=1,
             worker_wait=120.0, metrics=registry,
             telemetry_interval=0.05, campaign="chaos",
             convergence=tracker)
@@ -624,7 +624,7 @@ class TestTelemetryDifferential:
         survivor = _start_worker_process(transport.port, "survivor")
         supervisor = CampaignSupervisor(
             CONFIG, workers=1, journal=journal, transport=transport,
-            trace=trace)
+            trace=trace, backoff_base=0.0)
         thread, box = _run_in_thread(supervisor, SITES, SEED)
         try:
             _wait_for_journal_lines(journal, 2)

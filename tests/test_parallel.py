@@ -5,27 +5,28 @@ import random
 import pytest
 
 from repro.sfi import CampaignConfig
-from repro.sfi.parallel import run_parallel_campaign, shard_sites
+from repro.sfi.campaign import partition_plan
+from repro.sfi.parallel import run_parallel_campaign
 
 from tests.conftest import SMALL_PARAMS
 
 
 class TestSharding:
     def test_balanced_split(self):
-        shards = shard_sites(list(range(10)), 3)
+        shards = partition_plan(list(range(10)), 3)
         assert [len(s) for s in shards] == [4, 3, 3]
         assert sum(shards, []) == list(range(10))
 
     def test_more_shards_than_sites(self):
-        shards = shard_sites([1, 2], 5)
+        shards = partition_plan([1, 2], 5)
         assert shards == [[1], [2]]
 
     def test_single_shard(self):
-        assert shard_sites([1, 2, 3], 1) == [[1, 2, 3]]
+        assert partition_plan([1, 2, 3], 1) == [[1, 2, 3]]
 
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError):
-            shard_sites([1], 0)
+            partition_plan([1], 0)
 
 
 class TestParallelExecution:

@@ -161,12 +161,13 @@ class TestDistributedExecution:
         journal = tmp_path / "chaos.journal"
         registry = MetricsRegistry()
         transport = SocketTransport(
-            heartbeat_interval=0.1, lease_items=1, backoff_base=0.0,
+            heartbeat_interval=0.1, lease_items=1,
             worker_wait=120.0, metrics=registry)
         victim = _start_worker_process(transport.port, "victim")
         survivor = _start_worker_process(transport.port, "survivor")
         supervisor = CampaignSupervisor(
-            CONFIG, workers=1, journal=journal, transport=transport)
+            CONFIG, workers=1, journal=journal, transport=transport,
+            backoff_base=0.0)
         thread, box = _run_in_thread(supervisor, SITES, SEED)
         try:
             # Strike once the campaign is demonstrably mid-flight.
@@ -196,10 +197,10 @@ class TestDistributedExecution:
         registry = MetricsRegistry()
         transport = SocketTransport(
             heartbeat_interval=0.2, heartbeat_grace=100.0, lease_items=4,
-            max_retries=5, backoff_base=0.0, worker_wait=120.0,
-            metrics=registry)
+            worker_wait=120.0, metrics=registry)
         supervisor = CampaignSupervisor(
-            CONFIG, workers=1, journal=journal, transport=transport)
+            CONFIG, workers=1, journal=journal, transport=transport,
+            max_retries=5, backoff_base=0.0)
         thread, box = _run_in_thread(supervisor, SITES, SEED)
         stale_token = None
         try:

@@ -227,6 +227,40 @@ class TestLeaseManager:
         assert sorted(item.position for item in mgr.poisoned) == [0, 1]
         assert mgr.reissues >= 4
 
+    def test_requeue_reports_branch_and_delay(self):
+        clock = FakeClock()
+        requeues, revoked = [], []
+        mgr = LeaseManager(_plan(2), seed=1, lease_items=2, max_retries=1,
+                           backoff_base=2.0, clock=clock,
+                           fence=revoked.append,
+                           on_requeue=requeues.append)
+        lease = mgr.grant("w1")
+        first = lease.token
+        mgr.reclaim(first, "lost")
+        assert revoked == [first]                  # fenced before requeue
+        (retry,) = requeues
+        expected = backoff_delay(2.0, 1, seed=1, stream=lease.shard_id)
+        assert (retry.action, retry.shard_id, retry.attempt, retry.reason,
+                retry.items, retry.delay) == \
+            ("retry", lease.shard_id, 1, "lost", 2, expected)
+        assert lease.not_before == clock.now + expected
+        clock.now += expected
+        again = mgr.grant("w1")
+        mgr.reclaim(again.token, "lost again")
+        assert requeues[-1].action == "split"
+        assert (requeues[-1].attempt, requeues[-1].items,
+                requeues[-1].delay) == (2, 2, 0.0)
+        halves = [mgr.grant("w1"), mgr.grant("w2")]
+        for half in halves:
+            mgr.reclaim(half.token, "boom")
+        assert [r.action for r in requeues[-2:]] == ["retry", "retry"]
+        clock.now += 10.0
+        for _ in halves:
+            mgr.reclaim(mgr.grant("w1").token, "boom")
+        assert [(r.action, r.items) for r in requeues[-2:]] == \
+            [("poison", 1), ("poison", 1)]
+        assert revoked == sorted(revoked) and len(revoked) == 6
+
     def test_backoff_delays_regrant_until_clock_advances(self):
         clock = FakeClock()
         mgr = LeaseManager(_plan(2), seed=1, lease_items=2,
