@@ -60,6 +60,11 @@ class SramArray:
     def snapshot(self) -> tuple[list[int], list[int]]:
         return list(self.data), list(self.par)
 
+    def contents(self) -> tuple[list[int], list[int]]:
+        """The live ``(data, parity)`` lists, not copied: for reads that
+        end before the next write (digests, comparisons)."""
+        return self.data, self.par
+
     def restore(self, snap: tuple[list[int], list[int]]) -> None:
         self.data = list(snap[0])
         self.par = list(snap[1])
@@ -113,6 +118,11 @@ class EccArray:
 
     def snapshot(self) -> tuple[list[int], list[int]]:
         return list(self.data), list(self.check)
+
+    def contents(self) -> tuple[list[int], list[int]]:
+        """The live ``(data, check)`` lists, not copied: for reads that
+        end before the next write (digests, comparisons)."""
+        return self.data, self.check
 
     def restore(self, snap: tuple[list[int], list[int]]) -> None:
         self.data = list(snap[0])

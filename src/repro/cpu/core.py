@@ -30,6 +30,10 @@ from repro.cpu.regfile import RegisterFile
 from repro.cpu.rut import CKPT_CR, CKPT_CTR, CKPT_LR, CKPT_PC, Rut
 
 
+#: Distinct digest masks whose kept-latch lists a core caches at once.
+_KEPT_MASKS = 32
+
+
 @dataclass
 class CoreSnapshot:
     """Complete machine state captured at a cycle boundary."""
@@ -96,6 +100,9 @@ class Power6Core:
                 self._unit_of_latch[id(latch)] = unit_name
         self._arrays = [self.ifu.icache.array, self.lsu.dcache.array,
                         self.rut.ckpt]
+        # Masked digests: mask -> the latches it keeps (see
+        # ``_kept_latches``).  A campaign uses one mask per testcase.
+        self._kept_by_mask: dict[frozenset, list[Latch]] = {}
 
     # ------------------------------------------------------------------
     # Structure queries (used by the emulator and the SFI framework).
@@ -272,20 +279,23 @@ class Power6Core:
         """Order-stable digest of the complete *machine* state.
 
         Covers everything that determines future behaviour — every latch
-        value and parity shadow, memory (nonzero words, so write order
-        and dead zero-stores cannot desynchronise equal states), SRAM
-        array contents, cycle/halt/commit bookkeeping — and deliberately
-        excludes the event log, which is observational: two runs whose
-        digests match evolve identically from here even though their
-        logs differ (the injected run carries an INJECTION event).
+        value and parity shadow, memory (the set of nonzero words, so
+        write order and dead zero-stores cannot desynchronise equal
+        states), SRAM array contents, cycle/halt/commit bookkeeping — and
+        deliberately excludes the event log, which is observational: two
+        runs whose digests match evolve identically from here even though
+        their logs differ (the injected run carries an INJECTION event).
 
         ``exclude`` masks a set of latches out of the digest, given as
-        positions in :meth:`all_latches` order: excluded latches hash as
-        a placeholder in both value and parity sections, so two states
-        match exactly when they agree everywhere *outside* the set.  The
-        bit-plane backend's set-masked early exit compares against a
-        golden trail digested with the same exclusion; ``None`` (and the
-        empty set) is bit-for-bit the original full digest.
+        positions in :meth:`all_latches` order: excluded latches are
+        *omitted* from the value and parity sections (not hashed as
+        placeholders), so two states digested under the same mask match
+        exactly when they agree everywhere *outside* it.  The mask is
+        resolved once to the latches it keeps (cached per mask), so a
+        masked digest costs only the kept latches.  The bit-plane
+        backend's set-masked early exit compares against a golden trail
+        digested with the same exclusion; ``None`` and the empty set give
+        the full digest.
 
         ``include_cycle=False`` drops the cycle counter from the digest,
         producing a *lag-free* digest: a trial delayed by recovery can
@@ -293,30 +303,58 @@ class Power6Core:
         shifted in time — which the bit-plane drain exploits to rejoin
         recovered lanes onto the golden tail.
 
-        Built section-by-section (scalars, per-latch values, memory,
-        arrays) so the cost is one tuple-hash pass over the state rather
-        than a serialisation; at a few thousand latches this is cheap
-        enough to sample every ``digest_stride`` cycles on the campaign
-        hot path.
+        The value is a built-in ``hash()`` (``hash(None)`` is
+        address-based on some interpreters), so it is comparable only
+        within one process and is never persisted.  Its sections are read
+        straight from the live state — no snapshot copies, no sort — and
+        :meth:`same_state` is the exact comparison a digest hit stands
+        for.
         """
-        latches = self._all_latches
-        if exclude:
-            values = tuple(None if i in exclude else latch.value
-                           for i, latch in enumerate(latches))
-            pars = tuple(None if i in exclude else latch.par
-                         for i, latch in enumerate(latches))
-        else:
-            values = tuple(latch.value for latch in latches)
-            pars = tuple(latch.par for latch in latches)
+        latches = self._kept_latches(exclude) if exclude \
+            else self._all_latches
         return hash((
             self.cycles if include_cycle else None,
             self.halted, self.commits_prev, self.committed,
-            values,
-            pars,
-            tuple(sorted(self.memory.nonzero_words().items())),
-            tuple(tuple(tuple(part) for part in array.snapshot())
-                  for array in self._arrays),
+            tuple([latch.value for latch in latches]),
+            tuple([latch.par for latch in latches]),
+            self.memory.nonzero_items(),
+            tuple([tuple(part) for array in self._arrays
+                   for part in array.contents()]),
         ))
+
+    def _kept_latches(self, exclude: frozenset) -> list[Latch]:
+        """The latches outside ``exclude``, in :meth:`all_latches` order."""
+        kept = self._kept_by_mask.get(exclude)
+        if kept is None:
+            if len(self._kept_by_mask) >= _KEPT_MASKS:
+                self._kept_by_mask.clear()
+            kept = [latch for index, latch in enumerate(self._all_latches)
+                    if index not in exclude]
+            self._kept_by_mask[exclude] = kept
+        return kept
+
+    def same_state(self, snap: CoreSnapshot,
+                   exclude: frozenset | None = None,
+                   include_cycle: bool = True) -> bool:
+        """Does the live machine equal ``snap`` on everything
+        :meth:`state_digest` covers under the same ``exclude`` and
+        ``include_cycle``?  The exact check a digest match only
+        suggests: a 64-bit hash can collide, this comparison cannot."""
+        if include_cycle and self.cycles != snap.cycles:
+            return False
+        if (self.halted, self.commits_prev, self.committed) != \
+                (snap.halted, snap.commits_prev, snap.committed):
+            return False
+        exclude = exclude or frozenset()
+        for index, (latch, saved) in enumerate(
+                zip(self._all_latches, snap.latches)):
+            if index not in exclude and (latch.value, latch.par) != saved:
+                return False
+        if self.memory.nonzero_words() != \
+                {index: word for index, word in snap.memory.items() if word}:
+            return False
+        return all(tuple(array.contents()) == tuple(saved)
+                   for array, saved in zip(self._arrays, snap.arrays))
 
     # ------------------------------------------------------------------
     # Snapshot/restore (the emulator's checkpoint mechanism).

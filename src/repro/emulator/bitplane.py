@@ -59,6 +59,8 @@ MAX_WAVE_TRIALS = PLANE_LANES - 1
 #: Strides of the bit-plane side's own golden instrumentation (denser
 #: than the scalar fast path's, because a peeled lane re-enters close
 #: to its first-read cycle and exits at the first licensed boundary).
+#: The rung stride is a floor: an experiment widens it until its dense
+#: rungs fit the ladder bound (``SfiExperiment.dense_rung_stride``).
 BITPLANE_DIGEST_STRIDE = 8
 BITPLANE_RUNG_STRIDE = 4
 

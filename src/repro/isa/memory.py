@@ -69,6 +69,12 @@ class Memory:
         """Mapping of word-index -> value for all nonzero words."""
         return {idx: w for idx, w in self._words.items() if w}
 
+    def nonzero_items(self) -> frozenset[tuple[int, int]]:
+        """The ``(word-index, value)`` pairs of all nonzero words as a
+        set: equal for equal contents whatever the write order, and
+        hashable without a copy of the contents or a sort."""
+        return frozenset([item for item in self._words.items() if item[1]])
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Memory):
             return NotImplemented

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.avp.generator import MixWeights
 from repro.avp.runner import AvpBaselineError, ReferenceRun
@@ -300,6 +300,10 @@ class _ExperimentInstruments:
         self.wave_occupancy = registry.histogram(
             "sfi_wave_occupancy_lanes", "trial lanes per resolved wave",
             buckets=_WAVE_OCCUPANCY_BUCKETS)
+        self.digest_collisions = registry.counter(
+            "sfi_digest_collisions_total",
+            "bit-plane drain digest hits refused by the exact state "
+            "check, by exit", ("exit",))
 
 
 class SfiExperiment:
@@ -354,6 +358,9 @@ class SfiExperiment:
         self._bp_lagmap: list[dict[int, int]] = []
         self._bp_masked: list[dict[int, int]] = []
         self._schedule_trace = None
+        # Ladder stride of the bit-plane dense rungs, derived in
+        # ``_prepare`` to fit ``ladder_max_rungs`` (None: none laid).
+        self.dense_rung_stride: int | None = None
         self._latches = self.core.all_latches()
         self.suite: list[AvpTestcase] = make_suite(
             self.config.suite_size, self.config.suite_seed, self.config.weights)
@@ -405,7 +412,12 @@ class SfiExperiment:
     def _prepare(self) -> None:
         """Checkpoint each testcase at cycle 0, establish its fault-free
         reference execution, and (on the fast path) build its checkpoint
-        ladder and golden digest trail along the way."""
+        ladder and golden digest trail along the way.
+
+        The bit-plane backend compiles each testcase's schedule right
+        after its reference run, then — once every golden length is
+        known — derives the dense rung stride that fits the ladder bound
+        and lays its instrumentation down in a second pass."""
         for index, testcase in enumerate(self.suite):
             self.core.load_program(testcase.program)
             self._apply_mode_overrides()
@@ -413,8 +425,13 @@ class SfiExperiment:
             reference = self._reference_run(testcase, index)
             self.references.append(reference)
             if self.bitplane:
-                self._bitplane_prepare(index)
+                self._compile_schedule(index)
             self.emulator.reload(self._ckpt_name(index))
+        if self.bitplane:
+            self.dense_rung_stride = self._fit_dense_rung_stride()
+            for index in range(len(self.suite)):
+                self._bitplane_prepare(index)
+                self.emulator.reload(self._ckpt_name(index))
 
     def _reference_budget(self, testcase: AvpTestcase) -> int:
         return 50 * testcase.instructions_retired + 10_000
@@ -672,9 +689,47 @@ class SfiExperiment:
     # ------------------------------------------------------------------
     # Bit-plane backend (waves of up to 63 trials per plane word).
 
+    def _compile_schedule(self, index: int) -> None:
+        """Compile the schedule the reference run just recorded (the core
+        still holds that run's quiesced state)."""
+        config = self.config
+        testcase = self.suite[index]
+        trace = self._schedule_trace
+        self._schedule_trace = None
+        cache_key = ("schedule", repr(config.core_params),
+                     repr(config.weights), testcase.seed,
+                     config.checker_mask,
+                     tuple(sorted(config.mode_overrides.items())))
+        self.schedules.append(
+            compile_netlist(self.core, trace, cache_key=cache_key))
+
+    def _fit_dense_rung_stride(self) -> int | None:
+        """The smallest stride >= ``BITPLANE_RUNG_STRIDE`` at which every
+        testcase's dense rungs, together with the ``ckpt_stride`` rungs
+        its reference run already laid, fit the ladder bound — so the
+        LRU evicts none of them before the campaign can use them.
+
+        The dense pass saves a rung at every multiple of the stride up to
+        and including the golden end cycle; a multiple that already holds
+        a rung replaces it rather than adding one.  None when not even
+        one dense rung per testcase fits.
+        """
+        emulator = self.emulator
+        laid = [emulator.rung_cycles(self._ckpt_name(index))
+                for index in range(len(self.suite))]
+        ends = [golden.end_cycle for golden in self.goldens]
+        budget = emulator.max_rungs
+        for stride in range(BITPLANE_RUNG_STRIDE, max(ends) + 1):
+            held = sum(end // stride
+                       + sum(1 for cycle in cycles if cycle % stride)
+                       for cycles, end in zip(laid, ends))
+            if held <= budget:
+                return stride
+        return None
+
     def _bitplane_prepare(self, index: int) -> None:
-        """Compile the recorded schedule and lay down the bit-plane
-        side's dense instrumentation in a second, untraced golden run.
+        """Lay down the bit-plane side's dense instrumentation in a
+        second, untraced golden run.
 
         The re-run replays the exact reference trajectory (chunk
         boundaries cannot change cycle-by-cycle evolution — asserted
@@ -684,29 +739,20 @@ class SfiExperiment:
         delayed by recovery rejoin the golden tail at an earlier golden
         cycle — the set-masked digest trail for the frozen-flip check
         (the never-read mask set only exists once the schedule is
-        compiled), and denser ladder rungs so a peeled lane enters close
-        to its first-read cycle.
+        compiled), and ladder rungs every ``dense_rung_stride`` cycles so
+        a peeled lane enters close to its first-read cycle.
         """
         core = self.core
         emulator = self.emulator
-        config = self.config
         golden = self.goldens[index]
         testcase = self.suite[index]
-        trace = self._schedule_trace
-        self._schedule_trace = None
-        cache_key = ("schedule", repr(config.core_params),
-                     repr(config.weights), testcase.seed,
-                     config.checker_mask,
-                     tuple(sorted(config.mode_overrides.items())))
-        schedule = compile_netlist(core, trace, cache_key=cache_key)
-        self.schedules.append(schedule)
-        mask = schedule.mask_indices
+        mask = self.schedules[index].mask_indices
         lagmap: dict[int, int] = {}
         masked: dict[int, int] = {}
         emulator.reload(self._ckpt_name(index))
         end = golden.end_cycle
         stride = BITPLANE_DIGEST_STRIDE
-        rung_stride = BITPLANE_RUNG_STRIDE
+        rung_stride = self.dense_rung_stride
         # First occurrence wins: if two golden cycles digest identically
         # outside the mask set, their futures mirror (the digest covers
         # everything that drives evolution), so rejoining through the
@@ -718,7 +764,7 @@ class SfiExperiment:
             if emulator.clock(1) < 1:
                 break
             cycle = core.cycles
-            if cycle % rung_stride == 0:
+            if rung_stride is not None and cycle % rung_stride == 0:
                 emulator.save_rung(self._ckpt_name(index))
             if cycle < end:
                 lagmap.setdefault(
@@ -1006,6 +1052,11 @@ class SfiExperiment:
         value.  Checks are skipped while a sticky fault still re-arms
         (the flip keeps returning) and while the recovery sequencer is
         active (golden never leaves ``R_IDLE``, so no digest can match).
+
+        A digest match is only a 64-bit hash match, so every hit is
+        confirmed exactly (:meth:`_confirm_hit`) before the caller
+        reconstructs from it; a collision is counted and the drain goes
+        on.
         """
         core = self.core
         emulator = self.emulator
@@ -1017,9 +1068,10 @@ class SfiExperiment:
         stride = BITPLANE_DIGEST_STRIDE
         end = golden.end_cycle
         latch = site.latch
-        in_mask = self._latch_index[id(latch)] in mask
+        latch_index = self._latch_index[id(latch)]
+        in_mask = latch_index in mask
         last_touch = golden.last_touch.get(id(latch), -1)
-        frozen = golden.final.latches[self._latch_index[id(latch)]]
+        frozen = golden.final.latches[latch_index]
         rstate = core.pervasive.rstate
         remaining = budget
         while remaining > 0:
@@ -1031,7 +1083,8 @@ class SfiExperiment:
                 continue
             rejoin = lagmap.get(
                 core.state_digest(exclude=mask, include_cycle=False))
-            if rejoin is not None:
+            if rejoin is not None and self._confirm_hit(
+                    tc_index, "rejoin", rejoin, mask):
                 return ("rejoin", rejoin)
             cycle = core.cycles
             if (not in_mask and cycle < end and cycle % stride == 0
@@ -1043,9 +1096,43 @@ class SfiExperiment:
                 latch.value, latch.par = frozen
                 masked_digest = core.state_digest(exclude=mask)
                 latch.value, latch.par = held
-                if masked_digest == reference_masked:
+                if masked_digest == reference_masked and self._confirm_hit(
+                        tc_index, "masked", cycle, mask,
+                        held=(latch_index, frozen)):
                     return ("masked", cycle)
         return None
+
+    def _confirm_hit(self, tc_index: int, exit_kind: str, golden_cycle: int,
+                     mask: frozenset, held=None) -> bool:
+        """Check a drain's digest hit exactly against the golden state.
+
+        Snapshots the trial, rebuilds the golden machine at
+        ``golden_cycle`` (nearest rung at or below it, then clocked the
+        rest of the way), compares everything the digest covers outside
+        ``mask`` — the cycle counter only for a ``masked`` hit, and with
+        the ``held=(latch index, (value, par))`` override applied to the
+        trial side — and restores the trial.  A mismatch is a digest
+        collision: counted in ``sfi_digest_collisions_total{exit}``, and
+        the hit is refused.
+        """
+        core = self.core
+        emulator = self.emulator
+        trial = core.snapshot()
+        expected = trial
+        if held is not None:
+            index, pair = held
+            latches = list(trial.latches)
+            latches[index] = pair
+            expected = replace(trial, latches=latches)
+        start = emulator.restore_nearest(self._ckpt_name(tc_index),
+                                         golden_cycle)
+        emulator.clock(golden_cycle - start)
+        same = core.same_state(expected, exclude=mask,
+                               include_cycle=exit_kind == "masked")
+        core.restore(trial)
+        if not same and self._instruments is not None:
+            self._instruments.digest_collisions.inc(exit=exit_kind)
+        return same
 
     def run_plan(self, plan: list[InjectionPlan], seed: int = 0,
                  record_hook=None) -> CampaignResult:

@@ -204,3 +204,58 @@ def test_bitplane_simulates_fewer_cycles(slow_records):
     assert bp_result.records == fast_result.records
     assert bp_exp.emulator.stats.cycles_run \
         < fast_exp.emulator.stats.cycles_run
+
+
+@pytest.mark.parametrize("exit_kind", ["rejoin", "masked"])
+def test_false_digest_hits_are_confirmed_away(exit_kind, monkeypatch):
+    """Every drain hit is checked exactly before it is trusted.
+
+    ``state_digest`` is patched after prepare so the drain's probes
+    report hits that are false: for ``rejoin`` every lag-free probe
+    finds the golden cycle-0 entry of the lag map, for ``masked`` every
+    stride probe finds the golden masked trail's own value.  Each false
+    hit must be refused and counted in
+    ``sfi_digest_collisions_total{exit}``, and the drain must carry on
+    to the records the slow path writes."""
+    from repro.cpu.core import Power6Core
+    from repro.obs.metrics import MetricsRegistry
+    from repro.sfi import CampaignConfig, SfiExperiment
+
+    from tests.difftools import BASE_CONFIG, sample_sites
+
+    seed, flips = 2008, 120
+    registry = MetricsRegistry()
+    experiment = SfiExperiment(
+        CampaignConfig(**BASE_CONFIG, backend="bitplane"), metrics=registry)
+    sites = sample_sites(experiment, flips, seed)
+    slow = run_campaign({}, seed, flips, sites=sites,
+                        fastpath=False)[1].records
+
+    real_digest = Power6Core.state_digest
+    masks = {id(schedule.mask_indices): index
+             for index, schedule in enumerate(experiment.schedules)}
+
+    def false_digest(core, exclude=None, include_cycle=True):
+        index = masks.get(id(exclude))
+        if index is not None:
+            if exit_kind == "rejoin" and not include_cycle:
+                lagmap = experiment._bp_lagmap[index]
+                return next(key for key, cycle in lagmap.items()
+                            if cycle == 0)
+            if exit_kind == "masked" and include_cycle:
+                trail = experiment._bp_masked[index]
+                if core.cycles in trail:
+                    return trail[core.cycles]
+        return real_digest(core, exclude, include_cycle)
+
+    monkeypatch.setattr(Power6Core, "state_digest", false_digest)
+    records = experiment.run_campaign(sites, seed).records
+    monkeypatch.undo()
+
+    collisions = registry.get("sfi_digest_collisions_total")
+    assert collisions is not None
+    assert collisions.value(exit=exit_kind) > 0
+    mismatches = report_mismatches(f"bitplane/false-{exit_kind}", seed,
+                                   slow, records)
+    assert not mismatches, \
+        "a false digest hit reached the records:\n" + "\n".join(mismatches)
