@@ -4,8 +4,12 @@ Fault-provenance tracking (repro/cpu/tainttrace.py) touches the engine
 in exactly one place when disabled: a per-cycle ``taint_hook`` attribute
 load + None check in ``Core.cycle``.  The design budget is <1% wall
 overhead versus a seed engine with no check at all, and <=3x wall when
-tracking is enabled (every tainted write pays a callback and provenance
-forces the slow path).
+tracking is enabled (every traced access pays a callback, every cycle
+the hook).  All three variants run with ``fastpath=False``, so every
+trial reloads cycle 0 and drains to quiesce: the bench measures the
+per-cycle tracker cost itself, not the tracked fast path's ladder
+entry and taint-inert exit (``perfbench``'s ``provenance-pool``
+workload measures those end to end).
 
 The seed baseline is not approximated: the bench recompiles
 ``Core.cycle`` from its live source with the two taint-hook lines

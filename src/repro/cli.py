@@ -420,8 +420,10 @@ def cmd_explain(args) -> int:
     suite_size)`` (the REPRO-D01 determinism contract), so the trial is
     regenerated exactly — from a journal header, or from the same
     ``--flips``/``--seed`` the campaign ran with.  The re-run record is
-    cross-checked against the journaled one when available.
+    checked field for field (event trace included) against the
+    journaled one when available.
     """
+    from dataclasses import fields
     from random import Random
 
     from repro.analysis import render_propagation_story
@@ -458,11 +460,16 @@ def cmd_explain(args) -> int:
         .randrange(0, experiment.references[item.testcase_index].cycles)
     record = experiment.run_one(item.site_index, item.testcase_index,
                                 inject_cycle, provenance=True)
-    if journaled is not None and journaled.outcome is not record.outcome:
-        print(f"journal mismatch: position {args.position} was journaled "
-              f"as {journaled.outcome.value!r} but replays as "
-              f"{record.outcome.value!r} — campaign flags (--raw/--sticky/"
-              f"--suite-size) probably differ", file=sys.stderr)
+    if journaled is not None and journaled != record:
+        differs = [field.name for field in fields(record)
+                   if getattr(journaled, field.name)
+                   != getattr(record, field.name)]
+        print(f"journal mismatch: the replay of position {args.position} "
+              f"differs from its journal record in {', '.join(differs)} "
+              f"(journaled {journaled.outcome.value!r}, replayed "
+              f"{record.outcome.value!r}) — campaign flags (--raw/--sticky/"
+              f"--suite-size) probably differ, or the journal was altered",
+              file=sys.stderr)
         return 2
     payload = experiment.last_provenance
     if args.json:

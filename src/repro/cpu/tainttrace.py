@@ -37,7 +37,9 @@ series, peak, and residual fields.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from repro.isa.memory import Memory
 from repro.obs.provenance import MaskingEvent, TaintNodeKind
@@ -64,6 +66,59 @@ DETECTION_KINDS = frozenset({
 })
 
 _MEMORY_WIDTH = 32  # tainted storage width of one memory / array word
+
+
+class _NodeMaps(NamedTuple):
+    """Display unit/name of every latch and array of a core set, plus
+    its architected-state latch keys."""
+
+    latch_unit: dict[int, str]
+    latch_name: dict[int, str]
+    arch: frozenset[int]
+    array_unit: dict[int, str]
+    array_name: dict[int, str]
+
+
+#: Node maps per core, by display prefix.  A core's latches and arrays
+#: are fixed at construction, so every tracker over it shares one set of
+#: maps instead of rebuilding them (about 0.6 ms on the default core) for
+#: each trial.  Weakly keyed: a dropped core takes its maps with it.
+_NODE_MAPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _core_maps(core, prefix: str) -> _NodeMaps:
+    """``core``'s node maps with every name prefixed by ``prefix``
+    (shared; callers must not mutate them)."""
+    by_prefix = _NODE_MAPS.setdefault(core, {})
+    maps = by_prefix.get(prefix)
+    if maps is None:
+        latch_unit, latch_name, arch = {}, {}, set()
+        for latch in core.all_latches():
+            key = id(latch)
+            latch_unit[key] = prefix + core.unit_of(latch)
+            latch_name[key] = prefix + latch.name
+            if latch.kind is LatchKind.REGFILE:
+                arch.add(key)
+        for latch in (core.idu.cr, core.idu.lr, core.idu.ctr,
+                      core.ifu.ifar):
+            arch.add(id(latch))
+        array_unit, array_name = {}, {}
+        for array, unit in ((core.ifu.icache.array, "IFU"),
+                            (core.lsu.dcache.array, "LSU"),
+                            (core.rut.ckpt, "RUT")):
+            array_unit[id(array)] = prefix + unit
+            array_name[id(array)] = prefix + array.name
+        maps = by_prefix[prefix] = _NodeMaps(
+            latch_unit, latch_name, frozenset(arch), array_unit, array_name)
+    return maps
+
+
+def _merged(parts: list[_NodeMaps]) -> _NodeMaps:
+    """One map set over several cores (their keys are disjoint)."""
+    return _NodeMaps(*(
+        frozenset().union(*field) if isinstance(field[0], frozenset)
+        else {key: value for part in field for key, value in part.items()}
+        for field in zip(*parts)))
 
 
 def detection_info(events, inject_cycle: int) -> dict | None:
@@ -120,37 +175,18 @@ class TaintTracker:
         self.masking: list[dict] = []
         self.masking_counts: dict[str, int] = {}
 
-        # Structure maps, built once: owning core + display unit per
-        # storage object, plus the architected-state marker set.
-        self._latch_unit: dict[int, str] = {}
-        self._latch_core: dict[int, object] = {}
-        self._latch_name: dict[int, str] = {}
-        self._arch: set[int] = set()
-        self._array_unit: dict[int, str] = {}
-        self._array_core: dict[int, object] = {}
-        self._array_name: dict[int, str] = {}
-        self._mem_unit: dict[int, str] = {}
-        self._mem_core: dict[int, object] = {}
-        for core in self._cores:
-            prefix = f"{core.name}." if self._multi else ""
-            for latch in core.all_latches():
-                key = id(latch)
-                self._latch_unit[key] = prefix + core.unit_of(latch)
-                self._latch_core[key] = core
-                self._latch_name[key] = prefix + latch.name
-                if latch.kind is LatchKind.REGFILE:
-                    self._arch.add(key)
-            for latch in (core.idu.cr, core.idu.lr, core.idu.ctr,
-                          core.ifu.ifar):
-                self._arch.add(id(latch))
-            for array, unit in ((core.ifu.icache.array, "IFU"),
-                                (core.lsu.dcache.array, "LSU"),
-                                (core.rut.ckpt, "RUT")):
-                self._array_unit[id(array)] = prefix + unit
-                self._array_core[id(array)] = core
-                self._array_name[id(array)] = prefix + array.name
-            self._mem_unit[id(core.memory)] = prefix + "MEM"
-            self._mem_core[id(core.memory)] = core
+        # Structure maps: display unit and name per storage object plus
+        # the architected-state marker set, shared per core (see
+        # ``_core_maps``).  Memory objects are replaced by every program
+        # load, so their map is built per tracker (one entry per core).
+        prefixes = [f"{core.name}." if self._multi else ""
+                    for core in self._cores]
+        parts = [_core_maps(core, prefix)
+                 for core, prefix in zip(self._cores, prefixes)]
+        (self._latch_unit, self._latch_name, self._arch, self._array_unit,
+         self._array_name) = parts[0] if len(parts) == 1 else _merged(parts)
+        self._mem_unit = {id(core.memory): prefix + "MEM"
+                          for core, prefix in zip(self._cores, prefixes)}
 
         self._current = self._cores[0]
         self._unwrap: list = []
@@ -163,13 +199,7 @@ class TaintTracker:
         global _TAINT
         if _TAINT is not None:
             raise RuntimeError("a TaintTracker is already installed")
-        for core in self._cores:
-            for latch in core.all_latches():
-                latch.__class__ = _TaintedLatch
-            for array in core.arrays():
-                self._wrap_array(array)
-            core.memory.__class__ = _TaintedMemory
-            core.taint_hook = self._on_cycle
+        self._attach()
         self._installed = True
         _TAINT = self
         # Node keys are id()s but never leave the process: payload()
@@ -184,6 +214,40 @@ class TaintTracker:
             return
         _TAINT = None
         self._installed = False
+        self._detach()
+
+    @contextmanager
+    def suspended(self):
+        """Take the tracker off the machine while the caller inspects or
+        rewinds it.
+
+        A digest probe, a snapshot or a golden rung replay reads and
+        writes every latch, array and memory word and clocks the core;
+        none of it is the trial's value flow.  Inside the window the
+        latches and memory are their plain classes again, the arrays
+        unwrapped and the ``taint_hook`` unset, so nothing reaches the
+        tracker (and the window runs at untraced speed); its state
+        (taint set, pending window, DAG, footprint) is exactly what it
+        was on entry.
+        """
+        self._detach()
+        try:
+            yield
+        finally:
+            self._attach()
+
+    def _attach(self) -> None:
+        """Swap the traced classes, array wrappers and hook in."""
+        for core in self._cores:
+            for latch in core.all_latches():
+                latch.__class__ = _TaintedLatch
+            for array in core.arrays():
+                self._wrap_array(array)
+            core.memory.__class__ = _TaintedMemory
+            core.taint_hook = self._on_cycle
+
+    def _detach(self) -> None:
+        """Revert everything :meth:`_attach` swapped in."""
         for core in self._cores:
             for latch in core.all_latches():
                 latch.__class__ = Latch
@@ -396,6 +460,23 @@ class TaintTracker:
 
     def residual_bits(self) -> int:
         return self._bits
+
+    def tainted_latches(self) -> list[int] | None:
+        """Identity keys (``id(latch)``) of the tainted latches, or None
+        while any array or memory word is tainted."""
+        keys = list(self._tainted)
+        if not all(isinstance(key, int) for key in keys):
+            return None
+        return keys
+
+    def settle_inert(self, cycle: int) -> None:
+        """End tracking at ``cycle``, where the caller has proved the
+        taint inert: nothing tainted is read or written again, so the
+        payload is final except for the footprint sample the next
+        cycle boundary's hook takes (a change made during ``cycle``
+        shows up there).  Take that sample now, stamped ``cycle + 1``.
+        """
+        self._sample(cycle + 1)
 
     def payload(self) -> dict:
         """The per-injection provenance payload (plain JSON-ready dict)."""

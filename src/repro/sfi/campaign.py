@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.avp.generator import MixWeights
@@ -151,11 +152,12 @@ class CampaignConfig:
     # When True, every trial runs with the taint tracker installed and
     # produces a provenance payload (propagation DAG, infection
     # footprint, detection latency, masking attribution) alongside its
-    # record.  Tracking forces the slow path per trial — the tracker
-    # must observe every post-injection cycle, so ladder restores and
-    # digest early exits are bypassed — but outcome records stay
-    # bit-identical (the provenance differential suite asserts this).
-    # Fast-path campaigns with provenance off are untouched.
+    # record.  On the fast path a tracked trial still enters from a
+    # ladder rung (the tracker is installed after the flip, so it never
+    # sees the prefix) but takes only one early exit, the confirmed
+    # taint-inert one: the payload is final there.  Records and payloads
+    # are identical to ``fastpath=False`` (the provenance differential
+    # suite asserts both).
     provenance: bool = False
     # --- Bit-plane backend (64 trials per machine word) ---------------
     # ``backend="bitplane"`` batches same-testcase plan items into waves
@@ -165,7 +167,8 @@ class CampaignConfig:
     # scalar path.  Records are byte-identical to the scalar path (the
     # bit-plane differential suite asserts it).  Requires the fast-path
     # machinery; incompatible with ``provenance`` (the taint tracker
-    # must observe every post-injection cycle of every trial).
+    # must observe every trial's cycles until its taint is inert, and
+    # in-plane lanes are never simulated).
     backend: str = "scalar"
     # Trials per wave (clamped to the 63 non-golden lanes of a plane
     # word; plane bit 0 is the golden lane).
@@ -302,8 +305,8 @@ class _ExperimentInstruments:
             buckets=_WAVE_OCCUPANCY_BUCKETS)
         self.digest_collisions = registry.counter(
             "sfi_digest_collisions_total",
-            "bit-plane drain digest hits refused by the exact state "
-            "check, by exit", ("exit",))
+            "drain digest hits refused by the exact state check, by exit",
+            ("exit",))
 
 
 class SfiExperiment:
@@ -527,10 +530,12 @@ class SfiExperiment:
         differential suite (``pytest -m differential``) enforces this.
 
         ``provenance`` (default: the config flag) runs the trial with
-        the taint tracker installed — full reload + drain-to-quiesce, no
-        ladder or early exit, because the tracker must see every
-        post-injection cycle — and leaves the payload in
-        ``last_provenance``.  The record itself is unchanged.
+        the taint tracker installed after the flip and leaves the
+        payload in ``last_provenance``.  A tracked trial enters from a
+        rung too, but its only early exit is the confirmed taint-inert
+        one (:meth:`_taint_inert`), where the payload is already final;
+        record and payload equal the slow path's, and it leaves no
+        fast-path extras for the journal.
         """
         config = self.config
         emulator = self.emulator
@@ -538,7 +543,7 @@ class SfiExperiment:
         reference = self.references[testcase_index]
         inst = self._instruments
         track = config.provenance if provenance is None else provenance
-        fast = self.fastpath and not track
+        fast = self.fastpath
         if fast:
             start_cycle = emulator.restore_nearest(
                 self._ckpt_name(testcase_index), inject_cycle)
@@ -551,38 +556,39 @@ class SfiExperiment:
                                config.sticky_cycles)
         budget = (reference.cycles - inject_cycle) + config.drain_cycles
         golden = self.goldens[testcase_index] if fast else None
-        exit_kind = None
-        tracker_payload = None
-        if track:
-            # Install after the flip (the injection write itself is the
-            # DAG root, not an edge) and uninstall before classification
-            # (golden-comparison reads are observational).
-            with taint_trace(core, site.latch) as tracker:
+        exit_info = None
+        # Install after the flip (the injection write itself is the DAG
+        # root, not an edge) and uninstall before classification
+        # (golden-comparison reads are observational).
+        with (taint_trace(core, site.latch) if track
+              else nullcontext()) as tracker:
+            if golden is not None and golden.usable:
+                exit_info = self._drain_with_digests(
+                    testcase_index, budget, site, tracker)
+            else:
                 self.host.run_until_quiesce(budget)
-            tracker_payload = tracker.payload()
-        elif golden is not None and golden.usable:
-            exit_kind = self._drain_with_digests(golden, budget, site)
-        else:
-            self.host.run_until_quiesce(budget)
+        tracker_payload = tracker.payload() if tracker is not None else None
         cycles_saved = start_cycle
-        if exit_kind is not None:
-            # The trial's remaining evolution is the golden tail (state
-            # fully rejoined, or the flip is frozen in a latch the golden
-            # run never touches again), so reconstruct the final state
-            # instead of simulating to it: restore the golden-final
+        exit_kind = None
+        if exit_info is not None:
+            # The trial's remaining evolution is the golden tail: its
+            # state equals golden's outside the held latches, which the
+            # golden run never touches again.  So reconstruct the final
+            # state instead of simulating to it: restore the golden-final
             # snapshot, splice the golden events after the exit cycle
             # through the ring (so the trace and its truncation match a
-            # full drain), and — for a masked exit — re-freeze the flip.
+            # full drain), and re-apply the held latches' trial values.
+            exit_kind, held = exit_info
             cut = core.cycles
             cycles_saved += golden.end_cycle - cut
-            frozen = (site.latch.value, site.latch.par)
+            frozen = [(latch, latch.value, latch.par) for latch in held]
             events = core.event_log.snapshot()
             core.restore(golden.final)
             core.event_log.restore(events)
             core.event_log.replay(
                 event for event in golden.events if event.cycle > cut)
-            if exit_kind == "masked":
-                site.latch.value, site.latch.par = frozen
+            for latch, value, par in frozen:
+                latch.value, latch.par = value, par
         outcome = classify(core, reference.testcase,
                            config.classify_options)
         if inst is not None and fast:
@@ -594,7 +600,7 @@ class SfiExperiment:
                 inst.early_exits.inc(reason=exit_kind)
             inst.cycles_saved.observe(cycles_saved)
         self.last_fastpath = None
-        if fast:
+        if fast and not track:
             extras = {"saved_cycles": cycles_saved}
             if exit_kind is not None:
                 extras["exit"] = exit_kind
@@ -630,23 +636,32 @@ class SfiExperiment:
             trace=tuple(core.event_log),
         )
 
-    def _drain_with_digests(self, golden: GoldenTrace, budget: int,
-                            site) -> str | None:
+    def _drain_with_digests(self, tc_index: int, budget: int, site,
+                            tracker=None) -> tuple[str, list] | None:
         """Post-injection drain with golden-digest early-exit checks.
 
         Clocks exactly the cycles the slow path would (same quiesce and
         budget stops), additionally pausing at every ``digest_stride``
-        boundary before the golden end to compare state digests.  Returns
-        the exit kind on a match — ``"golden"`` when the faulty state has
-        fully rejoined the golden trajectory, ``"masked"`` when it
-        matches everywhere *except* the injected latch and the golden run
-        never touches that latch again (so the flip is frozen and inert);
-        None means the drain completed (quiesce or exhausted budget) and
-        the caller classifies normally.
+        boundary before the golden end to compare state digests.
+        Returns ``(exit kind, held latches)`` on a match:
+
+        * ``"golden"``: the faulty state has fully rejoined the golden
+          trajectory (nothing held);
+        * ``"masked"``: it matches everywhere *except* the injected
+          latch, and the golden run never touches that latch again, so
+          the flip is frozen and inert (the injected latch is held);
+        * ``"tracked"``, the only exit of a trial run under ``tracker``:
+          the taint is provably inert (:meth:`_taint_inert`; every
+          tainted latch is held).
+
+        The caller re-applies the held latches' trial values to the
+        golden final state.  None means the drain completed (quiesce or
+        exhausted budget) and the caller classifies normally.
         """
         config = self.config
         core = self.core
         emulator = self.emulator
+        golden = self.goldens[tc_index]
         stride = max(1, config.digest_stride)
         digests = golden.digests
         end = golden.end_cycle
@@ -671,8 +686,15 @@ class SfiExperiment:
                 digest = digests.get(cycle)
                 if digest is None:
                     continue
+                if tracker is not None:
+                    inert = self._taint_inert(tc_index, cycle, digest,
+                                              tracker)
+                    if inert is not None:
+                        tracker.settle_inert(cycle)
+                        return ("tracked", inert)
+                    continue
                 if digest == core.state_digest():
-                    return "golden"
+                    return ("golden", [])
                 if last_touch <= cycle:
                     # Golden never reads or writes the injected latch
                     # after this cycle, so its golden value here equals
@@ -683,8 +705,48 @@ class SfiExperiment:
                     masked = core.state_digest()
                     latch.value, latch.par = held
                     if masked == digest:
-                        return "masked"
+                        return ("masked", [latch])
         return None
+
+    def _taint_inert(self, tc_index: int, cycle: int, digest: int,
+                     tracker) -> list | None:
+        """The tainted latches, when a tracked trial's taint is provably
+        inert at ``cycle``; otherwise None.
+
+        The taint is inert when every tainted node is a latch the golden
+        run never reads or writes after ``cycle`` (``last_touch``; array
+        and memory words never qualify) and the trial equals golden at
+        ``cycle`` with those latches held at their golden-final values
+        (golden's values there, since it never touches them again):
+        first by digest, then exactly (:meth:`_confirm_hit`).  The trial
+        then replays golden with the held latches frozen, so nothing
+        tainted is read or written again and the tracker's payload is
+        final.  Probe and confirmation run with the tracker suspended:
+        their reads, writes and rung replay are not value flow.
+        """
+        keys = tracker.tainted_latches()
+        if keys is None:
+            return None
+        golden = self.goldens[tc_index]
+        held = []
+        for key in keys:
+            if golden.last_touch.get(key, -1) > cycle:
+                return None
+            index = self._latch_index[key]
+            held.append((index, golden.final.latches[index]))
+        latches = self._latches
+        with tracker.suspended():
+            trial = [(latches[index].value, latches[index].par)
+                     for index, _ in held]
+            for index, (value, par) in held:
+                latches[index].value, latches[index].par = value, par
+            probe = self.core.state_digest()
+            for (index, _), (value, par) in zip(held, trial):
+                latches[index].value, latches[index].par = value, par
+            if probe != digest or not self._confirm_hit(
+                    tc_index, "tracked", cycle, held=held):
+                return None
+        return [latches[index] for index, _ in held]
 
     # ------------------------------------------------------------------
     # Bit-plane backend (waves of up to 63 trials per plane word).
@@ -1098,37 +1160,37 @@ class SfiExperiment:
                 latch.value, latch.par = held
                 if masked_digest == reference_masked and self._confirm_hit(
                         tc_index, "masked", cycle, mask,
-                        held=(latch_index, frozen)):
+                        held=[(latch_index, frozen)]):
                     return ("masked", cycle)
         return None
 
     def _confirm_hit(self, tc_index: int, exit_kind: str, golden_cycle: int,
-                     mask: frozenset, held=None) -> bool:
+                     mask: frozenset | None = None, held=()) -> bool:
         """Check a drain's digest hit exactly against the golden state.
 
         Snapshots the trial, rebuilds the golden machine at
         ``golden_cycle`` (nearest rung at or below it, then clocked the
         rest of the way), compares everything the digest covers outside
-        ``mask`` — the cycle counter only for a ``masked`` hit, and with
-        the ``held=(latch index, (value, par))`` override applied to the
-        trial side — and restores the trial.  A mismatch is a digest
-        collision: counted in ``sfi_digest_collisions_total{exit}``, and
-        the hit is refused.
+        ``mask`` — the cycle counter for every hit but a lag-free
+        ``rejoin``, and with each ``held`` ``(latch index, (value,
+        par))`` override applied to the trial side — and restores the
+        trial.  A mismatch is a digest collision: counted in
+        ``sfi_digest_collisions_total{exit}``, and the hit is refused.
         """
         core = self.core
         emulator = self.emulator
         trial = core.snapshot()
         expected = trial
-        if held is not None:
-            index, pair = held
+        if held:
             latches = list(trial.latches)
-            latches[index] = pair
+            for index, pair in held:
+                latches[index] = pair
             expected = replace(trial, latches=latches)
         start = emulator.restore_nearest(self._ckpt_name(tc_index),
                                          golden_cycle)
         emulator.clock(golden_cycle - start)
         same = core.same_state(expected, exclude=mask,
-                               include_cycle=exit_kind == "masked")
+                               include_cycle=exit_kind != "rejoin")
         core.restore(trial)
         if not same and self._instruments is not None:
             self._instruments.digest_collisions.inc(exit=exit_kind)

@@ -25,6 +25,7 @@ from repro.analysis import (
     render_provenance_report,
     write_provenance_jsonl,
 )
+from repro.cpu.core import Power6Core
 from repro.cpu.events import EventKind, MachineEvent
 from repro.cpu.tainttrace import TaintTracker, detection_info, taint_trace
 from repro.obs import MaskingEvent, MetricsRegistry, ProvenanceReport
@@ -234,6 +235,53 @@ class TestTaintTracker:
                 tracker.install()
         assert core.taint_hook is None
 
+    def test_node_maps_built_once_per_core(self, core):
+        """Trackers over one core share its node maps instead of
+        rebuilding them per trial; a multi-core tracker's merged maps
+        keep each core's name prefix."""
+        first = TaintTracker([core], core.ifu.ifar)
+        second = TaintTracker([core], core.idu.cr)
+        assert first._latch_name is second._latch_name
+        assert first._latch_unit is second._latch_unit
+        assert first._array_name is second._array_name
+        assert first._latch_name[id(core.idu.cr)] == core.idu.cr.name
+        other = Power6Core(SMALL_PARAMS, name="core1")
+        chip = TaintTracker([core, other], core.ifu.ifar)
+        assert chip._latch_name[id(core.idu.cr)] == f"core0.{core.idu.cr.name}"
+        assert chip._latch_unit[id(other.idu.cr)] == "core1.IDU"
+        assert id(other.idu.cr) in chip._arch and id(core.idu.cr) in chip._arch
+        assert chip._array_name[id(other.rut.ckpt)] == \
+            f"core1.{other.rut.ckpt.name}"
+        assert TaintTracker([core], core.ifu.ifar)._latch_name \
+            is first._latch_name
+
+    def test_suspended_window_changes_nothing(self, experiment):
+        """Inside ``suspended()`` latch, array and memory accesses and
+        whole clocked cycles leave the tracker as it was; after it, the
+        callbacks and the per-cycle hook are live again."""
+        core = experiment.core
+        experiment.emulator.reload("tc0")
+        seed = core.ifu.ifar
+        with taint_trace(core, seed) as tracker:
+            assert seed.value is not None  # a tainted read arms the window
+            before = tracker.payload()
+            with tracker.suspended():
+                assert core.taint_hook is None
+                assert type(seed) is Latch
+                core.idu.cr.value = seed.value
+                core.lsu.dcache.array.write(0, 5)
+                core.memory.store_word(0x100, 5)
+                snapshot = core.snapshot()
+                experiment.emulator.clock(3)
+                core.restore(snapshot)
+            assert core.taint_hook is not None
+            assert tracker.payload() == before
+            # Still armed (no cycle boundary passed): this write infects.
+            core.lsu.dcache.array.write(0, 5)
+            assert len(tracker.payload()["nodes"]) == \
+                len(before["nodes"]) + 1
+        experiment.emulator.reload("tc0")
+
     def test_benign_residual_becomes_architecturally_dead(self, experiment):
         # Hunt a vanished/corrected trial that still carries taint at
         # quiesce; its masking ledger must attribute the residue.
@@ -408,22 +456,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Injection into" in out
         assert "outcome:" in out
-        # A replay that disagrees with the journaled outcome (here: a
+        # A replay that disagrees with the journaled record (here: a
         # tampered journal standing in for mismatched campaign flags) is
-        # refused loudly instead of printing a bogus story.
+        # refused loudly instead of printing a bogus story — whether the
+        # outcome differs or only the event trace does.
         lines = journal.read_text().splitlines()
         index = next(i for i, line in enumerate(lines[1:], start=1)
                      if json.loads(line).get("pos") == 3)
-        entry = json.loads(lines[index])
-        entry["record"]["outcome"] = (
-            "Vanished" if entry["record"]["outcome"] != "Vanished"
-            else "Hang")
-        lines[index] = json.dumps(entry)
-        tampered = journal.with_name("tampered.jsonl")
-        tampered.write_text("\n".join(lines) + "\n")
+
+        def tamper(name: str, edit) -> str:
+            entry = json.loads(lines[index])
+            edit(entry["record"])
+            tampered = journal.with_name(name)
+            tampered.write_text("\n".join(
+                lines[:index] + [json.dumps(entry)] + lines[index + 1:])
+                + "\n")
+            return str(tampered)
+
+        def flip_outcome(record):
+            record["outcome"] = ("Vanished" if record["outcome"] != "Vanished"
+                                 else "Hang")
+
+        def shift_last_event(record):
+            record["trace"][-1][0] += 1
+
         assert cli.main(["explain", "3", "--journal",
-                         str(tampered)]) == 2
-        assert "journal mismatch" in capsys.readouterr().err
+                         tamper("outcome.jsonl", flip_outcome)]) == 2
+        err = capsys.readouterr().err
+        assert "journal mismatch" in err and "outcome" in err
+        assert cli.main(["explain", "3", "--journal",
+                         tamper("trace.jsonl", shift_last_event)]) == 2
+        err = capsys.readouterr().err
+        assert "journal mismatch" in err and "in trace " in err
 
     def test_explain_bounds_and_missing_plan(self, tmp_path, capsys):
         assert cli.main(["explain", "0"]) == 2

@@ -7,9 +7,14 @@ only side-channel payloads appear.  This suite enforces the claim over
 the same mini-campaigns the fast-path differential suite uses, whose
 slow-path outcomes jointly span every outcome class.
 
-Provenance forces the slow path per-trial (a tainted run cannot take a
-golden-digest early exit), so record equality is asserted both against a
-``fastpath=False`` baseline and a ``fastpath=True`` one.
+On the fast path a tracked trial enters from a ladder rung and ends at
+the first confirmed taint-inert digest boundary, reconstructing the
+rest from the golden run.  So records are asserted equal against both a
+``fastpath=False`` and a ``fastpath=True`` untracked baseline, and the
+tracked fast path is held to the tracked slow path (the oracle) on
+every payload and every final machine state as well: on the mini-
+campaigns, on CLI-default campaigns, on forced digest collisions and
+over a hypothesis search of (site, inject cycle, injection mode).
 """
 
 from __future__ import annotations
@@ -17,7 +22,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cpu.core import Power6Core
+from repro.obs.metrics import MetricsRegistry
+from repro.rtl.fault import InjectionMode
 from repro.sfi import CampaignConfig, SfiExperiment
 from repro.sfi.outcomes import Outcome
 from repro.sfi.sampling import random_sample
@@ -40,6 +49,56 @@ def _campaign(case: str, *, provenance: bool, fastpath: bool):
     return experiment, result
 
 
+def _tracked_trials(experiment: SfiExperiment, seed: int, flips: int):
+    """Run a tracked campaign; returns per-position ``(record, payload,
+    final core snapshot)`` in plan order."""
+    payloads, finals = {}, {}
+    experiment.provenance_hook = payloads.__setitem__
+    sites = random_sample(experiment.latch_map, flips,
+                          random.Random(seed ^ 0x5F1))
+
+    def record_hook(position, record):
+        finals[position] = experiment.core.snapshot()
+
+    result = experiment.run_campaign(sites, seed, record_hook=record_hook)
+    return [(record, payloads[position], finals[position])
+            for position, record in enumerate(result.records)]
+
+
+def _differences(label: str, oracle, fast) -> list[str]:
+    """Positions where the tracked fast path's record, payload or final
+    state differs from the slow path's."""
+    assert len(oracle) == len(fast)
+    lines = []
+    for position, (slow, quick) in enumerate(zip(oracle, fast)):
+        parts = [part for part, a, b in zip(("record", "payload", "final"),
+                                            slow, quick) if a != b]
+        if parts:
+            lines.append(f"{label} position={position} "
+                         f"site={slow[0].site_index} "
+                         f"cycle={slow[0].inject_cycle} differs in "
+                         + ", ".join(parts))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def tracked():
+    """Tracked (provenance-on) trials, computed once per (case,
+    fastpath)."""
+    cache = {}
+
+    def get(case: str, fastpath: bool):
+        key = (case, fastpath)
+        if key not in cache:
+            overrides, seed, flips = CASES[case]
+            experiment = SfiExperiment(CampaignConfig(
+                **_BASE, **overrides, fastpath=fastpath, provenance=True))
+            cache[key] = _tracked_trials(experiment, seed, flips)
+        return cache[key]
+
+    return get
+
+
 @pytest.fixture(scope="module")
 def baseline_records():
     """Provenance-off reference records, computed once per (case, fastpath)."""
@@ -58,16 +117,26 @@ def baseline_records():
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("fastpath", [False, True],
                          ids=["slowpath", "fastpath"])
-def test_provenance_records_bit_identical(case, fastpath, baseline_records):
+def test_provenance_records_bit_identical(case, fastpath, baseline_records,
+                                         tracked):
     baseline = baseline_records(case, fastpath)
-    _, result = _campaign(case, provenance=True, fastpath=fastpath)
-    assert len(baseline) == len(result.records)
-    for index, (off, on) in enumerate(zip(baseline, result.records)):
+    records = [record for record, _, _ in tracked(case, fastpath)]
+    assert len(baseline) == len(records)
+    for index, (off, on) in enumerate(zip(baseline, records)):
         assert off == on, (
             f"case={case} fastpath={fastpath} record={index} "
             f"site={off.site_index} cycle={off.inject_cycle} "
             f"off={off.outcome.value} on={on.outcome.value} "
             f"trace_equal={off.trace == on.trace}")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_tracked_fast_path_matches_slow_path(case, tracked):
+    """The tracked fast path writes the slow path's payloads (and
+    records, and final machine states) position for position."""
+    mismatches = _differences(case, tracked(case, False),
+                              tracked(case, True))
+    assert not mismatches, "\n".join(mismatches)
 
 
 def test_cases_cover_every_outcome_class(baseline_records):
@@ -137,3 +206,117 @@ def test_provenance_report_worker_count_invariant():
         reports.append(supervisor.provenance_report)
     assert reports[0] == reports[1]
     assert reports[0].injections == flips
+
+
+# ----------------------------------------------------------------------
+# The CLI-default campaign (``repro-sfi propagation``): default core,
+# four testcases.  Its trials reach exits the mini-campaigns do not,
+# e.g. a footprint change in the very cycle the taint turns inert.
+
+#: (seed, flips) of the CLI-default campaigns compared.
+CLI_CAMPAIGNS = ((1003, 200), (2001, 150))
+
+
+@pytest.fixture(scope="module")
+def cli_default():
+    """Tracked CLI-default trials per (seed, fastpath)."""
+    experiments = {
+        fastpath: SfiExperiment(CampaignConfig(
+            suite_size=4, fastpath=fastpath, provenance=True))
+        for fastpath in (False, True)}
+    return {(seed, fastpath): _tracked_trials(experiment, seed, flips)
+            for seed, flips in CLI_CAMPAIGNS
+            for fastpath, experiment in experiments.items()}
+
+
+def test_cli_default_payloads_identical(cli_default):
+    """Seed 1003, 200 flips: every payload as on the slow path.  A
+    tracked exit must also take the footprint sample the next cycle's
+    hook would take (stamped one cycle after the exit)."""
+    slow, fast = cli_default[(1003, False)], cli_default[(1003, True)]
+    differ = [position for position, (a, b) in enumerate(zip(slow, fast))
+              if a[:2] != b[:2]]
+    assert not differ, f"records or payloads differ at {differ}"
+
+
+def test_cli_default_final_states_identical(cli_default):
+    """Seeds 1003 and 2001, 150 flips each: the machine state a tracked
+    trial leaves behind equals the slow path's.  An exit that restores
+    golden-final and re-applies only the injected latch (the untracked
+    masked exit's freeze) keeps records and payloads but fails here:
+    every tainted latch it holds must be re-applied."""
+    for seed, _ in CLI_CAMPAIGNS:
+        slow = cli_default[(seed, False)][:150]
+        fast = cli_default[(seed, True)][:150]
+        mismatches = _differences(f"cli-default/{seed}", slow, fast)
+        assert not mismatches, "\n".join(mismatches)
+
+
+def test_false_tracked_hits_are_confirmed_away(monkeypatch):
+    """Every tracked exit is checked exactly before it is trusted.
+
+    ``state_digest`` is patched after prepare to return a value equal to
+    every golden digest, so each tracked probe reports a hit.  Hits on a
+    trial that really differs from golden must be refused and counted in
+    ``sfi_digest_collisions_total{exit="tracked"}``, and records and
+    payloads must still be the slow path's."""
+    overrides, seed, flips = CASES["toggle"]
+    oracle = _tracked_trials(SfiExperiment(CampaignConfig(
+        **_BASE, **overrides, fastpath=False, provenance=True)), seed, flips)
+    registry = MetricsRegistry()
+    experiment = SfiExperiment(CampaignConfig(
+        **_BASE, **overrides, provenance=True), metrics=registry)
+
+    class MatchesAny:
+        def __eq__(self, other):
+            return True
+
+        def __ne__(self, other):
+            return False
+
+        __hash__ = object.__hash__
+
+    monkeypatch.setattr(Power6Core, "state_digest",
+                        lambda core, exclude=None, include_cycle=True:
+                        MatchesAny())
+    trials = _tracked_trials(experiment, seed, flips)
+    monkeypatch.undo()
+
+    collisions = registry.get("sfi_digest_collisions_total")
+    assert collisions is not None
+    assert collisions.value(exit="tracked") > 0
+    oracle = [trial[:2] for trial in oracle]
+    trials = [trial[:2] for trial in trials]
+    differ = [position for position, (a, b) in enumerate(zip(oracle, trials))
+              if a != b]
+    assert not differ, f"a false tracked hit reached positions {differ}"
+
+
+# ----------------------------------------------------------------------
+# Property: any (site, inject cycle, injection mode).
+
+@pytest.fixture(scope="module")
+def mode_experiments():
+    """Tracked experiments per (injection mode, fastpath)."""
+    return {(mode, fastpath): SfiExperiment(CampaignConfig(
+                **_BASE, injection_mode=mode, fastpath=fastpath,
+                provenance=True))
+            for mode in InjectionMode for fastpath in (False, True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tracked_trial_property(mode_experiments, data):
+    mode = data.draw(st.sampled_from(list(InjectionMode)), label="mode")
+    slow = mode_experiments[(mode, False)]
+    fast = mode_experiments[(mode, True)]
+    site = data.draw(st.integers(0, len(slow.latch_map) - 1), label="site")
+    testcase = data.draw(st.integers(0, len(slow.suite) - 1),
+                         label="testcase")
+    cycle = data.draw(st.integers(
+        0, slow.references[testcase].cycles - 1), label="inject_cycle")
+    record = slow.run_one(site, testcase, cycle)
+    assert fast.run_one(site, testcase, cycle) == record
+    assert fast.last_provenance == slow.last_provenance
+    assert fast.core.snapshot() == slow.core.snapshot()
+    assert fast.last_fastpath is None
