@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 
 from repro.avp.generator import MixWeights
@@ -309,8 +309,37 @@ class _ExperimentInstruments:
             ("exit",))
 
 
+# This process's prepared machine, the one slot of Figure 1's "prepare
+# once": every SfiExperiment built on the default AwanEmulator takes it
+# at the end of a successful __init__ (the CLI's or a service's probe, a
+# pool or remote worker's own machine), replacing the previous one.
+# Shard runners reuse it for its config (prepared_machine), so a serial
+# supervised campaign runs on the probe its caller already prepared.
+# Reuse is sound because a prepared machine is frozen: ``checkpoint``
+# and ``save_rung`` run only inside ``_prepare``, so the ladder is fixed
+# before the first trial, and every trial restores a rung or checkpoint
+# before it clocks, so no trial sees what an earlier one left behind.
+_PREPARED: SfiExperiment | None = None
+
+
+def prepared_machine(config: CampaignConfig) -> SfiExperiment:
+    """This process's prepared machine for ``config``: the slot's, or a
+    new one (which then takes the slot) when the slot holds another
+    config."""
+    machine = _PREPARED
+    if machine is None or machine.config != config:
+        machine = SfiExperiment(config)
+    return machine
+
+
 class SfiExperiment:
     """A prepared machine + workload, ready to run injection campaigns.
+
+    Built on the default :class:`AwanEmulator`, a new experiment becomes
+    its process's prepared machine for its config
+    (:func:`prepared_machine`): a supervised campaign of the same config
+    that runs in this process runs on it, with only the sinks of its
+    shard (:meth:`sinks`), instead of preparing a second machine.
 
     Pass ``metrics`` (a :class:`repro.obs.MetricsRegistry`) — or call
     :meth:`instrument` later — to record per-outcome counters, injection
@@ -388,6 +417,9 @@ class SfiExperiment:
         self.prepare_seconds = time.perf_counter() - prepare_start
         if metrics is not None:
             self.instrument(metrics)
+        if emulator_cls is AwanEmulator:
+            global _PREPARED
+            _PREPARED = self
 
     def instrument(self, registry) -> None:
         """Attach a metrics registry (and a sampled core profiler)."""
@@ -398,6 +430,35 @@ class SfiExperiment:
         if self._profiler is not None:
             self._profiler.detach()
         self._profiler = CoreProfiler(self.core, registry)
+
+    @contextmanager
+    def sinks(self, metrics=None, fastpath_hook=None, provenance_hook=None):
+        """Run the block with exactly these sinks, then restore the
+        current ones.
+
+        Inside, the machine feeds ``metrics`` (nothing when None) and
+        the two hooks given, and nothing else: a registry, profiler or
+        hook its owner attached neither sees the block's trials nor is
+        lost, since all of them are back on exit.  Shard runners borrow
+        a caller's machine through this (see :func:`prepared_machine`).
+        """
+        core = self.core
+        saved = (self.metrics, self._instruments, self._profiler,
+                 self.fastpath_hook, self.provenance_hook,
+                 core.profile_hook, core.profile_interval)
+        if metrics is not self.metrics:
+            self.metrics = self._instruments = self._profiler = None
+            core.profile_hook = None
+            if metrics is not None:
+                self.instrument(metrics)
+        self.fastpath_hook = fastpath_hook
+        self.provenance_hook = provenance_hook
+        try:
+            yield self
+        finally:
+            (self.metrics, self._instruments, self._profiler,
+             self.fastpath_hook, self.provenance_hook,
+             core.profile_hook, core.profile_interval) = saved
 
     # ------------------------------------------------------------------
 

@@ -36,6 +36,7 @@ import multiprocessing
 import os
 import queue as queue_module
 import time
+from functools import partial
 
 from repro.obs.provenance import ProvenanceReport
 from repro.sfi.campaign import (
@@ -44,10 +45,10 @@ from repro.sfi.campaign import (
     _PEAK_BITS_BUCKETS,
     CampaignConfig,
     InjectionPlan,
-    SfiExperiment,
     injection_rng,
     observe_provenance_metrics,
     plan_injections,
+    prepared_machine,
 )
 from repro.sfi.results import CampaignResult
 from repro.sfi.service.backoff import DEFAULT_CAP
@@ -281,53 +282,35 @@ class _SupervisorInstruments:
 # ----------------------------------------------------------------------
 # Worker side.
 
-# Worker-side cache: one prepared machine per (config, process), so a
-# long-lived worker re-running shards does not re-prepare the model.
-_WORKER_EXPERIMENT: SfiExperiment | None = None
-_WORKER_CONFIG: CampaignConfig | None = None
-
-
-def _cached_experiment(config: CampaignConfig) -> SfiExperiment:
-    global _WORKER_EXPERIMENT, _WORKER_CONFIG
-    if _WORKER_EXPERIMENT is None or _WORKER_CONFIG != config:
-        _WORKER_EXPERIMENT = SfiExperiment(config)
-        _WORKER_CONFIG = config
-    return _WORKER_EXPERIMENT
-
-
 def run_shard(config: CampaignConfig, items: list[InjectionPlan], seed: int,
               emit) -> int:
-    """Default shard runner: prepare (or reuse) a machine and execute the
-    plan items, emitting each record as it completes.  Returns the latch
-    population size so the parent can report coverage fractions.
+    """Default shard runner: execute the plan items on this process's
+    prepared machine for ``config``, emitting each record as it
+    completes.  Returns the latch population size so the parent can
+    report coverage fractions.
 
-    When ``emit`` carries an ``extra(kind, position, payload)`` attribute
-    (the supervisor's sidecar channel), the experiment's fast-path and
-    provenance payloads are forwarded through it — out of band, so the
-    record stream itself stays bit-identical to a hookless run.
+    The machine is :func:`~repro.sfi.campaign.prepared_machine`'s: a
+    serial shard (``workers <= 1``, and every transport's in-process
+    fallback) runs on the machine its caller already prepared for
+    ``config``, such as the CLI's probe, and a pool or remote worker
+    prepares once and keeps its machine across leases.  Since the
+    machine may be the caller's, it runs with exactly the sinks ``emit``
+    supplies (:meth:`~repro.sfi.campaign.SfiExperiment.sinks`), and the
+    caller's hooks and registry are back, untouched, on exit.  When
+    ``emit`` carries an ``extra(kind, position, payload)`` attribute
+    (the supervisor's sidecar channel), the fast-path and provenance
+    payloads go through it — out of band, so the record stream itself
+    stays bit-identical to a hookless run; when it carries a ``metrics``
+    registry, the experiment series accrue there.
     """
-    experiment = _cached_experiment(config)
-    metrics = getattr(emit, "metrics", None)
-    if metrics is not None and experiment.metrics is not metrics:
-        # Remote workers run uninstrumented unless the coordinator asked
-        # for telemetry; then the streamed registry rides this attribute
-        # and wave/peel/fast-path series accrue worker-side.
-        experiment.instrument(metrics)
+    experiment = prepared_machine(config)
     extra = getattr(emit, "extra", None)
-    # Cached experiments outlive one shard: always (re)set both hooks so
-    # a sidecar-less caller never inherits a previous caller's sinks.
-    experiment.fastpath_hook = (
-        (lambda pos, payload: extra("fast", pos, payload))
-        if extra is not None else None)
-    experiment.provenance_hook = (
-        (lambda pos, payload: extra("prov", pos, payload))
-        if extra is not None else None)
-    try:
-        experiment.run_plan(items, seed=seed,
-                            record_hook=lambda pos, rec: emit(pos, rec))
-    finally:
-        experiment.fastpath_hook = None
-        experiment.provenance_hook = None
+    sinks = {"metrics": getattr(emit, "metrics", None)}
+    if extra is not None:
+        sinks.update(fastpath_hook=partial(extra, "fast"),
+                     provenance_hook=partial(extra, "prov"))
+    with experiment.sinks(**sinks):
+        experiment.run_plan(items, seed=seed, record_hook=emit)
     return len(experiment.latch_map)
 
 
@@ -366,8 +349,7 @@ class _ProcessPool:
         self.leases = leases
         self.seed = seed
         self.collect = collect
-        context = multiprocessing.get_context(supervisor._mp_context)
-        self.queue = context.Queue()
+        self.queue = multiprocessing.get_context("spawn").Queue()
         #: token -> (worker process, monotonic spawn time)
         self.running: dict[int, tuple] = {}
 
@@ -517,7 +499,6 @@ class CampaignSupervisor:
                  progress: CampaignProgress | None = None,
                  runner=run_shard,
                  metrics=None,
-                 mp_context: str = "spawn",
                  reference_cycles: list[int] | None = None,
                  transport: ShardTransport | None = None,
                  trace=None) -> None:
@@ -536,7 +517,6 @@ class CampaignSupervisor:
         self.metrics = metrics
         self._inst = (_SupervisorInstruments(metrics)
                       if metrics is not None else None)
-        self._mp_context = mp_context
         self.reference_cycles = reference_cycles
         #: Shard execution back end (see repro.sfi.service.transport):
         #: the in-process pool by default, the TCP lease coordinator for
@@ -800,6 +780,8 @@ class CampaignSupervisor:
 
     def _run_serial(self, items: list[InjectionPlan], seed: int,
                     collect) -> None:
+        """Run ``items`` as one in-process shard (with the default
+        runner, on this process's prepared machine for the config)."""
         start = time.monotonic()
         population = self.runner(self.config, items, seed, collect)
         if self._inst is not None:
@@ -830,9 +812,13 @@ class CampaignSupervisor:
             self._run_serial(leftover, seed, collect)
 
     def _spawn(self, lease: Lease, seed: int, out_queue):
-        """Start one worker process for ``lease`` (patchable in tests)."""
-        context = multiprocessing.get_context(self._mp_context)
-        process = context.Process(
+        """Start one worker process for ``lease`` (patchable in tests).
+
+        Always a fresh interpreter (spawn), which prepares its own
+        machine: a forked worker would quietly inherit a copy of this
+        process's prepared machine (``prepared_machine``), a path no
+        test covers."""
+        process = multiprocessing.get_context("spawn").Process(
             target=_shard_worker,
             args=(self.runner, self.config, lease.token, lease.remaining(),
                   seed, out_queue),
