@@ -1,11 +1,13 @@
-"""Fast-path speedup — checkpoint ladder + golden-digest early exits.
+"""Fast-path speedup — checkpoint ladder + early exits.
 
 PR 4's campaign fast path claims a >=3x reduction in cycles simulated
 per trial on the Table-1 workload mix (the AVP suite every campaign
 runs) at the default ``--ckpt-stride``, while staying bit-identical to
 the slow path.  This bench runs the same mini-campaign both ways on one
 prepared machine, checks record equality, and publishes the numbers as
-``benchmarks/results/BENCH_fastpath.json`` (plus a rendered text table).
+``benchmarks/results/BENCH_fastpath.json`` (plus a rendered text table),
+with the fast side's early exits by reason as its instrumented registry
+counts them (``sfi_early_exits_total``).
 
 CI runs this as the fast-path smoke: the strict-inequality assertion
 (fast simulates *fewer* cycles) and the 3x floor gate regressions.
@@ -15,6 +17,7 @@ import random
 import time
 
 from repro.cpu import CoreParams
+from repro.obs.metrics import MetricsRegistry
 from repro.sfi import CampaignConfig, SfiExperiment
 from repro.sfi.sampling import random_sample
 
@@ -27,7 +30,7 @@ _PARAMS = CoreParams(scale=0.15, icache_lines=32, dcache_lines=32)
 def _campaign(fastpath: bool, flips: int):
     config = CampaignConfig(suite_size=2, suite_seed=99,
                             core_params=_PARAMS, fastpath=fastpath)
-    experiment = SfiExperiment(config)
+    experiment = SfiExperiment(config, metrics=MetricsRegistry())
     sites = random_sample(experiment.latch_map, flips,
                           random.Random(_SEED ^ 0x5F1))
     start = time.perf_counter()
@@ -72,8 +75,12 @@ def test_fastpath_speedup(benchmark):
         "speedup_cycles": round(cycles_speedup, 2),
         "speedup_wall": round(slow_wall / fast_wall, 2),
         "records_bit_identical": slow_result.records == fast_result.records,
-        "early_exits": (fast_exp.emulator.stats.ladder_hits,
-                        fast_exp.emulator.stats.ladder_misses),
+        "early_exits": {
+            reason: int(count) for (reason,), count in sorted(
+                fast_exp.metrics.get("sfi_early_exits_total")
+                .series().items())},
+        "ladder": {"hits": fast_exp.emulator.stats.ladder_hits,
+                   "misses": fast_exp.emulator.stats.ladder_misses},
     }
     write_bench_json(
         "fastpath", "speedup_cycles", detail["speedup_cycles"], 3.0,
@@ -81,7 +88,7 @@ def test_fastpath_speedup(benchmark):
         detail=detail)
 
     lines = [
-        "Fast-path speedup (checkpoint ladder + golden-digest early exit)",
+        "Fast-path speedup (checkpoint ladder + early exits)",
         f"  trials:                    {flips}  (AVP suite, Table-1 mix)",
         f"  default ckpt stride:       {detail['ckpt_stride']}",
         f"  slow  cycles/trial:        {slow['cycles_per_trial']:10.1f}"
@@ -91,6 +98,9 @@ def test_fastpath_speedup(benchmark):
         f"  cycles-simulated speedup:  {cycles_speedup:10.2f} x"
         "   (acceptance floor: 3x)",
         f"  wall-clock speedup:        {detail['speedup_wall']:10.2f} x",
+        "  early exits:               " + ", ".join(
+            f"{reason} {count}"
+            for reason, count in detail["early_exits"].items()),
         f"  records bit-identical:     {detail['records_bit_identical']}",
     ]
     publish("fastpath", "\n".join(lines))

@@ -1134,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 disables rungs; default 64)")
     p.add_argument("--no-fastpath", action="store_true",
                    help="disable the fast path (checkpoint ladder + "
-                        "golden-digest early exit); records are "
+                        "early exits); records are "
                         "bit-identical either way")
     p.add_argument("--backend", choices=("scalar", "bitplane"),
                    default="scalar",

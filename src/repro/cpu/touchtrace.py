@@ -1,12 +1,15 @@
 """Latch touch tracing for golden reference runs.
 
-The fast path's *masked* early exit (see ``sfi/campaign.py``) needs one
-fact about the fault-free run: after which cycle is a given latch never
-read or written again?  If the faulty machine matches the golden state
-everywhere except the injected latch, and the golden run never touches
-that latch afterwards, then both runs evolve identically from here with
-the flip frozen in place — the trial's remaining cycles are already
-known.
+The fast path's *frozen* and *masked* early exits (see
+``sfi/campaign.py``) need one fact about the fault-free run: after which
+cycle is a given latch never read or written again?  If the faulty
+machine matches the golden state everywhere except the injected latch,
+and the golden run never touches that latch afterwards, then both runs
+evolve identically from here with the flip frozen in place — the
+trial's remaining cycles are already known.  Each access is stamped with
+the cycle it happens in (``Core.cycle`` increments ``cycles`` before any
+unit runs), so a last touch at or before cycle *c* means no cycle after
+*c* reads or writes the latch.
 
 :func:`trace_touches` records that fact by swapping every core latch's
 class to a zero-slot subclass whose ``value``/``par`` attributes are

@@ -68,8 +68,8 @@ class JournalProgress:
     done: int = 0
     outcomes: Counter = field(default_factory=Counter)
     # Fast-path sidecars (the ``{"fastpath": ...}`` journal-line extras):
-    # how many records carried one, summed cycles saved, and the
-    # golden-digest early exits by reason ("golden" / "masked").
+    # how many records carried one, summed cycles saved, and the early
+    # exits by reason ("frozen", "golden", "masked", "wave-survive", ...).
     fastpath: int = 0
     saved_cycles: int = 0
     early_exits: Counter = field(default_factory=Counter)

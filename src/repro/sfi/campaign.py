@@ -131,7 +131,7 @@ class CampaignConfig:
     # cores cap the log (keeping the newest — terminal — events) rather
     # than growing without limit.  None: unbounded.
     trace_max_events: int | None = 512
-    # --- Fast path (checkpoint ladder + golden-digest early exit) -----
+    # --- Fast path (checkpoint ladder + early exits) ------------------
     # The fast path is classification-equivalent to the slow path (the
     # differential suite asserts bit-identical records); ``fastpath=False``
     # forces the original reload-from-cycle-0, drain-to-quiesce loop.
@@ -195,9 +195,9 @@ class GoldenTrace:
     paths reconstruct the trial's final state from it instead of
     simulating to it), and ``last_touch`` maps ``id(latch)`` to the last
     cycle the fault-free run read or wrote that latch (see
-    :mod:`repro.cpu.touchtrace`) — the licence for the masked early
-    exit: a flip confined to a latch the golden run never touches again
-    is frozen, so the trial's future is the golden future.
+    :mod:`repro.cpu.touchtrace`) — the licence for the frozen and masked
+    early exits: a flip confined to a latch the golden run never touches
+    again is frozen, so the trial's future is the golden future.
     """
 
     digests: dict[int, int]
@@ -273,7 +273,7 @@ class _ExperimentInstruments:
             "fast-path injections that fell back to the cycle-0 checkpoint")
         self.early_exits = registry.counter(
             "sfi_early_exits_total",
-            "drains ended at a golden-digest match, by exit reason",
+            "fast-path trials ended before a full drain, by exit reason",
             ("reason",))
         self.cycles_saved = registry.histogram(
             "sfi_fastpath_saved_cycles",
@@ -583,10 +583,13 @@ class SfiExperiment:
                 provenance: bool | None = None) -> InjectionRecord:
         """Perform a single injection and classify its outcome.
 
-        On the fast path this restores the nearest ladder rung at or
-        below ``inject_cycle`` (instead of re-simulating from cycle 0)
-        and ends the drain at the first golden-digest match (instead of
-        draining to quiesce); both are equivalence-preserving, so the
+        On the fast path an untracked TOGGLE flip into a latch golden
+        never touches after ``inject_cycle`` is not simulated at all
+        (the ``frozen`` exit, :meth:`_golden_record`).  Any other trial
+        restores the nearest ladder rung at or below ``inject_cycle``
+        (instead of re-simulating from cycle 0) and ends the drain at
+        the first confirmed golden-digest match (instead of draining to
+        quiesce).  All of these are equivalence-preserving, so the
         returned record is bit-identical to the slow path's — the
         differential suite (``pytest -m differential``) enforces this.
 
@@ -605,6 +608,19 @@ class SfiExperiment:
         inst = self._instruments
         track = config.provenance if provenance is None else provenance
         fast = self.fastpath
+        if (fast and not track
+                and config.injection_mode is InjectionMode.TOGGLE):
+            golden = self.goldens[testcase_index]
+            latch = self.latch_map.site(site_index).latch
+            if golden.usable \
+                    and golden.last_touch.get(id(latch), -1) <= inject_cycle:
+                # Frozen flip: the touch trace stamps each access with
+                # the cycle it happens in (``Core.cycle`` increments
+                # ``cycles`` first), so golden never reads or writes the
+                # latch after the flip.  The trial is golden plus the
+                # flip from here on by construction; nothing to simulate.
+                return self._golden_record(site_index, testcase_index,
+                                           inject_cycle, "frozen")
         if fast:
             start_cycle = emulator.restore_nearest(
                 self._ckpt_name(testcase_index), inject_cycle)
@@ -704,7 +720,7 @@ class SfiExperiment:
         Clocks exactly the cycles the slow path would (same quiesce and
         budget stops), additionally pausing at every ``digest_stride``
         boundary before the golden end to compare state digests.
-        Returns ``(exit kind, held latches)`` on a match:
+        Returns ``(exit kind, held latches)`` on a confirmed match:
 
         * ``"golden"``: the faulty state has fully rejoined the golden
           trajectory (nothing held);
@@ -715,9 +731,12 @@ class SfiExperiment:
           the taint is provably inert (:meth:`_taint_inert`; every
           tainted latch is held).
 
-        The caller re-applies the held latches' trial values to the
-        golden final state.  None means the drain completed (quiesce or
-        exhausted budget) and the caller classifies normally.
+        A digest match is only a 64-bit hash match, so every hit is
+        confirmed exactly (:meth:`_confirm_hit`) first; a collision is
+        counted and the drain goes on.  The caller re-applies the held
+        latches' trial values to the golden final state.  None means the
+        drain completed (quiesce or exhausted budget) and the caller
+        classifies normally.
         """
         config = self.config
         core = self.core
@@ -730,7 +749,8 @@ class SfiExperiment:
         # A latch absent from the trace was never touched at all — the
         # most eligible case for the masked exit.
         last_touch = golden.last_touch.get(id(latch), -1)
-        frozen = golden.final.latches[self._latch_index[id(latch)]]
+        latch_index = self._latch_index[id(latch)]
+        frozen = golden.final.latches[latch_index]
         remaining = budget
         while remaining > 0:
             cycle = core.cycles
@@ -754,7 +774,8 @@ class SfiExperiment:
                         tracker.settle_inert(cycle)
                         return ("tracked", inert)
                     continue
-                if digest == core.state_digest():
+                if digest == core.state_digest() and self._confirm_hit(
+                        tc_index, "golden", cycle):
                     return ("golden", [])
                 if last_touch <= cycle:
                     # Golden never reads or writes the injected latch
@@ -765,7 +786,9 @@ class SfiExperiment:
                     latch.value, latch.par = frozen
                     masked = core.state_digest()
                     latch.value, latch.par = held
-                    if masked == digest:
+                    if masked == digest and self._confirm_hit(
+                            tc_index, "masked", cycle,
+                            held=[(latch_index, frozen)]):
                         return ("masked", [latch])
         return None
 
@@ -995,40 +1018,59 @@ class SfiExperiment:
         """Reconstruct an in-plane lane's record without simulating.
 
         A converged lane's final state *is* the golden final state (the
-        golden run overwrote the flipped bit before ever reading it); a
-        surviving lane's is the golden final state with the flip still
-        applied (the bit is never read or written again).  Either way
-        the trial's event sequence is the golden sequence with the
-        INJECTION event spliced in at the inject cycle, replayed through
-        the ring so truncation matches a real drain.
+        golden run overwrote the flipped bit before ever reading it), so
+        its INJECTION event carries the flipped level the schedule gives
+        at the inject cycle; a surviving lane's bit is never read or
+        written again, so it is a frozen flip (:meth:`_golden_record`).
+        """
+        level = None
+        if fate == "converge":
+            site = self.latch_map.site(site_index)
+            index = self._latch_index[id(site.latch)]
+            level = 1 ^ schedule.level_at(index, site.bit, site.is_parity_bit,
+                                          schedule.boundary(inject_cycle))
+        return self._golden_record(site_index, tc_index, inject_cycle,
+                                   f"wave-{fate}", level)
+
+    def _golden_record(self, site_index: int, tc_index: int,
+                       inject_cycle: int, exit_kind: str,
+                       level: int | None = None) -> InjectionRecord:
+        """The record of a TOGGLE trial that is never simulated.
+
+        Its event sequence is the golden sequence with the INJECTION
+        event spliced in at the inject cycle, replayed through the ring
+        so truncation matches a real drain.  Its final state is the
+        golden final state.  With ``level`` None the flip is frozen:
+        golden never reads or writes the bit after the inject cycle, so
+        the bit's golden-final level is its level at the flip, and the
+        flip is applied to the final state.  Otherwise golden overwrote
+        the bit before reading it, and ``level`` is the level the flip
+        set.
         """
         config = self.config
         core = self.core
         golden = self.goldens[tc_index]
         reference = self.references[tc_index]
         site = self.latch_map.site(site_index)
-        index = self._latch_index[id(site.latch)]
-        old = schedule.level_at(index, site.bit, site.is_parity_bit,
-                                schedule.boundary(inject_cycle))
         core.restore(golden.final)
+        if level is None:
+            level = site.inject()
         log = core.event_log
         log.clear()
         log.replay(event for event in golden.events
                    if event.cycle <= inject_cycle)
         log.record(inject_cycle, EventKind.INJECTION,
-                   f"{site.name} -> {old ^ 1} "
+                   f"{site.name} -> {level} "
                    f"({config.injection_mode.value})")
         log.replay(event for event in golden.events
                    if event.cycle > inject_cycle)
-        if fate == "survive":
-            site.inject()
         outcome = classify(core, reference.testcase,
                            config.classify_options)
         if self._instruments is not None:
-            self._instruments.early_exits.inc(reason=f"wave-{fate}")
+            self._instruments.early_exits.inc(reason=exit_kind)
             self._instruments.cycles_saved.observe(float(golden.end_cycle))
         self.last_fastpath = {"saved_cycles": golden.end_cycle,
-                              "exit": f"wave-{fate}"}
+                              "exit": exit_kind}
         self.last_provenance = None
         return InjectionRecord(
             site_index=site_index,

@@ -259,7 +259,7 @@ class _SupervisorInstruments:
         # instrumented run would feed.
         self.early_exits = registry.counter(
             "sfi_early_exits_total",
-            "drains ended at a golden-digest match, by exit reason",
+            "fast-path trials ended before a full drain, by exit reason",
             ("reason",))
         self.cycles_saved = registry.histogram(
             "sfi_fastpath_saved_cycles",

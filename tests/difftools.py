@@ -46,8 +46,10 @@ def run_campaign(overrides: dict, seed: int, flips: int, *,
     return experiment, result
 
 
-def report_mismatches(label: str, seed: int, slow, fast) -> list[str]:
-    """Describe record mismatches and append them as repro lines."""
+def report_mismatches(label: str, seed: int | None, slow,
+                      fast) -> list[str]:
+    """Describe record mismatches and append them as repro lines
+    (``seed`` None: single trials, not a campaign)."""
     lines = []
     for index, (a, b) in enumerate(zip(slow, fast)):
         if a != b:

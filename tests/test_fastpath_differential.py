@@ -1,12 +1,13 @@
 """Differential equivalence suite for the fast-path campaign layer.
 
-The fast path (checkpoint ladder + golden-digest early exit, see
+The fast path (checkpoint ladder + early exits, see
 ``repro/sfi/campaign.py``) claims to be *bit-identical* to the seed slow
 path: same outcome, same inject cycle, same event trace, for every
 (site, cycle, testcase, stride).  This suite enforces the claim over
 randomized mini-campaigns whose slow-path outcomes span every class —
 vanished, corrected, hang, checkstop and SDC — across ladder strides
-K in {1, 7, 64, inf}.
+K in {1, 7, 64, inf}, and searches the frozen exit's boundary (inject
+cycles around the injected latch's last golden touch) with hypothesis.
 
 Campaign plumbing and failing-seed reporting live in
 ``tests/difftools.py`` (shared with the bit-plane suite).
@@ -15,6 +16,7 @@ Campaign plumbing and failing-seed reporting live in
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rtl.fault import InjectionMode
 from repro.sfi import CampaignConfig, ClassifyOptions, SfiExperiment
@@ -110,3 +112,61 @@ def test_trace_ring_truncation_under_pressure(slow_records):
     assert [r.trace for r in slow] == [r.trace for r in result.records]
     assert slow == result.records
     assert all(len(r.trace) <= 4 for r in slow)
+
+
+# ----------------------------------------------------------------------
+# Property: the frozen exit's boundary.
+
+@pytest.fixture(scope="module")
+def boundary_experiments():
+    """Mini-suite experiments per (injection mode, fastpath)."""
+    return {(mode, fastpath): SfiExperiment(CampaignConfig(
+                **BASE_CONFIG, injection_mode=mode, fastpath=fastpath))
+            for mode in InjectionMode for fastpath in (False, True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_frozen_exit_boundary(boundary_experiments, data):
+    """A TOGGLE trial takes the frozen exit exactly when golden's last
+    touch of the injected latch is at or before the inject cycle, and
+    its record and final state equal the slow path's, within two cycles
+    of that touch and after the last digest boundary (where no digest
+    is left to exit at).  A STICKY trial never takes it."""
+    fast = boundary_experiments[(InjectionMode.TOGGLE, True)]
+    latch_map = fast.latch_map
+    testcase = data.draw(st.integers(0, len(fast.suite) - 1),
+                         label="testcase")
+    golden = fast.goldens[testcase]
+    assert golden.usable
+    end = golden.end_cycle
+
+    def last_touch(site: int) -> int:
+        return golden.last_touch.get(id(latch_map.site(site).latch), -1)
+
+    offset = data.draw(st.sampled_from((-2, -1, 0, 1, 2, "tail")),
+                       label="offset")
+    if offset == "tail":
+        site = data.draw(st.integers(0, len(latch_map) - 1), label="site")
+        stride = fast.config.digest_stride
+        cycle = data.draw(st.integers((end - 1) // stride * stride, end - 1),
+                          label="inject_cycle")
+    else:
+        touched = [site for site in range(len(latch_map))
+                   if 2 <= last_touch(site) <= end - 3]
+        site = data.draw(st.sampled_from(touched), label="site")
+        cycle = last_touch(site) + offset
+    for mode in InjectionMode:
+        slow = boundary_experiments[(mode, False)]
+        quick = boundary_experiments[(mode, True)]
+        expected = slow.run_one(site, testcase, cycle)
+        record = quick.run_one(site, testcase, cycle)
+        mismatches = report_mismatches(f"frozen-boundary/{mode.value}",
+                                       None, [expected], [record])
+        assert not mismatches, "\n".join(mismatches)
+        assert quick.core.snapshot() == slow.core.snapshot(), (
+            f"final state differs: mode={mode.value} site={site} "
+            f"testcase={testcase} cycle={cycle}")
+        frozen = quick.last_fastpath.get("exit") == "frozen"
+        assert frozen == (mode is InjectionMode.TOGGLE
+                          and last_touch(site) <= cycle)

@@ -252,6 +252,24 @@ def test_cli_default_final_states_identical(cli_default):
         assert not mismatches, "\n".join(mismatches)
 
 
+class _MatchesAny:
+    """A digest equal to every other digest: each probe is a hit."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = object.__hash__
+
+
+def _match_every_digest(monkeypatch) -> None:
+    monkeypatch.setattr(Power6Core, "state_digest",
+                        lambda core, exclude=None, include_cycle=True:
+                        _MatchesAny())
+
+
 def test_false_tracked_hits_are_confirmed_away(monkeypatch):
     """Every tracked exit is checked exactly before it is trusted.
 
@@ -267,18 +285,7 @@ def test_false_tracked_hits_are_confirmed_away(monkeypatch):
     experiment = SfiExperiment(CampaignConfig(
         **_BASE, **overrides, provenance=True), metrics=registry)
 
-    class MatchesAny:
-        def __eq__(self, other):
-            return True
-
-        def __ne__(self, other):
-            return False
-
-        __hash__ = object.__hash__
-
-    monkeypatch.setattr(Power6Core, "state_digest",
-                        lambda core, exclude=None, include_cycle=True:
-                        MatchesAny())
+    _match_every_digest(monkeypatch)
     trials = _tracked_trials(experiment, seed, flips)
     monkeypatch.undo()
 
@@ -290,6 +297,34 @@ def test_false_tracked_hits_are_confirmed_away(monkeypatch):
     differ = [position for position, (a, b) in enumerate(zip(oracle, trials))
               if a != b]
     assert not differ, f"a false tracked hit reached positions {differ}"
+
+
+def test_false_untracked_hits_are_confirmed_away(monkeypatch):
+    """Every untracked ``golden`` and ``masked`` exit is checked exactly
+    before it is trusted.
+
+    With ``state_digest`` patched after prepare as above, every digest
+    probe of an untracked drain is a hit.  Hits on a trial that really
+    differs from golden must be refused and counted in
+    ``sfi_digest_collisions_total{exit}``, and the records must still
+    be the slow path's."""
+    overrides, seed, flips = CASES["toggle"]
+    oracle = _campaign("toggle", provenance=False, fastpath=False)[1].records
+    registry = MetricsRegistry()
+    experiment = SfiExperiment(CampaignConfig(**_BASE, **overrides),
+                               metrics=registry)
+    sites = random_sample(experiment.latch_map, flips,
+                          random.Random(seed ^ 0x5F1))
+    _match_every_digest(monkeypatch)
+    records = experiment.run_campaign(sites, seed).records
+    monkeypatch.undo()
+
+    collisions = registry.get("sfi_digest_collisions_total")
+    assert collisions is not None
+    assert collisions.value(exit="golden") > 0
+    differ = [position for position, (a, b) in enumerate(zip(oracle, records))
+              if a != b]
+    assert not differ, f"a false digest hit reached positions {differ}"
 
 
 # ----------------------------------------------------------------------
