@@ -1,11 +1,13 @@
 """Provenance overhead — dormant tracking must be ~free, active ~bounded.
 
-Fault-provenance tracking (repro/cpu/tainttrace.py) touches the engine
-in exactly one place when disabled: a per-cycle ``taint_hook`` attribute
-load + None check in ``Core.cycle``.  The design budget is <1% wall
-overhead versus a seed engine with no check at all, and <=3x wall when
-tracking is enabled (every traced access pays a callback, every cycle
-the hook).  All three variants run with ``fastpath=False``, so every
+Fault-provenance tracking (repro/cpu/tainttrace.py, a recorder on the
+latch access layer in repro/cpu/access.py) touches the engine in
+exactly one place when disabled: untraced runs keep plain latch,
+memory and array classes, so all that remains is a per-cycle
+``taint_hook`` attribute load + None check in ``Core.cycle``.  The
+design budget is <1% wall overhead versus a seed engine with no check
+at all, and <=3x wall when tracking is enabled (every traced access
+pays a recorder call, every cycle the hook).  All three variants run with ``fastpath=False``, so every
 trial reloads cycle 0 and drains to quiesce: the bench measures the
 per-cycle tracker cost itself, not the tracked fast path's ladder
 entry and taint-inert exit (``perfbench``'s ``provenance-pool``

@@ -66,8 +66,9 @@ class Power6Core:
         # load + None check per cycle when unset.
         self.profile_hook = None
         self.profile_interval = 2048
-        # Per-cycle provenance hook: when set (repro.cpu.tainttrace), it
-        # marks the cycle boundary for the taint pending window.  Unlike
+        # Per-cycle provenance hook: set by repro.cpu.access.trace for a
+        # recorder that traces words (the taint tracker), it marks the
+        # cycle boundary for the taint pending window.  Unlike
         # profile_hook it must fire every cycle, so provenance-enabled
         # trials pay the call; unset it is the same load + None check.
         self.taint_hook = None

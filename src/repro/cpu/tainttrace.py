@@ -3,11 +3,9 @@
 One injected bit flip either dies (overwritten, scrubbed, corrected,
 architecturally dead) or travels — latch to latch, into an SRAM array,
 out to memory, into architected state.  :class:`TaintTracker` shadows
-that journey for one injection by swapping every latch's class to a
-zero-slot subclass (the ``touchtrace.py`` technique: layout-compatible,
-reverted on exit, zero cost when inactive), wrapping the SRAM arrays'
-read/write methods, class-swapping the sparse :class:`Memory`, and
-installing the core's per-cycle ``taint_hook``.
+that journey for one injection as a ``words`` recorder on the latch
+access layer (:mod:`repro.cpu.access`): it sees every latch, SRAM array
+and memory word access and every cycle boundary of the traced cores.
 
 Propagation semantics are *consume-on-write*: each read of a tainted
 node is queued in a pending window; the next value write consumes the
@@ -38,24 +36,17 @@ series, peak, and residual fields.
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
 from typing import NamedTuple
 
-from repro.isa.memory import Memory
 from repro.obs.provenance import MaskingEvent, TaintNodeKind
 from repro.rtl.latch import Latch, LatchKind
 from repro.rtl.parity import EccStatus
 
+from repro.cpu.access import Recorder, trace
 from repro.cpu.events import EventKind
 from repro.cpu.pervasive import R_IDLE
 
-_VALUE = Latch.value  # the slot descriptors: storage behind the properties
-_PAR = Latch.par
-
-#: The active tracker, consulted by every traced access.  A module
-#: global (not thread-local), like ``touchtrace._ACTIVE``: injection
-#: drains are single-threaded and worker processes have private state.
-_TAINT: TaintTracker | None = None
+_VALUE = Latch.value  # the slot descriptor: storage behind the property
 
 #: Event kinds that count as "the machine noticed" for detection latency.
 DETECTION_KINDS = frozenset({
@@ -145,8 +136,15 @@ def detection_info(events, inject_cycle: int) -> dict | None:
     return None
 
 
-class TaintTracker:
-    """Shadow one injected latch as it propagates through the machine."""
+class TaintTracker(Recorder):
+    """Shadow one injected latch as it propagates through the machine.
+
+    Trace it with :func:`repro.cpu.access.trace` (or :func:`taint_trace`)
+    after the injection flip: the seed latch is tainted from
+    construction on, and the flip itself is the DAG root, not an edge.
+    """
+
+    words = True
 
     def __init__(self, cores, seed_latch: Latch, *,
                  max_edges: int = 4096,
@@ -154,7 +152,6 @@ class TaintTracker:
                  max_masking: int = 512) -> None:
         self._cores = list(cores)
         self._multi = len(self._cores) > 1
-        self._seed_latch = seed_latch
         self._max_edges = max_edges
         self._max_footprint = max_footprint
         self._max_masking = max_masking
@@ -189,107 +186,16 @@ class TaintTracker:
                           for core, prefix in zip(self._cores, prefixes)}
 
         self._current = self._cores[0]
-        self._unwrap: list = []
-        self._installed = False
-
-    # ------------------------------------------------------------------
-    # Install / revert.
-
-    def install(self) -> None:
-        global _TAINT
-        if _TAINT is not None:
-            raise RuntimeError("a TaintTracker is already installed")
-        self._attach()
-        self._installed = True
-        _TAINT = self
         # Node keys are id()s but never leave the process: payload()
         # maps every key to its stable latch/array name before emit.
-        self._set_taint(id(self._seed_latch),  # repro-lint: allow[REPRO-D03]
-                        self._seed_latch.width)
+        self._set_taint(id(seed_latch),  # repro-lint: allow[REPRO-D03]
+                        seed_latch.width)
         self._sample(self._current.cycles)
-
-    def uninstall(self) -> None:
-        global _TAINT
-        if not self._installed:
-            return
-        _TAINT = None
-        self._installed = False
-        self._detach()
-
-    @contextmanager
-    def suspended(self):
-        """Take the tracker off the machine while the caller inspects or
-        rewinds it.
-
-        A digest probe, a snapshot or a golden rung replay reads and
-        writes every latch, array and memory word and clocks the core;
-        none of it is the trial's value flow.  Inside the window the
-        latches and memory are their plain classes again, the arrays
-        unwrapped and the ``taint_hook`` unset, so nothing reaches the
-        tracker (and the window runs at untraced speed); its state
-        (taint set, pending window, DAG, footprint) is exactly what it
-        was on entry.
-        """
-        self._detach()
-        try:
-            yield
-        finally:
-            self._attach()
-
-    def _attach(self) -> None:
-        """Swap the traced classes, array wrappers and hook in."""
-        for core in self._cores:
-            for latch in core.all_latches():
-                latch.__class__ = _TaintedLatch
-            for array in core.arrays():
-                self._wrap_array(array)
-            core.memory.__class__ = _TaintedMemory
-            core.taint_hook = self._on_cycle
-
-    def _detach(self) -> None:
-        """Revert everything :meth:`_attach` swapped in."""
-        for core in self._cores:
-            for latch in core.all_latches():
-                latch.__class__ = Latch
-            if type(core.memory) is _TaintedMemory:
-                core.memory.__class__ = Memory
-            core.taint_hook = None
-        for array, names in self._unwrap:
-            for name in names:
-                delattr(array, name)
-        self._unwrap.clear()
-
-    def _wrap_array(self, array) -> None:
-        aid = id(array)
-        is_ecc = hasattr(array, "write_raw")
-        orig_read, orig_write = array.read, array.write
-        names = ["read", "write"]
-
-        def read(index, _orig=orig_read, _aid=aid):
-            result = _orig(index)
-            self._on_array_read(_aid, index, result, is_ecc)
-            return result
-
-        def write(index, value, _orig=orig_write, _aid=aid):
-            self._on_word_write(("a", _aid, index))
-            _orig(index, value)
-
-        array.read, array.write = read, write
-        if is_ecc:
-            orig_raw = array.write_raw
-
-            def write_raw(index, value, check, _orig=orig_raw, _aid=aid):
-                self._on_word_write(("a", _aid, index))
-                _orig(index, value, check)
-
-            array.write_raw = write_raw
-            names.append("write_raw")
-        self._unwrap.append((array, names))
 
     # ------------------------------------------------------------------
     # The per-cycle hook (installed as ``core.taint_hook``).
 
-    def _on_cycle(self, core) -> None:
+    def cycle(self, core) -> None:
         self._current = core
         self._pending.clear()
         self._sample(core.cycles)
@@ -399,19 +305,74 @@ class TaintTracker:
         return self._correction_cause() or MaskingEvent.OVERWRITTEN.value
 
     # ------------------------------------------------------------------
-    # Access callbacks (hot: one dict probe on the clean path).
+    # Access events (hot: one set probe on the clean path).
 
-    def _on_latch_read(self, latch) -> None:
+    def read_value(self, latch: Latch) -> None:
         key = id(latch)
         if key in self._tainted:
             self._pending.add(key)
 
-    def _on_latch_write(self, latch) -> None:
+    def write_value(self, latch: Latch, new: int) -> None:
         key = id(latch)
         if self._pending:
             self._infect(key, latch.width)
         elif key in self._tainted:
             self._clear_taint(key, self._mask_cause())
+
+    def read_par(self, latch: Latch) -> None:
+        """A checker consulted the parity shadow (``Latch.parity_ok``).
+
+        Provenance-wise a parity consult is just another read of the
+        latch, so the default delegates; the structural extractor
+        overrides this to record protection-coverage evidence (which
+        protected latches actually have their shadow checked)."""
+        self.read_value(latch)
+
+    # ``write_par`` stays inert: ``Latch.write`` updates value then
+    # par, and the value write already consumed the window, so a consume
+    # here would mis-attribute an "overwritten" untaint.
+
+    def flip(self, latch: Latch, bit: int) -> None:
+        # Fault-model accessor, not functional dataflow: mutate the slot
+        # directly (no read/write events: a flip is not a value flow)
+        # and mark the latch infected.
+        if not 0 <= bit < latch.width:
+            raise ValueError(f"latch {latch.name!r}: bit {bit} out of range")
+        _VALUE.__set__(latch, _VALUE.__get__(latch) ^ (1 << bit))
+        self._reseed(latch)
+
+    def force_bit(self, latch: Latch, bit: int, level: int) -> None:
+        # Sticky holds land here every cycle boundary: the fault keeps
+        # the latch infected even after a functional overwrite cleansed
+        # it, so re-seed the taint alongside the raw bit update.
+        value = _VALUE.__get__(latch)
+        if level:
+            value |= 1 << bit
+        else:
+            value &= ~(1 << bit) & latch.mask
+        _VALUE.__set__(latch, value)
+        self._reseed(latch)
+
+    def read_array(self, array, index: int, result) -> None:
+        key = ("a", id(array), index)
+        if key not in self._tainted:
+            return
+        if result[1] is EccStatus.CORRECTED:
+            # The ECC read itself scrubbed the array word clean.
+            self._clear_taint(key, MaskingEvent.ECC_CORRECTED.value)
+            return
+        self._pending.add(key)
+
+    def write_array(self, array, index: int) -> None:
+        self._on_word_write(("a", id(array), index))
+
+    def read_word(self, memory, addr: int) -> None:
+        key = ("m", id(memory), addr >> 2)
+        if key in self._tainted:
+            self._pending.add(key)
+
+    def write_word(self, memory, addr: int) -> None:
+        self._on_word_write(("m", id(memory), addr >> 2))
 
     def _on_word_write(self, key) -> None:
         if self._pending:
@@ -419,39 +380,12 @@ class TaintTracker:
         elif key in self._tainted:
             self._clear_taint(key, self._mask_cause())
 
-    def _on_array_read(self, aid, index, result, is_ecc: bool) -> None:
-        key = ("a", aid, index)
-        if key not in self._tainted:
-            return
-        if is_ecc and result[1] is EccStatus.CORRECTED:
-            # The read itself scrubbed the array word clean.
-            self._clear_taint(key, MaskingEvent.ECC_CORRECTED.value)
-            return
-        self._pending.add(key)
-
-    def _on_memory_read(self, memory, addr: int) -> None:
-        key = ("m", id(memory), addr >> 2)
-        if key in self._tainted:
-            self._pending.add(key)
-
-    def _on_par_read(self, latch) -> None:
-        """A checker consulted the parity shadow (``Latch.parity_ok``).
-
-        Provenance-wise a parity consult is just another read of the
-        latch, so the default delegates; the structural extractor
-        overrides this to record protection-coverage evidence (which
-        protected latches actually have their shadow checked)."""
-        self._on_latch_read(latch)
-
-    def _on_memory_write(self, memory, addr: int) -> None:
-        self._on_word_write(("m", id(memory), addr >> 2))
-
-    def _reseed(self, latch) -> None:
+    def _reseed(self, latch: Latch) -> None:
         """A fault-model write re-asserted this latch: it is infected
         again even if functional logic cleansed it since (sticky holds
         run at every cycle boundary for the fault's lifetime)."""
-        # Same identity-key discipline as install(): the id never
-        # leaves the process, payload() resolves it to a stable name.
+        # Same identity-key discipline as the seed in __init__: the id
+        # never leaves the process, payload() resolves it to a name.
         self._set_taint(id(latch),  # repro-lint: allow[REPRO-D03]
                         latch.width)
 
@@ -504,120 +438,11 @@ class TaintTracker:
         }
 
 
-class _TaintedLatch(Latch):
-    """Layout-compatible :class:`Latch` with taint-tracked state access."""
-
-    __slots__ = ()
-
-    @property
-    def value(self) -> int:
-        tracker = _TAINT
-        if tracker is not None:
-            tracker._on_latch_read(self)
-        return _VALUE.__get__(self)
-
-    @value.setter
-    def value(self, new: int) -> None:
-        tracker = _TAINT
-        if tracker is not None:
-            tracker._on_latch_write(self)
-        _VALUE.__set__(self, new)
-
-    def flip(self, bit: int) -> None:
-        # Fault-model accessor, not functional dataflow: mutate the slot
-        # directly (no read/write callbacks — a flip is not a value flow)
-        # and mark the latch infected.
-        if not 0 <= bit < self.width:
-            raise ValueError(f"latch {self.name!r}: bit {bit} out of range")
-        _VALUE.__set__(self, _VALUE.__get__(self) ^ (1 << bit))
-        tracker = _TAINT
-        if tracker is not None:
-            tracker._reseed(self)
-
-    def force_bit(self, bit: int, level: int) -> None:
-        # Sticky holds land here every cycle boundary: the fault keeps
-        # the latch infected even after a functional overwrite cleansed
-        # it, so re-seed the taint alongside the raw bit update.
-        value = _VALUE.__get__(self)
-        if level:
-            value |= 1 << bit
-        else:
-            value &= ~(1 << bit) & self.mask
-        _VALUE.__set__(self, value)
-        tracker = _TAINT
-        if tracker is not None:
-            tracker._reseed(self)
-
-    @property
-    def par(self) -> int:
-        tracker = _TAINT
-        if tracker is not None:
-            tracker._on_par_read(self)
-        return _PAR.__get__(self)
-
-    @par.setter
-    def par(self, new: int) -> None:
-        # ``Latch.write`` updates value then par; the value setter already
-        # consumed the window, so the shadow update is deliberately inert
-        # (a consume here would mis-attribute an "overwritten" untaint).
-        _PAR.__set__(self, new)
-
-
-class _TaintedMemory(Memory):
-    """Layout-compatible :class:`Memory` with taint-tracked word access."""
-
-    __slots__ = ()
-
-    def load_word(self, addr: int) -> int:
-        value = Memory.load_word(self, addr)
-        tracker = _TAINT
-        if tracker is not None:
-            tracker._on_memory_read(self, addr)
-        return value
-
-    def store_word(self, addr: int, value: int) -> None:
-        tracker = _TAINT
-        if tracker is not None:
-            tracker._on_memory_write(self, addr)
-        Memory.store_word(self, addr, value)
-
-    def load_byte(self, addr: int) -> int:
-        value = Memory.load_byte(self, addr)
-        tracker = _TAINT
-        if tracker is not None:
-            tracker._on_memory_read(self, addr)
-        return value
-
-    def store_byte(self, addr: int, value: int) -> None:
-        tracker = _TAINT
-        if tracker is not None:
-            tracker._on_memory_write(self, addr)
-        Memory.store_byte(self, addr, value)
-
-
-@contextmanager
 def taint_trace(core, seed_latch: Latch, **options):
     """Track ``seed_latch``'s taint through one core until exit.
 
-    Install *after* the injection flip (so the flip itself is not traced)
+    Enter *after* the injection flip (so the flip itself is not traced)
     and exit before classification (so golden-state comparison reads are
     untracked).  Yields the :class:`TaintTracker`.
     """
-    tracker = TaintTracker([core], seed_latch, **options)
-    tracker.install()
-    try:
-        yield tracker
-    finally:
-        tracker.uninstall()
-
-
-@contextmanager
-def taint_trace_chip(chip, seed_latch: Latch, **options):
-    """Track taint across every core of a chip (isolation edges show up
-    as cross-core unit pairs, counted in ``cross_core_edges``)."""
-    tracker = TaintTracker(list(chip.cores), seed_latch, **options)
-    tracker.install()
-    try:
-        yield tracker
-    finally:
-        tracker.uninstall()
+    return trace([core], TaintTracker([core], seed_latch, **options))

@@ -7,10 +7,10 @@ reserved for the golden (fault-free) run.  The backend works in the
 lane, so the golden plane is identically zero and "has any trial
 diverged?" is a single word-compare against zero.
 
-The fault-free reference run is recorded once per testcase by
-:func:`record_schedule` (a :class:`~repro.cpu.touchtrace.TouchTrace`
-subclass, so the existing ``untraced()`` windows and the masked-exit
-``last_touch`` licence keep working).  :func:`compile_netlist` flattens
+The fault-free reference run is recorded once per testcase by a
+:class:`ScheduleTrace`, a :class:`~repro.cpu.access.TouchTrace`
+recorder on the latch access layer (so it also yields the ``last_touch``
+map the scalar exits use).  :func:`compile_netlist` flattens
 that recorded ``Core.cycle`` activity into a :class:`CompiledSchedule`
 — per-latch read/write streams in sequence-exact order — cached by
 model digest.  A wave of up to :data:`MAX_WAVE_TRIALS` injections is
@@ -42,14 +42,11 @@ digest they were compiled from.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 
-from repro.cpu import touchtrace
-from repro.cpu.touchtrace import TouchTrace
+from repro.cpu.access import TouchTrace
 from repro.rtl.latch import Latch
 
-_VALUE = Latch.value  # slot descriptors behind the traced properties
-_PAR = Latch.par
+_VALUE = Latch.value  # the slot descriptor behind the traced property
 
 #: Plane geometry: one Python int word per latch bit, lane 0 = golden.
 PLANE_LANES = 64
@@ -152,6 +149,12 @@ class ScheduleTrace(TouchTrace):
     global, so read-vs-write order *within* a cycle is exact — no tie
     conservatism at the injection boundary.
 
+    Whole-word accesses stream into the value/parity tables; ``bit`` and
+    an unprotected latch's ``write_bit`` stream into per-bit tables, so
+    scoreboard-style consumers do not make every lane of a wide mask
+    latch peel.  ``last_touch`` is stamped exactly as the plain touch
+    trace stamps it.
+
     ``marks[c]`` is the first sequence number stamped at cycle ``c`` or
     later, which makes "everything after the injection at the end of
     cycle c" a single ``bisect``.
@@ -184,6 +187,46 @@ class ScheduleTrace(TouchTrace):
         self._vr_last: dict[int, int] = {}
         self._pr_last: dict[int, int] = {}
         self._br_last: dict[tuple[int, int], int] = {}
+
+    # Access events: stamp ``last_touch`` and the domain's stream.
+
+    def read_value(self, latch: Latch) -> None:
+        self.last_touch[id(latch)] = self.core.cycles
+        self._read(self.vr, self._vr_last, latch)
+
+    def write_value(self, latch: Latch, new: int) -> None:
+        self.last_touch[id(latch)] = self.core.cycles
+        self._write(self.vw_seq, self.vw_cyc, self.vw_val, latch, new)
+
+    def read_par(self, latch: Latch) -> None:
+        self.last_touch[id(latch)] = self.core.cycles
+        self._read(self.pr, self._pr_last, latch)
+
+    def write_par(self, latch: Latch, new: int) -> None:
+        self.last_touch[id(latch)] = self.core.cycles
+        self._write(self.pw_seq, self.pw_cyc, self.pw_val, latch, new)
+
+    def bit(self, latch: Latch, bit: int) -> int:
+        self.last_touch[id(latch)] = self.core.cycles
+        self._read(self.br, self._br_last, latch, bit)
+        return (_VALUE.__get__(latch) >> bit) & 1
+
+    def write_bit(self, latch: Latch, bit: int, level: int) -> None:
+        if latch.protected:
+            # A protected write re-derives the whole parity shadow from
+            # the whole value: that is a whole-latch access, take the
+            # plain path (which stamps value and parity).
+            Latch.write_bit(latch, bit, level)
+            return
+        self.last_touch[id(latch)] = self.core.cycles
+        self._write(self.bw_seq, self.bw_cyc, self.bw_val, latch,
+                    level & 1, bit)
+        value = _VALUE.__get__(latch)
+        if level:
+            value |= 1 << bit
+        else:
+            value &= ~(1 << bit) & latch.mask
+        _VALUE.__set__(latch, value)
 
     # Stamping helpers: every *recorded* access takes one sequence
     # number; repeats within a cycle collapse onto the first (reads) or
@@ -231,101 +274,6 @@ class ScheduleTrace(TouchTrace):
             cyc.append(cycle)
             vals[key].append(value)
         self.seq += 1
-
-
-class _ScheduleLatch(Latch):
-    """Layout-compatible latch stamping the schedule trace.
-
-    Whole-word accesses stream into the value/parity tables; the
-    bit-granular accessors (``bit``/``write_bit``) stream into per-bit
-    tables for unprotected latches, so scoreboard-style consumers do
-    not make every lane of a wide mask latch peel.  ``last_touch`` is
-    co-populated with identical semantics to the plain touch trace.
-    """
-
-    __slots__ = ()
-
-    @property
-    def value(self) -> int:
-        trace = touchtrace._ACTIVE
-        if trace is not None:
-            trace.last_touch[id(self)] = trace.core.cycles
-            trace._read(trace.vr, trace._vr_last, self)
-        return _VALUE.__get__(self)
-
-    @value.setter
-    def value(self, new: int) -> None:
-        trace = touchtrace._ACTIVE
-        if trace is not None:
-            trace.last_touch[id(self)] = trace.core.cycles
-            trace._write(trace.vw_seq, trace.vw_cyc, trace.vw_val,
-                         self, new)
-        _VALUE.__set__(self, new)
-
-    @property
-    def par(self) -> int:
-        trace = touchtrace._ACTIVE
-        if trace is not None:
-            trace.last_touch[id(self)] = trace.core.cycles
-            trace._read(trace.pr, trace._pr_last, self)
-        return _PAR.__get__(self)
-
-    @par.setter
-    def par(self, new: int) -> None:
-        trace = touchtrace._ACTIVE
-        if trace is not None:
-            trace.last_touch[id(self)] = trace.core.cycles
-            trace._write(trace.pw_seq, trace.pw_cyc, trace.pw_val,
-                         self, new)
-        _PAR.__set__(self, new)
-
-    def bit(self, bit: int) -> int:
-        trace = touchtrace._ACTIVE
-        if trace is not None:
-            trace.last_touch[id(self)] = trace.core.cycles
-            trace._read(trace.br, trace._br_last, self, bit)
-        return (_VALUE.__get__(self) >> bit) & 1
-
-    def write_bit(self, bit: int, level: int) -> None:
-        if self.protected:
-            # A protected write re-derives the whole parity shadow from
-            # the whole value: that is a whole-latch access, take the
-            # conservative base path (which stamps value and parity).
-            Latch.write_bit(self, bit, level)
-            return
-        trace = touchtrace._ACTIVE
-        if trace is not None:
-            trace.last_touch[id(self)] = trace.core.cycles
-            trace._write(trace.bw_seq, trace.bw_cyc, trace.bw_val,
-                         self, level & 1, bit)
-        value = _VALUE.__get__(self)
-        if level:
-            value |= 1 << bit
-        else:
-            value &= ~(1 << bit) & self.mask
-        _VALUE.__set__(self, value)
-
-
-@contextmanager
-def record_schedule(core):
-    """Record the sequence-exact access schedule of a golden run.
-
-    Drop-in for :func:`repro.cpu.touchtrace.trace_touches` on the
-    bit-plane path: yields a :class:`ScheduleTrace` (which *is* a
-    ``TouchTrace``, so ``GoldenTrace.last_touch`` and the existing
-    ``untraced()`` snapshot/digest windows work unchanged).
-    """
-    latches = core.all_latches()
-    trace = ScheduleTrace(core)
-    for latch in latches:
-        latch.__class__ = _ScheduleLatch
-    touchtrace._ACTIVE = trace
-    try:
-        yield trace
-    finally:
-        touchtrace._ACTIVE = None
-        for latch in latches:
-            latch.__class__ = Latch
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The SFI campaigns *measure* derating; this module lets the repo *prove*
 part of it.  A :class:`_StructuralTracker` (a
-:class:`repro.cpu.tainttrace.TaintTracker` subclass) treats **every**
+:class:`repro.cpu.tainttrace.TaintTracker` subclass, so a recorder on the
+latch access layer :mod:`repro.cpu.access`) treats **every**
 storage node as a permanent taint source simultaneously and replays the
 fault-free golden run of each AVP testcase once.  Because taint tracking
 is purely observational — callbacks never change machine state — a
@@ -42,6 +43,7 @@ from pathlib import Path
 
 from repro.avp.generator import AvpGenerator
 from repro.avp.suite import make_suite
+from repro.cpu.access import trace
 from repro.cpu.core import Power6Core
 from repro.cpu.tainttrace import _MEMORY_WIDTH, TaintTracker
 from repro.obs.provenance import TaintNodeKind
@@ -108,29 +110,29 @@ class _StructuralTracker(TaintTracker):
 
     # -- every read is a (recorded) tainted read -----------------------
 
-    def _on_latch_read(self, latch) -> None:
+    def read_value(self, latch) -> None:
         key = id(latch)  # repro-lint: allow[REPRO-D03]
         self.read_keys.add(key)
         self._pending.add(key)
 
-    def _on_par_read(self, latch) -> None:
+    def read_par(self, latch) -> None:
         key = id(latch)  # repro-lint: allow[REPRO-D03]
         self.par_read_keys.add(key)
-        self._on_latch_read(latch)
+        self.read_value(latch)
 
-    def _on_array_read(self, aid, index, result, is_ecc: bool) -> None:
-        key = ("a", aid, index)
+    def read_array(self, array, index: int, result) -> None:
+        key = ("a", id(array), index)
         self.read_keys.add(key)
         self._pending.add(key)
 
-    def _on_memory_read(self, memory, addr: int) -> None:
+    def read_word(self, memory, addr: int) -> None:
         key = ("m", id(memory), addr >> 2)  # repro-lint: allow[REPRO-D03]
         self.read_keys.add(key)
         self._pending.add(key)
 
     # -- every write with a window propagates; nothing cleanses --------
 
-    def _on_latch_write(self, latch) -> None:
+    def write_value(self, latch, new: int) -> None:
         if self._pending:
             self._infect(id(latch),  # repro-lint: allow[REPRO-D03]
                          latch.width)
@@ -370,8 +372,7 @@ def _trace_testcase(core, testcase, settle_cycles: int):
     core.load_program(testcase.program)
     tracker = _StructuralTracker(core)
     budget = core.cycles + 50 * testcase.instructions_retired + 10_000
-    tracker.install()
-    try:
+    with trace([core], tracker):
         # Poll quiescence every cycle: a strict superset of the reads
         # the campaign supervisor's poll-interval loop performs, which
         # the read-silence soundness argument depends on.
@@ -379,8 +380,6 @@ def _trace_testcase(core, testcase, settle_cycles: int):
             core.cycle()
         for _ in range(settle_cycles):
             core.cycle()
-    finally:
-        tracker.uninstall()
     if not core.halted:
         raise RuntimeError(
             f"golden run of testcase seed {testcase.seed} did not halt "
@@ -457,14 +456,11 @@ def probe_cone(core, testcase, latch_name: str,
     tracker = TaintTracker([core], by_name[latch_name],
                            max_edges=500_000, max_footprint=2)
     budget = core.cycles + 50 * testcase.instructions_retired + 10_000
-    tracker.install()
-    try:
+    with trace([core], tracker):
         while not core.quiesced and core.cycles < budget:
             core.cycle()
         for _ in range(settle_cycles):
             core.cycle()
-    finally:
-        tracker.uninstall()
     helper = _StructuralTracker(core)
     touched = {helper.canonical_name(node) for node in tracker.nodes}
     touched.discard(latch_name)

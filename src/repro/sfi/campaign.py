@@ -19,10 +19,10 @@ from repro.avp.generator import MixWeights
 from repro.avp.runner import AvpBaselineError, ReferenceRun
 from repro.avp.suite import make_suite
 from repro.avp.testcase import AvpTestcase
+from repro.cpu.access import TouchTrace, suspended, trace
 from repro.cpu.core import CoreSnapshot, Power6Core
 from repro.cpu.events import EventKind, EventLog, MachineEvent
 from repro.cpu.tainttrace import detection_info, taint_trace
-from repro.cpu.touchtrace import trace_touches, untraced
 from repro.cpu.params import CoreParams
 from repro.cpu.pervasive import R_IDLE
 from repro.emulator.awan import AwanEmulator
@@ -30,8 +30,8 @@ from repro.emulator.bitplane import (
     BITPLANE_DIGEST_STRIDE,
     BITPLANE_RUNG_STRIDE,
     MAX_WAVE_TRIALS,
+    ScheduleTrace,
     compile_netlist,
-    record_schedule,
 )
 from repro.emulator.host import CommHost
 from repro.obs.provenance import MaskingEvent, ProvenanceReport
@@ -173,9 +173,6 @@ class CampaignConfig:
     # Trials per wave (clamped to the 63 non-golden lanes of a plane
     # word; plane bit 0 is the golden lane).
     wave_lanes: int = MAX_WAVE_TRIALS
-    # Optional bound on the injection-cycle span batched into one wave
-    # (None: any same-testcase items share a wave).
-    wave_window: int | None = None
 
 
 @dataclass(frozen=True)
@@ -194,10 +191,12 @@ class GoldenTrace:
     ``final`` is the complete quiesced machine state (the early-exit
     paths reconstruct the trial's final state from it instead of
     simulating to it), and ``last_touch`` maps ``id(latch)`` to the last
-    cycle the fault-free run read or wrote that latch (see
-    :mod:`repro.cpu.touchtrace`) — the licence for the frozen and masked
-    early exits: a flip confined to a latch the golden run never touches
-    again is frozen, so the trial's future is the golden future.
+    cycle the fault-free run read or wrote that latch (the reference
+    run's :class:`~repro.cpu.access.TouchTrace`, or on the bit-plane
+    backend its ``ScheduleTrace``, which stamps it the same way) — the
+    licence for the frozen, masked and tracked early exits: a flip
+    confined to a latch the golden run never touches again is frozen,
+    so the trial's future is the golden future.
     """
 
     digests: dict[int, int]
@@ -389,7 +388,6 @@ class SfiExperiment:
         self.schedules: list = []
         self._bp_lagmap: list[dict[int, int]] = []
         self._bp_masked: list[dict[int, int]] = []
-        self._schedule_trace = None
         # Ladder stride of the bit-plane dense rungs, derived in
         # ``_prepare`` to fit ``ladder_max_rungs`` (None: none laid).
         self.dense_rung_stride: int | None = None
@@ -488,8 +486,6 @@ class SfiExperiment:
             self.emulator.checkpoint(self._ckpt_name(index))
             reference = self._reference_run(testcase, index)
             self.references.append(reference)
-            if self.bitplane:
-                self._compile_schedule(index)
             self.emulator.reload(self._ckpt_name(index))
         if self.bitplane:
             self.dense_rung_stride = self._fit_dense_rung_stride()
@@ -530,7 +526,9 @@ class SfiExperiment:
         :meth:`CommHost.run_until_quiesce` because chunking cannot change
         cycle-by-cycle evolution.  The whole run is latch-touch traced
         (rung/digest snapshots excepted — they are observational), which
-        licences the masked early exit.
+        licences the frozen, masked and tracked exits; on the bit-plane
+        backend the trace records the full access schedule, compiled
+        here for the wave path.
         """
         config = self.config
         core = self.core
@@ -539,9 +537,8 @@ class SfiExperiment:
         digest_stride = max(1, config.digest_stride)
         digests: dict[int, int] = {}
         remaining = budget
-        tracer = (record_schedule(core) if self.bitplane
-                  else trace_touches(core))
-        with tracer as trace:
+        recorder = ScheduleTrace(core) if self.bitplane else TouchTrace(core)
+        with trace([core], recorder):
             while remaining > 0 and not core.quiesced:
                 cycle = core.cycles
                 target = cycle + min(config.poll_interval, remaining,
@@ -554,12 +551,12 @@ class SfiExperiment:
                 remaining -= run
                 if run < chunk or core.quiesced:
                     break
-                with untraced():
+                with suspended():
                     if ckpt_stride and core.cycles % ckpt_stride == 0:
                         emulator.save_rung(self._ckpt_name(index))
                     if core.cycles % digest_stride == 0:
                         digests[core.cycles] = core.state_digest()
-            with untraced():
+            with suspended():
                 final = core.snapshot()
         self.goldens.append(GoldenTrace(
             digests=digests,
@@ -567,10 +564,10 @@ class SfiExperiment:
             end_cycle=core.cycles,
             usable=core.event_log.dropped == 0,
             final=final,
-            last_touch=dict(trace.last_touch),
+            last_touch=dict(recorder.last_touch),
         ))
         if self.bitplane:
-            self._schedule_trace = trace
+            self._compile_schedule(index, recorder)
 
     @staticmethod
     def _ckpt_name(index: int) -> str:
@@ -819,7 +816,7 @@ class SfiExperiment:
             index = self._latch_index[key]
             held.append((index, golden.final.latches[index]))
         latches = self._latches
-        with tracker.suspended():
+        with suspended():
             trial = [(latches[index].value, latches[index].par)
                      for index, _ in held]
             for index, (value, par) in held:
@@ -835,19 +832,17 @@ class SfiExperiment:
     # ------------------------------------------------------------------
     # Bit-plane backend (waves of up to 63 trials per plane word).
 
-    def _compile_schedule(self, index: int) -> None:
+    def _compile_schedule(self, index: int, recorder: ScheduleTrace) -> None:
         """Compile the schedule the reference run just recorded (the core
         still holds that run's quiesced state)."""
         config = self.config
         testcase = self.suite[index]
-        trace = self._schedule_trace
-        self._schedule_trace = None
         cache_key = ("schedule", repr(config.core_params),
                      repr(config.weights), testcase.seed,
                      config.checker_mask,
                      tuple(sorted(config.mode_overrides.items())))
         self.schedules.append(
-            compile_netlist(self.core, trace, cache_key=cache_key))
+            compile_netlist(self.core, recorder, cache_key=cache_key))
 
     def _fit_dense_rung_stride(self) -> int | None:
         """The smallest stride >= ``BITPLANE_RUNG_STRIDE`` at which every
@@ -930,9 +925,8 @@ class SfiExperiment:
 
         Items group by testcase (one compiled schedule per wave), sort
         by (inject cycle, position) and chunk into ``wave_lanes``-sized
-        waves (optionally bounded to a ``wave_window`` cycle span).
-        Every item is self-contained, so batching cannot change any
-        record; results are keyed by plan position exactly like the
+        waves.  Every item is self-contained, so batching cannot change
+        any record; results are keyed by plan position exactly like the
         scalar loop's.
         """
         config = self.config
@@ -941,15 +935,12 @@ class SfiExperiment:
             by_testcase.setdefault(item.testcase_index, []).append(
                 (item, inject_cycle))
         lanes_cap = max(1, min(config.wave_lanes, MAX_WAVE_TRIALS))
-        window = config.wave_window
         for tc_index in sorted(by_testcase):
             lanes = sorted(by_testcase[tc_index],
                            key=lambda pair: (pair[1], pair[0].position))
             wave: list = []
             for pair in lanes:
-                if wave and (len(wave) >= lanes_cap
-                             or (window is not None
-                                 and pair[1] - wave[0][1] > window)):
+                if len(wave) >= lanes_cap:
                     self._run_wave(tc_index, wave, records, record_hook)
                     wave = []
                 wave.append(pair)

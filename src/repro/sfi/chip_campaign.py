@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 from repro.avp.runner import AvpBaselineError
 from repro.avp.suite import make_suite
+from repro.cpu.access import trace
 from repro.cpu.chip import ChipSnapshot, Power6Chip
 from repro.cpu.events import EventLog
 from repro.cpu.params import CoreParams
-from repro.cpu.tainttrace import detection_info, taint_trace_chip
+from repro.cpu.tainttrace import TaintTracker, detection_info
 from repro.obs.profile import CoreProfiler
 from repro.obs.provenance import MaskingEvent, ProvenanceReport
 from repro.rtl.fault import FaultSite, expand_sites
@@ -238,8 +239,11 @@ class ChipExperiment:
             # Install after the flip (the flip is the DAG root, not an
             # edge) and uninstall before classification; the ladder
             # restore above is untracked pre-injection prefix, so the
-            # record is bit-identical to an untracked trial.
-            with taint_trace_chip(chip, site.latch) as tracker:
+            # record is bit-identical to an untracked trial.  Every core
+            # is tracked: isolation edges show up as cross-core unit
+            # pairs, counted in ``cross_core_edges``.
+            tracker = TaintTracker(chip.cores, site.latch)
+            with trace(chip.cores, tracker):
                 chip.run(max_cycles=max(budget, self.drain_cycles))
             payload = tracker.payload()
         else:

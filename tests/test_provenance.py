@@ -10,6 +10,7 @@ journal extras surfaced by the monitor, and the chip-campaign wiring.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from random import Random
@@ -25,13 +26,13 @@ from repro.analysis import (
     render_provenance_report,
     write_provenance_jsonl,
 )
+from repro.cpu.access import suspended, trace
 from repro.cpu.core import Power6Core
 from repro.cpu.events import EventKind, MachineEvent
 from repro.cpu.tainttrace import TaintTracker, detection_info, taint_trace
 from repro.obs import MaskingEvent, MetricsRegistry, ProvenanceReport
 from repro.obs.monitor import read_journal_progress, render_monitor_frame
 from repro.rtl.fault import InjectionMode
-from repro.rtl.latch import Latch
 from repro.sfi import CampaignConfig, SfiExperiment
 from repro.sfi.campaign import injection_rng, plan_injections
 from repro.sfi.chip_campaign import ChipExperiment
@@ -40,6 +41,13 @@ from repro.sfi.sampling import random_sample
 from repro.sfi.storage import CampaignJournal
 
 from tests.conftest import SMALL_PARAMS
+from tests.test_access import (
+    RECORDERS,
+    assert_traced,
+    assert_untraced,
+    recorder_state,
+    touch_storage,
+)
 
 
 # ----------------------------------------------------------------------
@@ -220,20 +228,31 @@ class TestTaintTracker:
         assert payload["outcome"] == record.outcome.value
         assert payload["nodes"][0]["unit"] == payload["unit"]
         assert payload["peak_bits"] >= 1
-        # The class swap is fully reverted: plain Latch everywhere, no
-        # hook left behind, and a provenance-off rerun is bit-identical.
-        core = experiment.core
-        assert all(type(latch) is Latch for latch in core.all_latches())
-        assert core.taint_hook is None
+        # The class swap is fully reverted: plain classes everywhere, no
+        # wrapper or hook left behind, and a provenance-off rerun is
+        # bit-identical.
+        assert_untraced(experiment.core)
         assert experiment.run_one(0, 0, 100, provenance=False) == record
         assert experiment.last_provenance is None
 
     def test_nested_install_rejected(self, core):
-        with taint_trace(core, core.ifu.ifar):
-            tracker = TaintTracker([core], core.ifu.ifar)
-            with pytest.raises(RuntimeError):
-                tracker.install()
-        assert core.taint_hook is None
+        """A trace of any recorder kind refuses to start inside a trace
+        of any kind, and the outer one keeps its swap and records on."""
+        for outer_kind, inner_kind in itertools.product(RECORDERS,
+                                                        repeat=2):
+            pair = f"{inner_kind} inside {outer_kind}"
+            outer = RECORDERS[outer_kind](core)
+            inner = RECORDERS[inner_kind](core)
+            with trace([core], outer):
+                before = recorder_state(outer, core)
+                with pytest.raises(RuntimeError, match="already tracing"):
+                    with trace([core], inner):
+                        pytest.fail(f"{pair}: nested trace installed")
+                assert_traced(core, outer)
+                assert recorder_state(outer, core) == before, pair
+                touch_storage(core)
+                assert recorder_state(outer, core) != before, pair
+            assert_untraced(core)
 
     def test_node_maps_built_once_per_core(self, core):
         """Trackers over one core share its node maps instead of
@@ -265,9 +284,8 @@ class TestTaintTracker:
         with taint_trace(core, seed) as tracker:
             assert seed.value is not None  # a tainted read arms the window
             before = tracker.payload()
-            with tracker.suspended():
-                assert core.taint_hook is None
-                assert type(seed) is Latch
+            with suspended():
+                assert_untraced(core)
                 core.idu.cr.value = seed.value
                 core.lsu.dcache.array.write(0, 5)
                 core.memory.store_word(0x100, 5)

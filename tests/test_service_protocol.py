@@ -158,6 +158,15 @@ class TestMessages:
         payload = json.loads(json.dumps(config_to_dict(config)))
         assert config_from_dict(payload) == config
 
+    def test_config_from_older_payload_drops_removed_fields(self):
+        """A coordinator or queued spec from an older build still sends
+        fields this build removed (``wave_window``); they are dropped."""
+        config = CampaignConfig(suite_size=2, backend="bitplane",
+                                core_params=SMALL_PARAMS)
+        payload = json.loads(json.dumps(config_to_dict(config)))
+        payload["wave_window"] = None
+        assert config_from_dict(payload) == config
+
 
 class FakeClock:
     def __init__(self):

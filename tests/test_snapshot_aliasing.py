@@ -403,21 +403,21 @@ def test_two_masks_each_ignore_exactly_their_own_latches(masked_core):
 
 
 def test_traced_digests_equal_untraced_digests(masked_core):
-    """Golden trails are digested with the latches class-swapped for
-    tracing and compared against untraced drains: tracing must not
-    change a digest."""
-    from repro.cpu.touchtrace import trace_touches, untraced
-    from repro.emulator.bitplane import record_schedule
+    """Golden trails are digested inside ``suspended()`` windows of a
+    traced run and compared against untraced drains: neither the hooked
+    classes nor a suspension may change a digest."""
+    from repro.cpu.access import suspended, trace
+    from tests.test_access import RECORDERS
 
     core, mask = masked_core
     kinds = ({}, {"include_cycle": False}, {"exclude": mask},
              {"exclude": mask, "include_cycle": False})
     expected = [core.state_digest(**kwargs) for kwargs in kinds]
-    for tracer in (trace_touches, record_schedule):
-        with tracer(core):
+    for make in RECORDERS.values():
+        with trace([core], make(core)):
             assert [core.state_digest(**kwargs)
                     for kwargs in kinds] == expected
-            with untraced():
+            with suspended():
                 assert [core.state_digest(**kwargs)
                         for kwargs in kinds] == expected
     assert [core.state_digest(**kwargs) for kwargs in kinds] == expected
