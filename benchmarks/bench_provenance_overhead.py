@@ -7,16 +7,22 @@ memory and array classes, so all that remains is a per-cycle
 ``taint_hook`` attribute load + None check in ``Core.cycle``.  The
 design budget is <1% wall overhead versus a seed engine with no check
 at all, and <=3x wall when tracking is enabled (every traced access
-pays a recorder call, every cycle the hook).  All three variants run with ``fastpath=False``, so every
-trial reloads cycle 0 and drains to quiesce: the bench measures the
-per-cycle tracker cost itself, not the tracked fast path's ladder
-entry and taint-inert exit (``perfbench``'s ``provenance-pool``
-workload measures those end to end).
+pays a recorder call, every cycle the hook).  These three variants run
+with ``fastpath=False``, so every trial reloads cycle 0 and drains to
+quiesce: the budgets measure the per-cycle tracker cost itself.
+
+A fourth variant runs the same tracked campaign on the fast path, where
+a flip golden never touches again takes the ``frozen`` exit and any
+other trial enters from a ladder rung and ends at the confirmed
+taint-inert (``tracked``) exit.  Its wall time, speedup over the tracked
+slow path and exits by reason go into ``detail``, unbudgeted
+(``perfbench``'s ``provenance-pool`` workload measures the fast path end
+to end); its records and payloads must equal the tracked slow path's.
 
 The seed baseline is not approximated: the bench recompiles
 ``Core.cycle`` from its live source with the two taint-hook lines
 stripped, so the comparison always measures the current engine against
-its own check-free twin.  All three variants must produce bit-identical
+its own check-free twin.  All four variants must produce bit-identical
 outcome records.  Results land in ``benchmarks/results/BENCH_provenance.json``.
 """
 
@@ -30,6 +36,7 @@ import time
 
 from repro.cpu import CoreParams
 from repro.cpu.core import Power6Core as Core
+from repro.obs.metrics import MetricsRegistry
 from repro.sfi import CampaignConfig, SfiExperiment
 from repro.sfi.sampling import random_sample
 
@@ -55,9 +62,9 @@ def _seed_cycle():
     return namespace["cycle"]
 
 
-def _prepare(flips: int, *, provenance: bool):
+def _prepare(flips: int, *, provenance: bool, fastpath: bool = False):
     config = CampaignConfig(suite_size=2, suite_seed=99, core_params=_PARAMS,
-                            fastpath=False, provenance=provenance)
+                            fastpath=fastpath, provenance=provenance)
     experiment = SfiExperiment(config)
     sites = random_sample(experiment.latch_map, flips,
                           random.Random(_SEED ^ 0x5F1))
@@ -78,10 +85,15 @@ def test_provenance_overhead(benchmark):
         seed_exp, seed_sites = _prepare(flips, provenance=False)
         off_exp, off_sites = _prepare(flips, provenance=False)
         on_exp, on_sites = _prepare(flips, provenance=True)
+        fast_exp, fast_sites = _prepare(flips, provenance=True,
+                                        fastpath=True)
+        payloads = {"on": {}, "fast": {}}
+        on_exp.provenance_hook = payloads["on"].__setitem__
+        fast_exp.provenance_hook = payloads["fast"].__setitem__
         seed_cycle, original = _seed_cycle(), Core.cycle
-        walls = dict.fromkeys(("seed", "off", "on"), math.inf)
+        walls = dict.fromkeys(("seed", "off", "on", "fast"), math.inf)
         results = {}
-        # Interleave the three variants so each repeat of each variant
+        # Interleave the four variants so each repeat of each variant
         # samples the same load epoch; min-of-N then discards whatever
         # noise any single epoch carried.
         for _ in range(_REPEATS):
@@ -95,15 +107,26 @@ def test_provenance_overhead(benchmark):
             walls["off"] = min(walls["off"], wall)
             wall, results["on"] = _timed(on_exp, on_sites)
             walls["on"] = min(walls["on"], wall)
-        return walls, results, on_exp
+            wall, results["fast"] = _timed(fast_exp, fast_sites)
+            walls["fast"] = min(walls["fast"], wall)
+        # Exits by reason from one more, untimed, fast campaign.
+        registry = MetricsRegistry()
+        with fast_exp.sinks(metrics=registry):
+            fast_exp.run_campaign(fast_sites, seed=_SEED)
+        exits = {reason: int(count) for (reason,), count in
+                 registry.get("sfi_early_exits_total").series().items()}
+        return walls, results, payloads, exits, on_exp
 
-    walls, results, on_exp = benchmark.pedantic(run, rounds=1, iterations=1)
-    seed_wall, off_wall, on_wall = walls["seed"], walls["off"], walls["on"]
-    seed_result, off_result, on_result = (results["seed"], results["off"],
-                                          results["on"])
+    walls, results, payloads, exits, on_exp = benchmark.pedantic(
+        run, rounds=1, iterations=1)
+    seed_wall, off_wall, on_wall, fast_wall = (
+        walls["seed"], walls["off"], walls["on"], walls["fast"])
+    seed_result, off_result, on_result, fast_result = (
+        results["seed"], results["off"], results["on"], results["fast"])
 
     off_overhead = (off_wall - seed_wall) / seed_wall
     on_ratio = on_wall / off_wall
+    fast_speedup = on_wall / fast_wall
     report = on_exp.provenance_report
     detail = {
         "trials": flips,
@@ -114,8 +137,13 @@ def test_provenance_overhead(benchmark):
         "on_wall_seconds": round(on_wall, 4),
         "off_overhead_vs_seed": round(off_overhead, 4),
         "on_ratio_vs_off": round(on_ratio, 2),
+        "on_fastpath_wall_seconds": round(fast_wall, 4),
+        "on_fastpath_speedup_vs_on": round(fast_speedup, 2),
+        "on_fastpath_exits": dict(sorted(exits.items())),
+        "on_fastpath_matches_on": (fast_result.records == on_result.records
+                                   and payloads["fast"] == payloads["on"]),
         "records_bit_identical": (seed_result.records == off_result.records
-                                  == on_result.records),
+                                  == on_result.records == fast_result.records),
         "taint_edges": sum(report.unit_edges.values()),
         "detections": report.detections,
     }
@@ -134,18 +162,24 @@ def test_provenance_overhead(benchmark):
         f"   ({100 * off_overhead:+.2f}% vs seed, budget <1%)",
         f"  provenance on  (min of {_REPEATS}): {on_wall:8.3f} s"
         f"   ({on_ratio:.2f}x vs off, budget <=3x)",
-        f"  records bit-identical:      {detail['records_bit_identical']}",
+        f"  on, fast path  (min of {_REPEATS}): {fast_wall:8.3f} s"
+        f"   ({fast_speedup:.2f}x faster than on; exits "
+        + ", ".join(f"{reason} {count}" for reason, count
+                    in detail["on_fastpath_exits"].items()) + ")",
+        f"  records bit-identical:      {detail['records_bit_identical']}"
+        f"   (fast path's payloads too: {detail['on_fastpath_matches_on']})",
         f"  taint edges recorded:       {detail['taint_edges']}"
         f"   ({report.detections} detections)",
     ]
     publish("provenance_overhead", "\n".join(lines))
 
-    # Same answers from all three engines, then the two budgets.  The
+    # Same answers from all four engines, then the two budgets.  The
     # dormant check costs nanoseconds per simulated cycle, so tiny
     # campaigns can't resolve it against scheduler noise: an absolute
     # 100 ms slack backstops the relative gate — a regression that
     # makes the dormant path do real work would blow through both.
-    assert seed_result.records == off_result.records == on_result.records
+    assert detail["records_bit_identical"]
+    assert detail["on_fastpath_matches_on"]
     assert off_overhead < 0.01 or (off_wall - seed_wall) < 0.10, \
         f"dormant hook overhead {100 * off_overhead:.2f}% exceeds the 1% budget"
     assert on_ratio <= 3.0, \

@@ -142,11 +142,14 @@ class TaintTracker(Recorder):
     Trace it with :func:`repro.cpu.access.trace` (or :func:`taint_trace`)
     after the injection flip: the seed latch is tainted from
     construction on, and the flip itself is the DAG root, not an edge.
+    The first footprint sample is stamped ``cycle`` (default: the first
+    core's current cycle, the inject cycle when built at the flip).
     """
 
     words = True
 
     def __init__(self, cores, seed_latch: Latch, *,
+                 cycle: int | None = None,
                  max_edges: int = 4096,
                  max_footprint: int = 4096,
                  max_masking: int = 512) -> None:
@@ -190,7 +193,7 @@ class TaintTracker(Recorder):
         # maps every key to its stable latch/array name before emit.
         self._set_taint(id(seed_latch),  # repro-lint: allow[REPRO-D03]
                         seed_latch.width)
-        self._sample(self._current.cycles)
+        self._sample(self._current.cycles if cycle is None else cycle)
 
     # ------------------------------------------------------------------
     # The per-cycle hook (installed as ``core.taint_hook``).

@@ -22,7 +22,7 @@ from repro.avp.testcase import AvpTestcase
 from repro.cpu.access import TouchTrace, suspended, trace
 from repro.cpu.core import CoreSnapshot, Power6Core
 from repro.cpu.events import EventKind, EventLog, MachineEvent
-from repro.cpu.tainttrace import detection_info, taint_trace
+from repro.cpu.tainttrace import TaintTracker, detection_info, taint_trace
 from repro.cpu.params import CoreParams
 from repro.cpu.pervasive import R_IDLE
 from repro.emulator.awan import AwanEmulator
@@ -149,15 +149,16 @@ class CampaignConfig:
     # Ladder memory bound (LRU-evicted rungs across all testcases).
     ladder_max_rungs: int = 256
     # --- Fault provenance (taint propagation DAG per injection) -------
-    # When True, every trial runs with the taint tracker installed and
-    # produces a provenance payload (propagation DAG, infection
-    # footprint, detection latency, masking attribution) alongside its
-    # record.  On the fast path a tracked trial still enters from a
-    # ladder rung (the tracker is installed after the flip, so it never
-    # sees the prefix) but takes only one early exit, the confirmed
-    # taint-inert one: the payload is final there.  Records and payloads
-    # are identical to ``fastpath=False`` (the provenance differential
-    # suite asserts both).
+    # When True, every trial is taint-tracked and produces a provenance
+    # payload (propagation DAG, infection footprint, detection latency,
+    # masking attribution) alongside its record.  On the fast path a
+    # TOGGLE flip golden never touches again takes the frozen exit with
+    # the payload of a tracker seeded at the flip (nothing can move its
+    # taint).  Any other tracked trial enters from a ladder rung (the
+    # tracker is installed after the flip, so it never sees the prefix)
+    # and takes only one drain exit, the confirmed taint-inert one: the
+    # payload is final there.  Records and payloads are identical to
+    # ``fastpath=False`` (the provenance differential suite asserts both).
     provenance: bool = False
     # --- Bit-plane backend (64 trials per machine word) ---------------
     # ``backend="bitplane"`` batches same-testcase plan items into waves
@@ -580,23 +581,26 @@ class SfiExperiment:
                 provenance: bool | None = None) -> InjectionRecord:
         """Perform a single injection and classify its outcome.
 
-        On the fast path an untracked TOGGLE flip into a latch golden
-        never touches after ``inject_cycle`` is not simulated at all
-        (the ``frozen`` exit, :meth:`_golden_record`).  Any other trial
-        restores the nearest ladder rung at or below ``inject_cycle``
-        (instead of re-simulating from cycle 0) and ends the drain at
-        the first confirmed golden-digest match (instead of draining to
-        quiesce).  All of these are equivalence-preserving, so the
-        returned record is bit-identical to the slow path's — the
-        differential suite (``pytest -m differential``) enforces this.
+        On the fast path a TOGGLE flip into a latch golden never touches
+        after ``inject_cycle`` is not simulated at all (the ``frozen``
+        exit, :meth:`_golden_record`).  Any other trial restores the
+        nearest ladder rung at or below ``inject_cycle`` (instead of
+        re-simulating from cycle 0) and ends the drain at the first
+        confirmed golden-digest match (instead of draining to quiesce).
+        All of these are equivalence-preserving, so the returned record
+        is bit-identical to the slow path's — the differential suite
+        (``pytest -m differential``) enforces this.
 
-        ``provenance`` (default: the config flag) runs the trial with
-        the taint tracker installed after the flip and leaves the
-        payload in ``last_provenance``.  A tracked trial enters from a
-        rung too, but its only early exit is the confirmed taint-inert
-        one (:meth:`_taint_inert`), where the payload is already final;
-        record and payload equal the slow path's, and it leaves no
-        fast-path extras for the journal.
+        ``provenance`` (default: the config flag) taint-tracks the trial
+        and leaves its payload in ``last_provenance``.  A tracked frozen
+        flip takes the payload of a tracker seeded on the latch at the
+        flip and never installed: nothing reads or writes the latch
+        again, so that payload is final.  Any other tracked trial runs
+        with the tracker installed after the flip; it enters from a rung
+        too, but its only early exit is the confirmed taint-inert one
+        (:meth:`_taint_inert`), where the payload is already final.
+        Record and payload equal the slow path's, and a tracked trial
+        leaves no fast-path extras for the journal.
         """
         config = self.config
         emulator = self.emulator
@@ -605,8 +609,7 @@ class SfiExperiment:
         inst = self._instruments
         track = config.provenance if provenance is None else provenance
         fast = self.fastpath
-        if (fast and not track
-                and config.injection_mode is InjectionMode.TOGGLE):
+        if fast and config.injection_mode is InjectionMode.TOGGLE:
             golden = self.goldens[testcase_index]
             latch = self.latch_map.site(site_index).latch
             if golden.usable \
@@ -616,8 +619,17 @@ class SfiExperiment:
                 # ``cycles`` first), so golden never reads or writes the
                 # latch after the flip.  The trial is golden plus the
                 # flip from here on by construction; nothing to simulate.
-                return self._golden_record(site_index, testcase_index,
-                                           inject_cycle, "frozen")
+                record = self._golden_record(site_index, testcase_index,
+                                             inject_cycle, "frozen")
+                if track:
+                    # Nor can taint move: with no read or write of the
+                    # latch no edge, cleansing or footprint change
+                    # follows, so a tracker seeded at the flip holds its
+                    # final payload from construction on.
+                    self.last_fastpath = None
+                    tracker = TaintTracker([core], latch, cycle=inject_cycle)
+                    self._finish_payload(tracker.payload(), record)
+                return record
         if fast:
             start_cycle = emulator.restore_nearest(
                 self._ckpt_name(testcase_index), inject_cycle)
@@ -680,25 +692,7 @@ class SfiExperiment:
                 extras["exit"] = exit_kind
             self.last_fastpath = extras
         self.last_provenance = None
-        if tracker_payload is not None:
-            tracker_payload.update(
-                site=site.name,
-                unit=self.latch_map.unit_of(site_index),
-                inject_cycle=inject_cycle,
-                testcase_seed=reference.testcase.seed,
-                outcome=outcome.value,
-                detection=detection_info(core.event_log.events,
-                                         inject_cycle),
-            )
-            if (outcome in (Outcome.VANISHED, Outcome.CORRECTED)
-                    and tracker_payload["residual_tainted"]):
-                # Benign outcome with live taint at quiesce: the infected
-                # state was never consumed.
-                counts = tracker_payload["masking_counts"]
-                counts[MaskingEvent.ARCHITECTURALLY_DEAD.value] = \
-                    tracker_payload["residual_tainted"]
-            self.last_provenance = tracker_payload
-        return InjectionRecord(
+        record = InjectionRecord(
             site_index=site_index,
             site_name=site.name,
             unit=self.latch_map.unit_of(site_index),
@@ -709,6 +703,30 @@ class SfiExperiment:
             outcome=outcome,
             trace=tuple(core.event_log),
         )
+        if tracker_payload is not None:
+            self._finish_payload(tracker_payload, record)
+        return record
+
+    def _finish_payload(self, payload: dict, record: InjectionRecord) -> None:
+        """Complete a tracked trial's tracker payload from its record
+        (identity, outcome, first detection, the architecturally-dead
+        residual) and leave it in ``last_provenance``."""
+        payload.update(
+            site=record.site_name,
+            unit=record.unit,
+            inject_cycle=record.inject_cycle,
+            testcase_seed=record.testcase_seed,
+            outcome=record.outcome.value,
+            detection=detection_info(record.trace, record.inject_cycle),
+        )
+        if (record.outcome in (Outcome.VANISHED, Outcome.CORRECTED)
+                and payload["residual_tainted"]):
+            # Benign outcome with live taint at quiesce: the infected
+            # state was never consumed.
+            counts = payload["masking_counts"]
+            counts[MaskingEvent.ARCHITECTURALLY_DEAD.value] = \
+                payload["residual_tainted"]
+        self.last_provenance = payload
 
     def _drain_with_digests(self, tc_index: int, budget: int, site,
                             tracker=None) -> tuple[str, list] | None:

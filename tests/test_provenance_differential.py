@@ -7,14 +7,18 @@ only side-channel payloads appear.  This suite enforces the claim over
 the same mini-campaigns the fast-path differential suite uses, whose
 slow-path outcomes jointly span every outcome class.
 
-On the fast path a tracked trial enters from a ladder rung and ends at
-the first confirmed taint-inert digest boundary, reconstructing the
-rest from the golden run.  So records are asserted equal against both a
-``fastpath=False`` and a ``fastpath=True`` untracked baseline, and the
-tracked fast path is held to the tracked slow path (the oracle) on
-every payload and every final machine state as well: on the mini-
-campaigns, on CLI-default campaigns, on forced digest collisions and
-over a hypothesis search of (site, inject cycle, injection mode).
+On the fast path a tracked TOGGLE flip into a latch golden never
+touches again takes the frozen exit: it is not simulated, and its
+payload is that of a tracker seeded at the flip.  Any other tracked
+trial enters from a ladder rung and ends at the first confirmed
+taint-inert digest boundary, reconstructing the rest from the golden
+run.  So records are asserted equal against both a ``fastpath=False``
+and a ``fastpath=True`` untracked baseline, and the tracked fast path is
+held to the tracked slow path (the oracle) on every payload and every
+final machine state as well: on the mini-campaigns, on CLI-default
+campaigns (where both exits are shown to be taken), on forced digest
+collisions, over a hypothesis search of (site, inject cycle, injection
+mode) and around the frozen exit's boundary.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.sfi.outcomes import Outcome
 from repro.sfi.sampling import random_sample
 from repro.sfi.supervisor import CampaignSupervisor
 
-from tests.difftools import BASE_CONFIG as _BASE
+from tests.difftools import BASE_CONFIG as _BASE, report_mismatches
 from tests.test_fastpath_differential import CASES
 
 pytestmark = pytest.mark.differential
@@ -219,21 +223,29 @@ CLI_CAMPAIGNS = ((1003, 200), (2001, 150))
 
 @pytest.fixture(scope="module")
 def cli_default():
-    """Tracked CLI-default trials per (seed, fastpath)."""
+    """Tracked CLI-default trials per (seed, fastpath), and the fast
+    path's ``sfi_early_exits_total`` per seed."""
     experiments = {
         fastpath: SfiExperiment(CampaignConfig(
             suite_size=4, fastpath=fastpath, provenance=True))
         for fastpath in (False, True)}
-    return {(seed, fastpath): _tracked_trials(experiment, seed, flips)
-            for seed, flips in CLI_CAMPAIGNS
-            for fastpath, experiment in experiments.items()}
+    trials, exits = {}, {}
+    for seed, flips in CLI_CAMPAIGNS:
+        registry = MetricsRegistry()
+        experiments[True].instrument(registry)
+        for fastpath, experiment in experiments.items():
+            trials[(seed, fastpath)] = _tracked_trials(experiment, seed,
+                                                       flips)
+        exits[seed] = registry.get("sfi_early_exits_total")
+    return trials, exits
 
 
 def test_cli_default_payloads_identical(cli_default):
     """Seed 1003, 200 flips: every payload as on the slow path.  A
     tracked exit must also take the footprint sample the next cycle's
     hook would take (stamped one cycle after the exit)."""
-    slow, fast = cli_default[(1003, False)], cli_default[(1003, True)]
+    trials, _ = cli_default
+    slow, fast = trials[(1003, False)], trials[(1003, True)]
     differ = [position for position, (a, b) in enumerate(zip(slow, fast))
               if a[:2] != b[:2]]
     assert not differ, f"records or payloads differ at {differ}"
@@ -245,11 +257,22 @@ def test_cli_default_final_states_identical(cli_default):
     golden-final and re-applies only the injected latch (the untracked
     masked exit's freeze) keeps records and payloads but fails here:
     every tainted latch it holds must be re-applied."""
+    trials, _ = cli_default
     for seed, _ in CLI_CAMPAIGNS:
-        slow = cli_default[(seed, False)][:150]
-        fast = cli_default[(seed, True)][:150]
+        slow = trials[(seed, False)][:150]
+        fast = trials[(seed, True)][:150]
         mismatches = _differences(f"cli-default/{seed}", slow, fast)
         assert not mismatches, "\n".join(mismatches)
+
+
+def test_cli_default_takes_both_tracked_exits(cli_default):
+    """Seed 1003's fast trials take both tracked-trial exits, so the
+    two identity tests above hold each of them to the slow path: a
+    change that silently stopped taking either would still pass
+    them."""
+    _, exits = cli_default
+    assert exits[1003].value(reason="frozen") > 0
+    assert exits[1003].value(reason="tracked") > 0
 
 
 class _MatchesAny:
@@ -332,10 +355,12 @@ def test_false_untracked_hits_are_confirmed_away(monkeypatch):
 
 @pytest.fixture(scope="module")
 def mode_experiments():
-    """Tracked experiments per (injection mode, fastpath)."""
-    return {(mode, fastpath): SfiExperiment(CampaignConfig(
-                **_BASE, injection_mode=mode, fastpath=fastpath,
-                provenance=True))
+    """Tracked experiments per (injection mode, fastpath); the fast
+    ones count their early exits."""
+    return {(mode, fastpath): SfiExperiment(
+                CampaignConfig(**_BASE, injection_mode=mode,
+                               fastpath=fastpath, provenance=True),
+                metrics=MetricsRegistry() if fastpath else None)
             for mode in InjectionMode for fastpath in (False, True)}
 
 
@@ -355,3 +380,59 @@ def test_tracked_trial_property(mode_experiments, data):
     assert fast.last_provenance == slow.last_provenance
     assert fast.core.snapshot() == slow.core.snapshot()
     assert fast.last_fastpath is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tracked_frozen_exit_boundary(mode_experiments, data):
+    """A tracked TOGGLE trial takes the frozen exit exactly when
+    golden's last touch of the injected latch is at or before the inject
+    cycle, and its record, payload and final state equal the slow
+    path's, within two cycles of that touch and after the last digest
+    boundary (where no digest is left to exit at).  A STICKY trial never
+    takes it."""
+    fast = mode_experiments[(InjectionMode.TOGGLE, True)]
+    latch_map = fast.latch_map
+    testcase = data.draw(st.integers(0, len(fast.suite) - 1),
+                         label="testcase")
+    golden = fast.goldens[testcase]
+    assert golden.usable
+    end = golden.end_cycle
+
+    def last_touch(site: int) -> int:
+        return golden.last_touch.get(id(latch_map.site(site).latch), -1)
+
+    offset = data.draw(st.sampled_from((-2, -1, 0, 1, 2, "tail")),
+                       label="offset")
+    if offset == "tail":
+        site = data.draw(st.integers(0, len(latch_map) - 1), label="site")
+        stride = fast.config.digest_stride
+        cycle = data.draw(st.integers((end - 1) // stride * stride, end - 1),
+                          label="inject_cycle")
+    else:
+        touched = [site for site in range(len(latch_map))
+                   if 2 <= last_touch(site) <= end - 3]
+        site = data.draw(st.sampled_from(touched), label="site")
+        cycle = last_touch(site) + offset
+    for mode in InjectionMode:
+        slow = mode_experiments[(mode, False)]
+        quick = mode_experiments[(mode, True)]
+        exits = quick.metrics.get("sfi_early_exits_total")
+        before = exits.value(reason="frozen")
+        expected = slow.run_one(site, testcase, cycle)
+        record = quick.run_one(site, testcase, cycle)
+        where = (f"mode={mode.value} site={site} testcase={testcase} "
+                 f"cycle={cycle}")
+        mismatches = report_mismatches(
+            f"tracked-frozen-boundary/{mode.value}", None, [expected],
+            [record])
+        assert not mismatches, "\n".join(mismatches)
+        assert quick.last_provenance == slow.last_provenance, \
+            f"payload differs: {where}"
+        assert quick.core.snapshot() == slow.core.snapshot(), \
+            f"final state differs: {where}"
+        assert quick.last_fastpath is None
+        frozen = exits.value(reason="frozen") - before
+        assert frozen == (mode is InjectionMode.TOGGLE
+                          and last_touch(site) <= cycle), \
+            f"frozen exits {frozen:g}: {where}"
