@@ -304,17 +304,22 @@ class Power6Core:
         shifted in time — which the bit-plane drain exploits to rejoin
         recovered lanes onto the golden tail.
 
-        The value is a built-in ``hash()`` (``hash(None)`` is
-        address-based on some interpreters), so it is comparable only
-        within one process and is never persisted.  Its sections are read
-        straight from the live state — no snapshot copies, no sort — and
-        :meth:`same_state` is the exact comparison a digest hit stands
-        for.
+        The value is a built-in ``hash()`` over ints, bools, tuples and a
+        frozenset of int pairs only, which every process of one
+        interpreter build hashes alike (no ``str``, whose hash is salted
+        per process, and no ``None``, whose hash is address-based on
+        3.10 and 3.11: the lag-free form puts -1 in the cycle slot).  So
+        a digest compares across the processes of one build, which is
+        how pool workers drain against their parent's golden digests,
+        but not across builds, and it is never persisted.  Its sections
+        are read straight from the live state — no snapshot copies, no
+        sort — and :meth:`same_state` is the exact comparison a digest
+        hit stands for.
         """
         latches = self._kept_latches(exclude) if exclude \
             else self._all_latches
         return hash((
-            self.cycles if include_cycle else None,
+            self.cycles if include_cycle else -1,
             self.halted, self.commits_prev, self.committed,
             tuple([latch.value for latch in latches]),
             tuple([latch.par for latch in latches]),

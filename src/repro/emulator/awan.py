@@ -99,6 +99,21 @@ class AwanEmulator:
     def has_checkpoint(self, name: str = "default") -> bool:
         return name in self._checkpoints
 
+    def saved_states(self) -> tuple[dict[str, CoreSnapshot],
+                                    list[tuple[tuple[str, int],
+                                               CoreSnapshot]]]:
+        """Every saved model state: the checkpoints by name, and the
+        ladder's ``((name, cycle), snapshot)`` rungs in LRU order."""
+        return dict(self._checkpoints), list(self._ladder.items())
+
+    def load_saved_states(self, checkpoints: dict[str, CoreSnapshot],
+                          rungs) -> None:
+        """Replace every saved model state with ``checkpoints`` and
+        ``rungs``, as :meth:`saved_states` returns them (possibly from
+        another engine of the same model)."""
+        self._checkpoints = dict(checkpoints)
+        self._ladder = OrderedDict(rungs)
+
     # ------------------------------------------------------------------
     # Checkpoint ladder (fast-path replay cache).
 

@@ -334,15 +334,14 @@ class CompiledSchedule:
         self.marks = tuple(trace.marks)
         self.initial = trace.initial
         latches = core.all_latches()
-        self._index = {id(latch): i for i, latch in enumerate(latches)}
-        ids = [id(latch) for latch in latches]
+        positions = {id(latch): i for i, latch in enumerate(latches)}
 
         def _by_index(table):
-            return {self._index[key]: tuple(stream)
+            return {positions[key]: tuple(stream)
                     for key, stream in table.items()}
 
         def _bits_by_index(table):
-            return {(self._index[key[0]], key[1]): tuple(stream)
+            return {(positions[key[0]], key[1]): tuple(stream)
                     for key, stream in table.items()}
 
         self.vr = _by_index(trace.vr)
@@ -359,11 +358,25 @@ class CompiledSchedule:
         self.bw_val = _bits_by_index(trace.bw_val)
         bit_read_ids = {key[0] for key in self.br}
         self.mask_indices = frozenset(
-            index for index, latch_id in enumerate(ids)
+            index for index in range(len(latches))
             if index not in self.vr and index not in self.pr
             and index not in bit_read_ids)
         self._kernels: dict = {}
         self.kernel_sources: list[str] = []
+
+    # A schedule travels to pool workers inside a PreparedState: its
+    # tables, not its per-process kernel cache (generated functions do
+    # not pickle), which a worker rebuilds as waves need kernels.
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_kernels"], state["kernel_sources"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._kernels = {}
+        self.kernel_sources = []
 
     # -- schedule queries ----------------------------------------------
 

@@ -191,13 +191,16 @@ class GoldenTrace:
 
     ``final`` is the complete quiesced machine state (the early-exit
     paths reconstruct the trial's final state from it instead of
-    simulating to it), and ``last_touch`` maps ``id(latch)`` to the last
+    simulating to it), and ``last_touch`` maps a latch's position in
+    :meth:`~repro.cpu.core.Power6Core.all_latches` order to the last
     cycle the fault-free run read or wrote that latch (the reference
     run's :class:`~repro.cpu.access.TouchTrace`, or on the bit-plane
     backend its ``ScheduleTrace``, which stamps it the same way) — the
     licence for the frozen, masked and tracked early exits: a flip
     confined to a latch the golden run never touches again is frozen,
-    so the trial's future is the golden future.
+    so the trial's future is the golden future.  Positions, unlike the
+    recorder's ``id(latch)`` keys, mean the same latch in every
+    process, so a golden travels to pool workers as it is.
     """
 
     digests: dict[int, int]
@@ -206,6 +209,38 @@ class GoldenTrace:
     usable: bool
     final: CoreSnapshot
     last_touch: dict[int, int]
+
+
+@dataclass
+class PreparedState:
+    """Everything :meth:`SfiExperiment._prepare` builds: the AVP suite,
+    each testcase's fault-free reference and golden trace, the
+    emulator's cycle-0 checkpoints and ladder rungs, and on the
+    bit-plane backend each testcase's compiled schedule, lag map and
+    masked digest trail plus the dense rung stride.
+
+    Nothing in it depends on the process that built it: latches are
+    keyed by position, never by ``id()``, and its digests are ones any
+    process of the same interpreter build computes alike
+    (:meth:`~repro.cpu.core.Power6Core.state_digest`).  So a pool
+    worker loads its parent's state (``SfiExperiment(config,
+    prepared=state)``) instead of preparing, and a fresh prepare
+    installs its own through the same :meth:`SfiExperiment._install`.
+    """
+
+    suite: list[AvpTestcase]
+    references: list[ReferenceRun] = field(default_factory=list)
+    goldens: list[GoldenTrace] = field(default_factory=list)
+    checkpoints: dict[str, CoreSnapshot] = field(default_factory=dict)
+    # ((checkpoint name, cycle), snapshot) in ladder order.
+    rungs: list[tuple[tuple[str, int], CoreSnapshot]] = field(
+        default_factory=list)
+    schedules: list = field(default_factory=list)
+    # Per testcase: set-masked lag-free digest -> first golden cycle.
+    lagmaps: list[dict[int, int]] = field(default_factory=list)
+    # Per testcase: cycle -> set-masked golden digest.
+    masked_trails: list[dict[int, int]] = field(default_factory=list)
+    dense_rung_stride: int | None = None
 
 
 # Injection latency is milliseconds-scale on the software backend.
@@ -312,20 +347,23 @@ class _ExperimentInstruments:
 # This process's prepared machine, the one slot of Figure 1's "prepare
 # once": every SfiExperiment built on the default AwanEmulator takes it
 # at the end of a successful __init__ (the CLI's or a service's probe, a
-# pool or remote worker's own machine), replacing the previous one.
-# Shard runners reuse it for its config (prepared_machine), so a serial
-# supervised campaign runs on the probe its caller already prepared.
-# Reuse is sound because a prepared machine is frozen: ``checkpoint``
-# and ``save_rung`` run only inside ``_prepare``, so the ladder is fixed
-# before the first trial, and every trial restores a rung or checkpoint
-# before it clocks, so no trial sees what an earlier one left behind.
+# remote worker's own machine, the machine a pool worker loads from its
+# parent's PreparedState), replacing the previous one.  Shard runners
+# reuse it for its config (prepared_machine), so a serial supervised
+# campaign runs on the probe its caller already prepared, and a pool
+# worker on its parent's.  Reuse is sound because a prepared machine is
+# frozen: ``checkpoint`` and ``save_rung`` run only inside ``_prepare``,
+# so the ladder is fixed before the first trial, and every trial
+# restores a rung or checkpoint before it clocks, so no trial sees what
+# an earlier one left behind.
 _PREPARED: SfiExperiment | None = None
 
 
 def prepared_machine(config: CampaignConfig) -> SfiExperiment:
     """This process's prepared machine for ``config``: the slot's, or a
     new one (which then takes the slot) when the slot holds another
-    config."""
+    config.  A local pool ships this machine's :class:`PreparedState`
+    to its workers, whose slot then holds the loaded copy."""
     machine = _PREPARED
     if machine is None or machine.config != config:
         machine = SfiExperiment(config)
@@ -341,6 +379,10 @@ class SfiExperiment:
     that runs in this process runs on it, with only the sinks of its
     shard (:meth:`sinks`), instead of preparing a second machine.
 
+    ``prepared`` (another machine's :attr:`prepared`, for the same
+    config) installs that state instead of preparing: a pool worker
+    builds its machine this way from the one its parent shipped.
+
     Pass ``metrics`` (a :class:`repro.obs.MetricsRegistry`) — or call
     :meth:`instrument` later — to record per-outcome counters, injection
     latency histograms, campaign/prepare timings and sampled core
@@ -349,7 +391,8 @@ class SfiExperiment:
     """
 
     def __init__(self, config: CampaignConfig | None = None,
-                 emulator_cls=AwanEmulator, metrics=None) -> None:
+                 emulator_cls=AwanEmulator, metrics=None,
+                 prepared: PreparedState | None = None) -> None:
         self.config = config or CampaignConfig()
         self.core = Power6Core(self.config.core_params)
         # Campaign cores bound their event log as a ring: hang outcomes
@@ -368,7 +411,8 @@ class SfiExperiment:
         self.host = CommHost(self.emulator, self.config.poll_interval)
         self.latch_map = self.emulator.latch_map
         # Position of each latch in the core's latch order, to look up a
-        # latch's golden-final (value, par) pair in a CoreSnapshot.
+        # latch's golden-final (value, par) pair in a CoreSnapshot and
+        # its last golden touch.
         self._latch_index = {id(latch): i
                              for i, latch in enumerate(self.core.all_latches())}
         # --- Bit-plane backend state ----------------------------------
@@ -384,19 +428,7 @@ class SfiExperiment:
             raise ValueError(
                 "bitplane backend is incompatible with provenance "
                 "(the taint tracker must observe every trial cycle)")
-        # Per-testcase compiled schedules plus the dense digest trails
-        # (full and never-read-set masked) the wave path drains against.
-        self.schedules: list = []
-        self._bp_lagmap: list[dict[int, int]] = []
-        self._bp_masked: list[dict[int, int]] = []
-        # Ladder stride of the bit-plane dense rungs, derived in
-        # ``_prepare`` to fit ``ladder_max_rungs`` (None: none laid).
-        self.dense_rung_stride: int | None = None
         self._latches = self.core.all_latches()
-        self.suite: list[AvpTestcase] = make_suite(
-            self.config.suite_size, self.config.suite_seed, self.config.weights)
-        self.references: list[ReferenceRun] = []
-        self.goldens: list[GoldenTrace] = []
         self.metrics = None
         self._instruments = None
         self._profiler = None
@@ -412,7 +444,7 @@ class SfiExperiment:
         self.provenance_hook = None
         self.provenance_report: ProvenanceReport | None = None
         prepare_start = time.perf_counter()
-        self._prepare()
+        self._install(prepared if prepared is not None else self._prepare())
         self.prepare_seconds = time.perf_counter() - prepare_start
         if metrics is not None:
             self.instrument(metrics)
@@ -472,37 +504,66 @@ class SfiExperiment:
                 raise ValueError(f"unknown pervasive mode latch {name!r}")
             latch.write(value)
 
-    def _prepare(self) -> None:
-        """Checkpoint each testcase at cycle 0, establish its fault-free
-        reference execution, and (on the fast path) build its checkpoint
-        ladder and golden digest trail along the way.
+    def _prepare(self) -> PreparedState:
+        """Build the AVP suite, then checkpoint each testcase at cycle 0,
+        establish its fault-free reference execution, and (on the fast
+        path) build its checkpoint ladder and golden digest trail along
+        the way.
 
         The bit-plane backend compiles each testcase's schedule right
         after its reference run, then — once every golden length is
         known — derives the dense rung stride that fits the ladder bound
-        and lays its instrumentation down in a second pass."""
-        for index, testcase in enumerate(self.suite):
+        and lays its instrumentation down in a second pass.  Everything
+        built goes into the returned state; the caller installs it."""
+        config = self.config
+        emulator = self.emulator
+        state = PreparedState(suite=make_suite(
+            config.suite_size, config.suite_seed, config.weights))
+        for index, testcase in enumerate(state.suite):
             self.core.load_program(testcase.program)
             self._apply_mode_overrides()
-            self.emulator.checkpoint(self._ckpt_name(index))
-            reference = self._reference_run(testcase, index)
-            self.references.append(reference)
-            self.emulator.reload(self._ckpt_name(index))
+            emulator.checkpoint(self._ckpt_name(index))
+            state.references.append(
+                self._reference_run(testcase, index, state))
+            emulator.reload(self._ckpt_name(index))
         if self.bitplane:
-            self.dense_rung_stride = self._fit_dense_rung_stride()
-            for index in range(len(self.suite)):
-                self._bitplane_prepare(index)
-                self.emulator.reload(self._ckpt_name(index))
+            state.dense_rung_stride = self._fit_dense_rung_stride(
+                state.goldens)
+            for index in range(len(state.suite)):
+                self._bitplane_prepare(index, state)
+                emulator.reload(self._ckpt_name(index))
+        state.checkpoints, state.rungs = emulator.saved_states()
+        return state
+
+    def _install(self, state: PreparedState) -> None:
+        """Make ``state`` this machine's prepared state: the only way a
+        machine gets one, whether :meth:`_prepare` just built it or a
+        parent process shipped it.  The core is left at the last
+        testcase's cycle-0 checkpoint, as a prepare leaves it."""
+        # Kept whole: it is what a local pool ships to its workers.
+        self.prepared = state
+        self.suite = state.suite
+        self.references = state.references
+        self.goldens = state.goldens
+        # Bit-plane: per-testcase compiled schedules plus the dense
+        # digest trails (lag-free and never-read-set masked) the wave
+        # path drains against; the dense rung stride (None: none laid).
+        self.schedules = state.schedules
+        self._bp_lagmap = state.lagmaps
+        self._bp_masked = state.masked_trails
+        self.dense_rung_stride = state.dense_rung_stride
+        self.emulator.load_saved_states(state.checkpoints, state.rungs)
+        self.emulator.reload(self._ckpt_name(len(state.suite) - 1))
 
     def _reference_budget(self, testcase: AvpTestcase) -> int:
         return 50 * testcase.instructions_retired + 10_000
 
-    def _reference_run(self, testcase: AvpTestcase,
-                       index: int) -> ReferenceRun:
+    def _reference_run(self, testcase: AvpTestcase, index: int,
+                       state: PreparedState) -> ReferenceRun:
         budget = self._reference_budget(testcase)
         core = self.core
         if self.fastpath:
-            self._instrumented_reference(index, budget)
+            self._instrumented_reference(index, budget, state)
         else:
             self.host.run_until_quiesce(budget)
         if not core.halted:
@@ -517,7 +578,8 @@ class SfiExperiment:
         return ReferenceRun(testcase=testcase, cycles=core.cycles,
                             committed=core.committed)
 
-    def _instrumented_reference(self, index: int, budget: int) -> None:
+    def _instrumented_reference(self, index: int, budget: int,
+                                state: PreparedState) -> None:
         """Golden run with ladder rungs and digest samples.
 
         Clocks in chunks that stop at every ``ckpt_stride`` and
@@ -559,16 +621,19 @@ class SfiExperiment:
                         digests[core.cycles] = core.state_digest()
             with suspended():
                 final = core.snapshot()
-        self.goldens.append(GoldenTrace(
+        positions = self._latch_index
+        state.goldens.append(GoldenTrace(
             digests=digests,
             events=tuple(core.event_log),
             end_cycle=core.cycles,
             usable=core.event_log.dropped == 0,
             final=final,
-            last_touch=dict(recorder.last_touch),
+            last_touch={positions[key]: cycle
+                        for key, cycle in recorder.last_touch.items()},
         ))
         if self.bitplane:
-            self._compile_schedule(index, recorder)
+            state.schedules.append(
+                self._compile_schedule(state.suite[index], recorder))
 
     @staticmethod
     def _ckpt_name(index: int) -> str:
@@ -612,8 +677,8 @@ class SfiExperiment:
         if fast and config.injection_mode is InjectionMode.TOGGLE:
             golden = self.goldens[testcase_index]
             latch = self.latch_map.site(site_index).latch
-            if golden.usable \
-                    and golden.last_touch.get(id(latch), -1) <= inject_cycle:
+            if golden.usable and golden.last_touch.get(
+                    self._latch_index[id(latch)], -1) <= inject_cycle:
                 # Frozen flip: the touch trace stamps each access with
                 # the cycle it happens in (``Core.cycle`` increments
                 # ``cycles`` first), so golden never reads or writes the
@@ -761,10 +826,10 @@ class SfiExperiment:
         digests = golden.digests
         end = golden.end_cycle
         latch = site.latch
+        latch_index = self._latch_index[id(latch)]
         # A latch absent from the trace was never touched at all — the
         # most eligible case for the masked exit.
-        last_touch = golden.last_touch.get(id(latch), -1)
-        latch_index = self._latch_index[id(latch)]
+        last_touch = golden.last_touch.get(latch_index, -1)
         frozen = golden.final.latches[latch_index]
         remaining = budget
         while remaining > 0:
@@ -829,9 +894,9 @@ class SfiExperiment:
         golden = self.goldens[tc_index]
         held = []
         for key in keys:
-            if golden.last_touch.get(key, -1) > cycle:
-                return None
             index = self._latch_index[key]
+            if golden.last_touch.get(index, -1) > cycle:
+                return None
             held.append((index, golden.final.latches[index]))
         latches = self._latches
         with suspended():
@@ -850,19 +915,19 @@ class SfiExperiment:
     # ------------------------------------------------------------------
     # Bit-plane backend (waves of up to 63 trials per plane word).
 
-    def _compile_schedule(self, index: int, recorder: ScheduleTrace) -> None:
+    def _compile_schedule(self, testcase: AvpTestcase,
+                          recorder: ScheduleTrace):
         """Compile the schedule the reference run just recorded (the core
         still holds that run's quiesced state)."""
         config = self.config
-        testcase = self.suite[index]
         cache_key = ("schedule", repr(config.core_params),
                      repr(config.weights), testcase.seed,
                      config.checker_mask,
                      tuple(sorted(config.mode_overrides.items())))
-        self.schedules.append(
-            compile_netlist(self.core, recorder, cache_key=cache_key))
+        return compile_netlist(self.core, recorder, cache_key=cache_key)
 
-    def _fit_dense_rung_stride(self) -> int | None:
+    def _fit_dense_rung_stride(self,
+                               goldens: list[GoldenTrace]) -> int | None:
         """The smallest stride >= ``BITPLANE_RUNG_STRIDE`` at which every
         testcase's dense rungs, together with the ``ckpt_stride`` rungs
         its reference run already laid, fit the ladder bound — so the
@@ -875,8 +940,8 @@ class SfiExperiment:
         """
         emulator = self.emulator
         laid = [emulator.rung_cycles(self._ckpt_name(index))
-                for index in range(len(self.suite))]
-        ends = [golden.end_cycle for golden in self.goldens]
+                for index in range(len(goldens))]
+        ends = [golden.end_cycle for golden in goldens]
         budget = emulator.max_rungs
         for stride in range(BITPLANE_RUNG_STRIDE, max(ends) + 1):
             held = sum(end // stride
@@ -886,7 +951,7 @@ class SfiExperiment:
                 return stride
         return None
 
-    def _bitplane_prepare(self, index: int) -> None:
+    def _bitplane_prepare(self, index: int, state: PreparedState) -> None:
         """Lay down the bit-plane side's dense instrumentation in a
         second, untraced golden run.
 
@@ -903,15 +968,15 @@ class SfiExperiment:
         """
         core = self.core
         emulator = self.emulator
-        golden = self.goldens[index]
-        testcase = self.suite[index]
-        mask = self.schedules[index].mask_indices
+        golden = state.goldens[index]
+        testcase = state.suite[index]
+        mask = state.schedules[index].mask_indices
         lagmap: dict[int, int] = {}
         masked: dict[int, int] = {}
         emulator.reload(self._ckpt_name(index))
         end = golden.end_cycle
         stride = BITPLANE_DIGEST_STRIDE
-        rung_stride = self.dense_rung_stride
+        rung_stride = state.dense_rung_stride
         # First occurrence wins: if two golden cycles digest identically
         # outside the mask set, their futures mirror (the digest covers
         # everything that drives evolution), so rejoining through the
@@ -935,8 +1000,8 @@ class SfiExperiment:
             raise AvpBaselineError(
                 f"testcase seed={testcase.seed}: bit-plane golden re-run "
                 "diverged from the reference trajectory")
-        self._bp_lagmap.append(lagmap)
-        self._bp_masked.append(masked)
+        state.lagmaps.append(lagmap)
+        state.masked_trails.append(masked)
 
     def _run_waves(self, scheduled, records, record_hook) -> None:
         """Batch scheduled plan items into waves and execute them.
@@ -1244,7 +1309,7 @@ class SfiExperiment:
         latch = site.latch
         latch_index = self._latch_index[id(latch)]
         in_mask = latch_index in mask
-        last_touch = golden.last_touch.get(id(latch), -1)
+        last_touch = golden.last_touch.get(latch_index, -1)
         frozen = golden.final.latches[latch_index]
         rstate = core.pervasive.rstate
         remaining = budget

@@ -3,12 +3,12 @@
 "Multiple concurrent copies of the simulation environment can be run
 relatively easily, which is not the case with the beam experiments"
 (§2.2).  This module shards a campaign across worker processes, each of
-which builds its own copy of the prepared machine from the (picklable)
-campaign configuration and runs its slice; the shards merge into one
-:class:`~repro.sfi.results.CampaignResult`.  A serial run
-(``workers <= 1``) builds no copy: it runs on this process's prepared
-machine (:func:`~repro.sfi.campaign.prepared_machine`), which is the
-caller's own probe when one of the same config was built first.
+which loads a copy of this process's prepared machine
+(:func:`~repro.sfi.campaign.prepared_machine`, the caller's own probe
+when one of the same config was built first) and runs its slice; the
+shards merge into one :class:`~repro.sfi.results.CampaignResult`.  A
+serial run (``workers <= 1``) makes no copy: it runs on that machine
+itself.
 
 Execution is delegated to :class:`~repro.sfi.supervisor.CampaignSupervisor`,
 so each worker's slice is a lease with a timeout, retries and
@@ -31,10 +31,12 @@ def run_parallel_campaign(config: CampaignConfig, sites: list[int],
                           **supervisor_options) -> CampaignResult:
     """Run ``sites`` as a supervised campaign across ``workers`` processes.
 
-    Each pool worker prepares an identical machine (same config, same
-    AVP suite, same checkpoints) and runs its shard of the injection
+    The machine is prepared once, in this process: the one the caller
+    already prepared for ``config`` if there is one.  Each pool worker
+    loads a copy of it (same AVP suite, references, checkpoints and
+    ladder) instead of preparing, and runs its shard of the injection
     plan; at ``workers <= 1`` the shard runs in this process, on the
-    machine the caller already prepared for ``config`` if there is one.
+    machine itself.
     Results are bit-identical for any ``workers`` value.  When
     ``population_bits`` is 0 the workers' own latch population is used,
     so serial and parallel runs report the same coverage fractions.

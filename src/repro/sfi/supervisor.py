@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue as queue_module
+import tempfile
 import time
 from functools import partial
 
@@ -45,6 +47,7 @@ from repro.sfi.campaign import (
     _PEAK_BITS_BUCKETS,
     CampaignConfig,
     InjectionPlan,
+    SfiExperiment,
     injection_rng,
     observe_provenance_metrics,
     plan_injections,
@@ -292,11 +295,13 @@ def run_shard(config: CampaignConfig, items: list[InjectionPlan], seed: int,
     The machine is :func:`~repro.sfi.campaign.prepared_machine`'s: a
     serial shard (``workers <= 1``, and every transport's in-process
     fallback) runs on the machine its caller already prepared for
-    ``config``, such as the CLI's probe, and a pool or remote worker
-    prepares once and keeps its machine across leases.  Since the
-    machine may be the caller's, it runs with exactly the sinks ``emit``
-    supplies (:meth:`~repro.sfi.campaign.SfiExperiment.sinks`), and the
-    caller's hooks and registry are back, untouched, on exit.  When
+    ``config``, such as the CLI's probe; a pool worker runs on the copy
+    of that machine it loaded before the shard (:func:`_shard_worker`),
+    and a remote worker prepares once and keeps its machine across
+    leases.  Since the machine may be the caller's, it runs with exactly
+    the sinks ``emit`` supplies
+    (:meth:`~repro.sfi.campaign.SfiExperiment.sinks`), and the caller's
+    hooks and registry are back, untouched, on exit.  When
     ``emit`` carries an ``extra(kind, position, payload)`` attribute
     (the supervisor's sidecar channel), the fast-path and provenance
     payloads go through it — out of band, so the record stream itself
@@ -314,11 +319,45 @@ def run_shard(config: CampaignConfig, items: list[InjectionPlan], seed: int,
     return len(experiment.latch_map)
 
 
-def _shard_worker(runner, config: CampaignConfig, token: int,
-                  items: list[InjectionPlan], seed: int, out_queue) -> None:
-    """Process entry point: run one lease, streaming records back keyed
-    by the lease's fencing token."""
+def _ship_prepared(machine: SfiExperiment) -> str:
+    """Write ``machine``'s prepared state once, for every worker of a
+    pool run to load, into a new private file (created exclusively,
+    mode 0600); returns its path, which the caller removes."""
+    fd, path = tempfile.mkstemp(prefix="repro-sfi-", suffix=".prepared")
     try:
+        with os.fdopen(fd, "wb") as file:
+            pickle.dump(machine.prepared, file,
+                        protocol=pickle.HIGHEST_PROTOCOL)
+    except BaseException:
+        os.unlink(path)
+        raise
+    return path
+
+
+def _load_prepared(config: CampaignConfig, path: str) -> None:
+    """Make the machine shipped to ``path`` this process's prepared
+    machine for ``config``.  Loading a pickle can run code, so a file
+    another user owns, or could have written, is refused."""
+    with open(path, "rb") as file:
+        status = os.fstat(file.fileno())
+        if status.st_uid != os.getuid() or status.st_mode & 0o077:
+            raise PermissionError(
+                f"{path}: prepared machine is not a private file of "
+                "this user")
+        state = pickle.load(file)
+    SfiExperiment(config, prepared=state)
+
+
+def _shard_worker(runner, config: CampaignConfig, token: int,
+                  items: list[InjectionPlan], seed: int, out_queue,
+                  machine_file: str) -> None:
+    """Process entry point: load the parent's prepared machine from
+    ``machine_file`` (so ``run_shard`` finds it and nothing here
+    prepares), then run one lease, streaming records back keyed by the
+    lease's fencing token."""
+    try:
+        _load_prepared(config, machine_file)
+
         def emit(pos, rec):
             out_queue.put(("record", token, pos, rec))
 
@@ -531,6 +570,9 @@ class CampaignSupervisor:
         self.trace = trace
         self.trace_root: str | None = None
         self._journal: CampaignJournal | None = None
+        # The prepared machine a pool run shipped to its workers (path
+        # of the private file ``_run_leased`` writes; None between runs).
+        self._machine_file: str | None = None
         # Highest fencing token revoked so far: a lease manager taking
         # over from another transport issues tokens above it.
         self._fence_floor = 0
@@ -792,17 +834,25 @@ class CampaignSupervisor:
 
     def _run_leased(self, items: list[InjectionPlan], seed: int,
                     collect) -> None:
-        """The multiprocessing pool: one lease per worker, so each of
-        ``workers`` processes prepares its machine once.  Whatever the
-        leases cannot finish — poisoned items, or everything left when
-        workers cannot be spawned — runs once in-process."""
+        """The multiprocessing pool: one lease per worker.
+
+        This process's prepared machine for the config (the caller's
+        probe, or one prepared here when the slot holds another config)
+        is shipped once per pool run, and every worker loads it instead
+        of preparing; the shipment is removed when the run ends, however
+        it ends.  Whatever the leases cannot finish — poisoned items, or
+        everything left when workers cannot be spawned — runs once
+        in-process, on that same machine."""
         leases = self.lease_manager(
             items, seed, lease_items=-(-len(items) // self.workers))
+        self._machine_file = _ship_prepared(prepared_machine(self.config))
         pool = _ProcessPool(self, leases, seed, collect)
         try:
             reason = pool.run()
         finally:
             pool.stop()
+            os.unlink(self._machine_file)
+            self._machine_file = None
         leftover = leases.drain()
         if leftover:
             if self._inst is not None:
@@ -814,14 +864,15 @@ class CampaignSupervisor:
     def _spawn(self, lease: Lease, seed: int, out_queue):
         """Start one worker process for ``lease`` (patchable in tests).
 
-        Always a fresh interpreter (spawn), which prepares its own
-        machine: a forked worker would quietly inherit a copy of this
-        process's prepared machine (``prepared_machine``), a path no
-        test covers."""
+        Always a fresh interpreter (spawn), never a fork, which loads the
+        machine this pool run shipped before it runs the lease.  Only the
+        shipment's path rides the spawn arguments: ``start`` writes them
+        into a pipe the child reads only after its interpreter starts, so
+        a large argument would hold up the next worker's start."""
         process = multiprocessing.get_context("spawn").Process(
             target=_shard_worker,
             args=(self.runner, self.config, lease.token, lease.remaining(),
-                  seed, out_queue),
+                  seed, out_queue, self._machine_file),
             daemon=True)
         process.start()
         return process

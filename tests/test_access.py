@@ -189,15 +189,10 @@ def test_touch_trace_and_schedule_agree_on_last_touch():
     bitplane = SfiExperiment(CampaignConfig(suite_size=4, backend="bitplane"))
     assert len(scalar.goldens) == len(bitplane.goldens) == 4
 
-    def by_index(experiment, golden):
-        return {index: golden.last_touch[id(latch)]
-                for index, latch in enumerate(experiment.core.all_latches())
-                if id(latch) in golden.last_touch}
-
     for tc, (golden, schedule) in enumerate(zip(bitplane.goldens,
                                                 bitplane.schedules)):
-        touches = by_index(bitplane, golden)
-        assert touches == by_index(scalar, scalar.goldens[tc]), tc
+        touches = golden.last_touch  # keyed by latch position
+        assert touches == scalar.goldens[tc].last_touch, tc
         assert touches
         last: dict[int, int] = {}
         for reads in (schedule.vr, schedule.pr, schedule.br):

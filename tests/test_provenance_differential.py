@@ -400,7 +400,8 @@ def test_tracked_frozen_exit_boundary(mode_experiments, data):
     end = golden.end_cycle
 
     def last_touch(site: int) -> int:
-        return golden.last_touch.get(id(latch_map.site(site).latch), -1)
+        position = fast._latch_index[id(latch_map.site(site).latch)]
+        return golden.last_touch.get(position, -1)
 
     offset = data.draw(st.sampled_from((-2, -1, 0, 1, 2, "tail")),
                        label="offset")
