@@ -6,8 +6,10 @@ exactly one place when disabled: untraced runs keep plain latch,
 memory and array classes, so all that remains is a per-cycle
 ``taint_hook`` attribute load + None check in ``Core.cycle``.  The
 design budget is <1% wall overhead versus a seed engine with no check
-at all, and <=3x wall when tracking is enabled (every traced access
-pays a recorder call, every cycle the hook).  These three variants run
+at all, and <=3x wall when tracking is enabled (every traced write
+pays a recorder call, and so does every read of a tainted latch, while
+a read of a clean latch costs what a plain read does; every cycle pays
+the hook).  These three variants run
 with ``fastpath=False``, so every trial reloads cycle 0 and drains to
 quiesce: the budgets measure the per-cycle tracker cost itself.
 

@@ -1146,7 +1146,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bitplane backend: trials per wave (1-63, "
                         "default 63)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel simulation copies (paper §2.2)")
+                   help="processes running trials, this one included: "
+                        "parallel simulation copies (paper §2.2)")
     p.add_argument("--journal", metavar="PATH",
                    help="journal completed injections to this JSONL file "
                         "(crash-consistent; enables --resume)")
@@ -1255,8 +1256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sticky", action="store_true",
                    help="sticky injection mode instead of toggle")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel simulation copies (the merged report "
-                        "is identical for any worker count)")
+                   help="processes running trials, this one included "
+                        "(the merged report is identical for any "
+                        "worker count)")
     p.add_argument("--jsonl", metavar="PATH",
                    help="write per-injection provenance payloads to this "
                         "JSONL sidecar")

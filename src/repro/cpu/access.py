@@ -10,17 +10,23 @@ definition of a read and a write (the events on :class:`Recorder`).
 :func:`trace` swaps every latch of the given cores to
 :class:`HookedLatch`, a zero-slot (so layout-compatible) subclass of
 :class:`Latch` that reports each access to the one active recorder.  A
-recorder with ``words`` set also gets the cores' memory swapped to
-:class:`HookedMemory`, their SRAM arrays' ``read``/``write``/
-``write_raw`` wrapped and ``Core.taint_hook`` set.  Traces do not nest:
-a second swap would silently undo the first on exit.  :func:`suspended`
-takes the active trace off the machine for observational windows
-(digests, snapshots, rung replays), so they neither reach the recorder
-nor pay for tracing.  Untraced code always runs on plain classes.
+recorder that needs the reads of only some latches names them
+(:meth:`Recorder.watched_reads`); every other latch becomes a
+:class:`WriteHookedLatch`, whose reads cost what a plain latch's do and
+report nothing, and :func:`watch` moves a latch between the two as the
+recorder's set changes.  A recorder with ``words`` set also gets the
+cores' memory swapped to :class:`HookedMemory`, their SRAM arrays'
+``read``/``write``/``write_raw`` wrapped and ``Core.taint_hook`` set.
+Traces do not nest: a second swap would silently undo the first on
+exit.  :func:`suspended` takes the active trace off the machine for
+observational windows (digests, snapshots, rung replays), so they
+neither reach the recorder nor pay for tracing.  Untraced code always
+runs on plain classes.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 
 from repro.isa.memory import Memory
@@ -54,6 +60,9 @@ class Recorder:
     ``read_array``/``write_array`` (``write`` and ``write_raw``),
     ``read_word``/``write_word`` (memory words and bytes) and ``cycle``
     (each cycle boundary): reported to ``words`` recorders only.
+
+    Reads of a latch are reported only while the recorder watches them
+    (:meth:`watched_reads`); writes and the fault accessors always are.
     """
 
     __slots__ = ()
@@ -61,6 +70,14 @@ class Recorder:
     #: Also trace SRAM array and memory word accesses and cycle
     #: boundaries (not only latches).
     words = False
+
+    def watched_reads(self):
+        """The ``id()`` keys of the latches whose reads (``value``,
+        ``par`` and ``bit``) this recorder needs, or None for all of
+        them.  Keys naming no latch of the traced cores are ignored.  A
+        recorder that names a subset keeps it current with :func:`watch`.
+        """
+        return None
 
     def read_value(self, latch: Latch) -> None:
         pass
@@ -169,6 +186,21 @@ class HookedLatch(Latch):
         _RECORDER.force_bit(self, bit, level)
 
 
+class WriteHookedLatch(HookedLatch):
+    """A :class:`HookedLatch` whose reads the recorder does not watch.
+
+    Its ``value`` and ``par`` getters are the slot descriptors' own
+    ``__get__`` (no Python frame) and its ``bit`` is the plain one, so a
+    read reports nothing and costs what a plain latch's does; writes and
+    the fault accessors still report."""
+
+    __slots__ = ()
+
+    value = property(_VALUE.__get__, HookedLatch.value.fset)
+    par = property(_PAR.__get__, HookedLatch.par.fset)
+    bit = Latch.bit
+
+
 class HookedMemory(Memory):
     """Layout-compatible :class:`Memory` reporting word accesses."""
 
@@ -219,10 +251,30 @@ def _wrap_array(array, recorder: Recorder) -> None:
         array.write_raw = traced_write_raw
 
 
+#: Each core's latches by ``id()``, built on a core's first traced
+#: attach with a subset watched.  Weakly keyed, so a dropped core takes
+#: its map with it.
+_BY_ID: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _attach(cores, recorder: Recorder) -> None:
+    watched = recorder.watched_reads()
     for core in cores:
-        for latch in core.all_latches():
-            latch.__class__ = HookedLatch
+        if watched is None:
+            for latch in core.all_latches():
+                latch.__class__ = HookedLatch
+        else:
+            latches = core.all_latches()
+            for latch in latches:
+                latch.__class__ = WriteHookedLatch
+            by_id = _BY_ID.get(core)
+            if by_id is None:
+                by_id = _BY_ID[core] = {id(latch): latch
+                                        for latch in latches}
+            for key in watched:
+                latch = by_id.get(key)
+                if latch is not None:
+                    latch.__class__ = HookedLatch
         if recorder.words:
             core.memory.__class__ = HookedMemory
             for array in core.arrays():
@@ -240,6 +292,17 @@ def _detach(cores) -> None:
             for name in ("read", "write", "write_raw"):
                 array.__dict__.pop(name, None)
         core.taint_hook = None
+
+
+def watch(recorder: Recorder, latch: Latch, reads: bool) -> None:
+    """Report ``latch``'s reads to ``recorder`` from now on (``reads``)
+    or stop reporting them.  A recorder that watches a subset of reads
+    (:meth:`Recorder.watched_reads`) calls this as the subset changes.
+    A no-op unless ``recorder`` is tracing, unsuspended, and watches a
+    subset: the next attach reads the subset afresh."""
+    if recorder is _RECORDER and _CORES \
+            and recorder.watched_reads() is not None:
+        latch.__class__ = HookedLatch if reads else WriteHookedLatch
 
 
 @contextmanager
@@ -278,5 +341,6 @@ def suspended():
     try:
         yield
     finally:
-        _attach(cores, _RECORDER)
+        if cores:
+            _attach(cores, _RECORDER)
         _CORES = cores

@@ -19,6 +19,7 @@ from repro.rtl.module import HwModule
 
 from repro.cpu.checkers import Checker
 from repro.cpu.debugblock import DebugBlock
+from repro.cpu.fxu import Fxu
 from repro.cpu.regfile import COPY_EXEC, COPY_LS
 
 _STORE_GPR = frozenset({Opcode.STW, Opcode.STB})
@@ -91,7 +92,6 @@ class Idu(HwModule):
     def release_scoreboard(self, commit_flags: int, rt: int) -> None:
         """Commit-side scoreboard release, derived from the committed
         instruction's flags and target register (no side state)."""
-        from repro.cpu.fxu import Fxu
         if commit_flags & Fxu.F_WGPR:
             self.gpr_busy.write_bit(rt & 31, 0)
         if commit_flags & Fxu.F_WFPR:

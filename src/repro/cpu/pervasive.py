@@ -17,6 +17,8 @@ from repro.rtl.parity import EccStatus
 from repro.cpu.checkers import CHECKSTOP_ONLY, Checker
 from repro.cpu.events import EventKind
 from repro.cpu.debugblock import DebugBlock
+from repro.cpu.ifu import LEGAL_FETCH_STATES
+from repro.cpu.lsu import LEGAL_LSU_STATES
 from repro.cpu.rut import CKPT_CR, CKPT_CTR, CKPT_LR, CKPT_PC, CKPT_WORDS
 
 # Recovery sequencer states.
@@ -262,8 +264,6 @@ class Pervasive(HwModule):
         if not self.checker_enabled(Checker.CORE_FSM_ILLEGAL):
             return
         core = self.core
-        from repro.cpu.ifu import LEGAL_FETCH_STATES
-        from repro.cpu.lsu import LEGAL_LSU_STATES
         if (core.ifu.fstate.value not in LEGAL_FETCH_STATES
                 or core.lsu.state.value not in LEGAL_LSU_STATES):
             self.report_error(Checker.CORE_FSM_ILLEGAL)

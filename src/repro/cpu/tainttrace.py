@@ -42,7 +42,7 @@ from repro.obs.provenance import MaskingEvent, TaintNodeKind
 from repro.rtl.latch import Latch, LatchKind
 from repro.rtl.parity import EccStatus
 
-from repro.cpu.access import Recorder, trace
+from repro.cpu.access import Recorder, trace, watch
 from repro.cpu.events import EventKind
 from repro.cpu.pervasive import R_IDLE
 
@@ -144,6 +144,12 @@ class TaintTracker(Recorder):
     construction on, and the flip itself is the DAG root, not an edge.
     The first footprint sample is stamped ``cycle`` (default: the first
     core's current cycle, the inject cycle when built at the flip).
+
+    A read of a clean latch changes nothing, so the tracker watches the
+    reads of exactly its tainted latches (:meth:`watched_reads`): taint
+    and cleansing switch a latch's reads on and off
+    (:func:`repro.cpu.access.watch`), and every other latch reads at
+    plain-latch cost.
     """
 
     words = True
@@ -192,7 +198,7 @@ class TaintTracker(Recorder):
         # Node keys are id()s but never leave the process: payload()
         # maps every key to its stable latch/array name before emit.
         self._set_taint(id(seed_latch),  # repro-lint: allow[REPRO-D03]
-                        seed_latch.width)
+                        seed_latch.width, seed_latch)
         self._sample(self._current.cycles if cycle is None else cycle)
 
     # ------------------------------------------------------------------
@@ -239,20 +245,35 @@ class TaintTracker(Recorder):
                 "kind": TaintNodeKind.MEMORY.value,
                 "arch": True}
 
-    def _set_taint(self, key, width: int | None = None) -> None:
+    def watched_reads(self) -> set:
+        """The tainted nodes' keys: the latch ones are the latches whose
+        reads can move taint."""
+        return self._tainted
+
+    def _set_taint(self, key, width: int | None = None,
+                   latch: Latch | None = None) -> None:
+        """Taint ``key``; ``latch`` is the latch it names, if any, whose
+        reads are watched from now on."""
         if key in self._tainted:
             return
         if width is None:
             width = _MEMORY_WIDTH if isinstance(key, tuple) else 1
         self._width[key] = width
         self._tainted.add(key)
+        if latch is not None:
+            watch(self, latch, True)
         self._bits += width
         self._node_id(key)
         if self._bits > self.peak_bits:
             self.peak_bits = self._bits
 
-    def _clear_taint(self, key, cause: str) -> None:
+    def _clear_taint(self, key, cause: str,
+                     latch: Latch | None = None) -> None:
+        """Cleanse ``key``; ``latch`` is the latch it names, if any,
+        whose reads are no longer watched."""
         self._tainted.discard(key)
+        if latch is not None:
+            watch(self, latch, False)
         self._pending.discard(key)
         self._bits -= self._width.get(key, 1)
         if len(self.masking) < self._max_masking:
@@ -261,8 +282,10 @@ class TaintTracker(Recorder):
                                  "cause": cause})
         self.masking_counts[cause] = self.masking_counts.get(cause, 0) + 1
 
-    def _infect(self, dst_key, width: int) -> None:
-        """A write consumed a non-empty pending window: propagate."""
+    def _infect(self, dst_key, width: int,
+                latch: Latch | None = None) -> None:
+        """A write consumed a non-empty pending window: propagate (into
+        ``latch``, when the destination is one)."""
         pending = self._pending
         if pending == {dst_key}:
             # Self-loop only: a sticky re-assert keeps the taint, but a
@@ -270,7 +293,7 @@ class TaintTracker(Recorder):
             # just replaced the word from a clean source.
             cause = self._correction_cause()
             if cause is not None:
-                self._clear_taint(dst_key, cause)
+                self._clear_taint(dst_key, cause, latch)
             pending.clear()
             return
         dst = self._node_id(dst_key)
@@ -287,7 +310,7 @@ class TaintTracker(Recorder):
             else:
                 self.edges_dropped += 1
         pending.clear()
-        self._set_taint(dst_key, width)
+        self._set_taint(dst_key, width, latch)
 
     def _correction_cause(self) -> str | None:
         """Masking cause when a correction/recovery context is active."""
@@ -311,16 +334,15 @@ class TaintTracker(Recorder):
     # Access events (hot: one set probe on the clean path).
 
     def read_value(self, latch: Latch) -> None:
-        key = id(latch)
-        if key in self._tainted:
-            self._pending.add(key)
+        # Only tainted latches' reads are watched, so this one is.
+        self._pending.add(id(latch))
 
     def write_value(self, latch: Latch, new: int) -> None:
         key = id(latch)
         if self._pending:
-            self._infect(key, latch.width)
+            self._infect(key, latch.width, latch)
         elif key in self._tainted:
-            self._clear_taint(key, self._mask_cause())
+            self._clear_taint(key, self._mask_cause(), latch)
 
     def read_par(self, latch: Latch) -> None:
         """A checker consulted the parity shadow (``Latch.parity_ok``).
@@ -390,7 +412,7 @@ class TaintTracker(Recorder):
         # Same identity-key discipline as the seed in __init__: the id
         # never leaves the process, payload() resolves it to a name.
         self._set_taint(id(latch),  # repro-lint: allow[REPRO-D03]
-                        latch.width)
+                        latch.width, latch)
 
     # ------------------------------------------------------------------
     # Result extraction.

@@ -16,6 +16,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.cpu.core import CoreSnapshot, Power6Core
+from repro.cpu.events import EventKind
 from repro.rtl.fault import FaultSite, InjectionMode
 
 from repro.emulator.netlist import LatchMap
@@ -222,7 +223,6 @@ class AwanEmulator:
         TOGGLE flips once; STICKY re-asserts the flipped level for
         ``sticky_cycles`` cycles even if functional logic rewrites it.
         """
-        from repro.cpu.events import EventKind
         site = self.latch_map.site(site_index)
         level = site.inject()
         self.core.event_log.record(

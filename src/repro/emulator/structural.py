@@ -95,7 +95,7 @@ class _StructuralTracker(TaintTracker):
     joins the pending window *and* is recorded in the per-run read set,
     and every write with a non-empty window records edges.  Nothing is
     ever cleansed — the graph wants the union of dataflow, not the fate
-    of one injection.
+    of one injection.  So every latch read is watched.
     """
 
     def __init__(self, core) -> None:
@@ -109,6 +109,9 @@ class _StructuralTracker(TaintTracker):
         self.par_read_keys: set = set()
 
     # -- every read is a (recorded) tainted read -----------------------
+
+    def watched_reads(self) -> None:
+        return None
 
     def read_value(self, latch) -> None:
         key = id(latch)  # repro-lint: allow[REPRO-D03]
@@ -141,7 +144,7 @@ class _StructuralTracker(TaintTracker):
         if self._pending:
             self._infect(key, _MEMORY_WIDTH)
 
-    def _clear_taint(self, key, cause: str) -> None:
+    def _clear_taint(self, key, cause: str, latch=None) -> None:
         # Structural mode: sources are permanent, masking is not the
         # question being asked.
         pass

@@ -101,6 +101,11 @@ class LeaseLog:
             self._handle = None
 
 
+#: Plan items per lease unless a transport asks for another size (the
+#: local pool also caps its leases at this).
+LEASE_ITEMS = 8
+
+
 class LeaseManager:
     """Hands out leases, fences stale issues, retries and splits.
 
@@ -123,7 +128,7 @@ class LeaseManager:
     """
 
     def __init__(self, plan: list[InjectionPlan], *, seed: int,
-                 lease_items: int = 8, max_retries: int = 2,
+                 lease_items: int = LEASE_ITEMS, max_retries: int = 2,
                  backoff_base: float = 0.25,
                  backoff_cap: float = DEFAULT_CAP,
                  log: LeaseLog | None = None,

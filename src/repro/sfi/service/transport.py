@@ -43,8 +43,9 @@ class PoolTransport(ShardTransport):
     """The local worker pool, behind the seam.
 
     Delegates to the supervisor's serial path at ``workers <= 1`` and
-    otherwise to its multiprocessing pool, which runs one lease per
-    worker process on the same lease engine as the socket transport.
+    otherwise to its multiprocessing pool, whose processes (this one
+    included) run leases from the same lease engine as the socket
+    transport.
     """
 
     name = "pool"

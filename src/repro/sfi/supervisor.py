@@ -7,11 +7,14 @@ hours of accumulated injections with it.  This module supervises a
 campaign the way a RAS design supervises a core:
 
 * pending work is handed out as *leases*
-  (:class:`~repro.sfi.service.leases.LeaseManager`), one per local
-  worker process or per TCP worker slice, each under its own fencing
-  token; a local worker that errors, dies or outlives ``shard_timeout``
-  loses its lease exactly as a remote worker that drops its connection
-  or misses heartbeats does;
+  (:class:`~repro.sfi.service.leases.LeaseManager`) of a few plan items,
+  each under its own fencing token.  A local pool of ``workers`` is
+  this process plus ``workers - 1`` spawned ones, and every one of them
+  runs leases: the spawned workers one after another on the machine
+  they loaded once, this process on its own machine between handing
+  them out.  A lease that errors, here or in a worker, and a worker
+  that dies or outlives ``shard_timeout`` lose the lease exactly as a
+  remote worker that drops its connection or misses heartbeats does;
 * a reclaimed lease is fenced at the journal, then retried with
   exponential backoff and, once its retry budget is exhausted, *split*
   and requeued — a straggler costs its own retries, never the campaign;
@@ -55,7 +58,7 @@ from repro.sfi.campaign import (
 )
 from repro.sfi.results import CampaignResult
 from repro.sfi.service.backoff import DEFAULT_CAP
-from repro.sfi.service.leases import Lease, LeaseManager, Requeue
+from repro.sfi.service.leases import LEASE_ITEMS, Lease, LeaseManager, Requeue
 from repro.sfi.service.transport import PoolTransport, ShardTransport
 from repro.sfi.storage import CampaignJournal, CampaignStorageError
 
@@ -294,14 +297,14 @@ def run_shard(config: CampaignConfig, items: list[InjectionPlan], seed: int,
 
     The machine is :func:`~repro.sfi.campaign.prepared_machine`'s: a
     serial shard (``workers <= 1``, and every transport's in-process
-    fallback) runs on the machine its caller already prepared for
-    ``config``, such as the CLI's probe; a pool worker runs on the copy
-    of that machine it loaded before the shard (:func:`_shard_worker`),
-    and a remote worker prepares once and keeps its machine across
-    leases.  Since the machine may be the caller's, it runs with exactly
-    the sinks ``emit`` supplies
-    (:meth:`~repro.sfi.campaign.SfiExperiment.sinks`), and the caller's
-    hooks and registry are back, untouched, on exit.  When
+    fallback) and the pool parent's own leases run on the machine its
+    caller already prepared for ``config``, such as the CLI's probe; a
+    spawned pool worker runs on the copy of that machine it loaded
+    before its first lease (:func:`_shard_worker`), and a remote worker
+    prepares once and keeps its machine across leases.  Since the
+    machine may be the caller's, it runs with exactly the sinks ``emit``
+    supplies (:meth:`~repro.sfi.campaign.SfiExperiment.sinks`), and the
+    caller's hooks and registry are back, untouched, on exit.  When
     ``emit`` carries an ``extra(kind, position, payload)`` attribute
     (the supervisor's sidecar channel), the fast-path and provenance
     payloads go through it — out of band, so the record stream itself
@@ -348,39 +351,67 @@ def _load_prepared(config: CampaignConfig, path: str) -> None:
     SfiExperiment(config, prepared=state)
 
 
+def _run_lease(runner, config: CampaignConfig, token: int,
+               items: list[InjectionPlan], seed: int, out_queue) -> None:
+    """Run one lease through ``runner``, streaming its records, sidecar
+    payloads and ``done`` back keyed by its fencing token."""
+
+    def emit(pos, rec):
+        out_queue.put(("record", token, pos, rec))
+
+    # Sidecar channel: fast-path / provenance payloads ride the same
+    # queue with their own kinds ("fast", "prov").  Per-process FIFO
+    # ordering guarantees they arrive before their position's record.
+    emit.extra = lambda kind, pos, payload: out_queue.put(
+        (kind, token, pos, payload))
+    population = runner(config, items, seed, emit)
+    out_queue.put(("done", token, population))
+
+
 def _shard_worker(runner, config: CampaignConfig, token: int,
                   items: list[InjectionPlan], seed: int, out_queue,
-                  machine_file: str) -> None:
+                  inbox, machine_file: str) -> None:
     """Process entry point: load the parent's prepared machine from
     ``machine_file`` (so ``run_shard`` finds it and nothing here
-    prepares), then run one lease, streaming records back keyed by the
-    lease's fencing token."""
+    prepares), then run leases until the parent is done with this
+    worker: first the one granted at spawn, then each ``(token, items)``
+    the parent sends through ``inbox`` once this worker reported its
+    last lease's end.  The parent's end of ``inbox`` closing stops the
+    worker (the parent kills idle workers when its pool run ends)."""
     try:
         _load_prepared(config, machine_file)
-
-        def emit(pos, rec):
-            out_queue.put(("record", token, pos, rec))
-
-        # Sidecar channel: fast-path / provenance payloads ride the same
-        # queue with their own kinds ("fast", "prov").  Per-process FIFO
-        # ordering guarantees they arrive before their position's record.
-        emit.extra = lambda kind, pos, payload: out_queue.put(
-            (kind, token, pos, payload))
-        population = runner(config, items, seed, emit)
-        out_queue.put(("done", token, population))
-    except BaseException as exc:  # noqa: BLE001 - report, don't crash silently
+        while True:
+            try:
+                _run_lease(runner, config, token, items, seed, out_queue)
+            except Exception as exc:  # the lease failed; serve the next
+                out_queue.put(("error", token,
+                               f"{type(exc).__name__}: {exc}"))
+            try:
+                token, items = inbox.recv()
+            except EOFError:
+                return
+    except BaseException as exc:  # report, don't crash silently
         out_queue.put(("error", token, f"{type(exc).__name__}: {exc}"))
+        raise
 
 
 # ----------------------------------------------------------------------
 # Parent side.
 
 class _ProcessPool:
-    """One run of the local pool: a worker process per active lease of
-    ``leases``.  Failure handling is the lease manager's — a worker
-    error, a dead process or an expired ``shard_timeout`` (the lease's
-    deadline) reclaims the lease, and the manager retries, splits or
-    poisons it exactly as it does for the TCP coordinator."""
+    """One run of the local pool: this process and ``workers - 1``
+    spawned ones run the leases of ``leases``.
+
+    A spawned worker starts on the lease granted when it is spawned and
+    is handed its next one after it reports the last one's end; this
+    process runs every other lease itself (:meth:`_run_own`), on its
+    prepared machine and under the lease's own fencing token, and serves
+    the workers between its trials.  Failure handling is the lease
+    manager's — a lease that raises (here or in a worker), a dead
+    worker or one that outlives ``shard_timeout`` on a lease (the
+    lease's deadline) reclaims the lease, and the manager retries,
+    splits or poisons it exactly as it does for the TCP coordinator.
+    A dead or killed worker is replaced by a new spawn."""
 
     def __init__(self, supervisor: "CampaignSupervisor", leases: LeaseManager,
                  seed: int, collect) -> None:
@@ -389,63 +420,41 @@ class _ProcessPool:
         self.seed = seed
         self.collect = collect
         self.queue = multiprocessing.get_context("spawn").Queue()
-        #: token -> (worker process, monotonic spawn time)
+        #: Every live spawned worker -> the sending end of its inbox.
+        self.inboxes: dict = {}
+        #: token -> (worker process, monotonic hand-over time) of each
+        #: lease a spawned worker holds.
         self.running: dict[int, tuple] = {}
+        #: Spawned workers waiting for their next lease.
+        self.idle: list = []
 
     def run(self) -> str | None:
         """Drive every lease to completion (or poison); returns why the
         pool broke down when workers could not be spawned."""
-        supervisor, leases = self.supervisor, self.leases
-        inst = supervisor._inst
-        timeout = supervisor.shard_timeout
+        leases = self.leases
         while leases.queued or leases.active:
-            if inst is not None:
-                inst.workers_running.set(len(self.running))
-            while len(self.running) < supervisor.workers:
-                lease = leases.grant("pool")
-                if lease is None:
-                    break
-                try:
-                    process = supervisor._spawn(lease, self.seed, self.queue)
-                except OSError as exc:
-                    # The pool itself is broken (fork/spawn failure):
-                    # stop every worker and keep what they reported.
-                    self.stop()
-                    self._settle(0.5)
-                    return f"cannot spawn workers ({exc})"
-                now = time.monotonic()
-                if inst is not None:
-                    inst.queue_wait.observe(now - lease.queued_at)
-                self.running[lease.token] = (process, now)
-
-            if not self.running:
-                # Everything pending is backing off; sleep it out.
-                wait = leases.next_ready_at() - time.monotonic()
-                time.sleep(max(0.0, min(wait, 0.2)))
+            self._serve()
+            reason = self._staff()
+            if reason is not None:
+                return reason
+            lease = leases.grant("parent")
+            if lease is not None:
+                self._observe_grant(lease)
+                self._run_own(lease)
                 continue
-
-            # Records stream in continuously, so a later crash only
-            # loses the not-yet-reported tail.
+            if not self.running:
+                # Nothing is out with a worker: either the last lease just
+                # ended (serving the workers above) or everything pending
+                # is backing off; sleep that out.
+                if leases.queued:
+                    wait = leases.next_ready_at() - time.monotonic()
+                    time.sleep(max(0.0, min(wait, 0.2)))
+                continue
+            # Every lease is out with a worker: wait for its messages.
             try:
                 self.handle(self.queue.get(timeout=0.05))
-                continue
             except queue_module.Empty:
                 pass
-
-            # No message pending: check deadlines and silent deaths.
-            now = time.monotonic()
-            for token, (process, started) in list(self.running.items()):
-                if token not in self.running:
-                    continue  # settled while handling another worker
-                if timeout and now - started > timeout:
-                    process.kill()
-                    process.join()
-                    self._fail(token, f"timed out after {timeout:.1f}s", 0.2)
-                elif not process.is_alive():
-                    # Died without an error message (e.g. SIGKILL, OOM).
-                    process.join()
-                    self._fail(token, f"worker died (exit "
-                               f"{process.exitcode})", 0.5)
         return None
 
     def handle(self, message) -> None:
@@ -457,20 +466,147 @@ class _ProcessPool:
             if token in self.leases.active:
                 self.collect.extra(kind, message[2], message[3])
         elif kind == "done":
-            if self.supervisor.lease_done(self.leases, token,
-                                          message[2]) is not None:
-                self._end(token, "ok")
-        elif kind == "error" and token in self.leases.active:
-            self._end(token, "failed")
-            self.leases.reclaim(token, message[2])
+            lease = self.supervisor.lease_done(self.leases, token, message[2])
+            self._release(token, "ok" if lease is not None else None)
+        elif kind == "error":
+            failed = token in self.leases.active
+            self._release(token, "failed" if failed else None)
+            if failed:
+                self.leases.reclaim(token, message[2])
+
+    # -- this process's share ------------------------------------------
+
+    def _run_own(self, lease: Lease) -> None:
+        """Run ``lease`` here through :func:`run_shard`, never through
+        the supervisor's ``runner``; right after each record is
+        delivered, serve the workers.  A lease that raises is reclaimed
+        like a worker's; an error of the pool itself (a worker's record
+        failing to journal) ends the pool run."""
+        leases, token = self.leases, lease.token
+        pool_error = None
+
+        def emit(position, record):
+            nonlocal pool_error
+            try:
+                leases.deliver(token, position, record, self.collect)
+                self._serve()
+            except BaseException as exc:
+                pool_error = exc
+                raise
+
+        def extra(kind, position, payload):
+            if token in leases.active:
+                self.collect.extra(kind, position, payload)
+
+        emit.extra = extra
+        inst = self.supervisor._inst
+        started = time.monotonic()
+        try:
+            population = run_shard(self.supervisor.config, lease.remaining(),
+                                   self.seed, emit)
+        except Exception as exc:
+            if exc is pool_error:
+                raise
+            if inst is not None:
+                inst.shard_wall.observe(time.monotonic() - started,
+                                        status="failed")
+            leases.reclaim(token, f"{type(exc).__name__}: {exc}")
+            return
+        if self.supervisor.lease_done(leases, token, population) is not None \
+                and inst is not None:
+            inst.shard_wall.observe(time.monotonic() - started, status="ok")
+
+    # -- the spawned workers -------------------------------------------
+
+    def _serve(self) -> None:
+        """Absorb every queued worker message, hand each idle worker its
+        next lease and reclaim the leases of workers that died or ran
+        out of time."""
+        while True:
+            try:
+                message = self.queue.get_nowait()
+            except queue_module.Empty:
+                break
+            self.handle(message)
+        while self.idle:
+            lease = self.leases.grant("pool")
+            if lease is None:
+                break
+            process = self.idle.pop()
+            self._hold(process, lease)
+            try:
+                self.inboxes[process].send((lease.token, lease.remaining()))
+            except OSError:
+                self._fail(lease.token, "worker lost its inbox", 0.0)
+        self._check()
+
+    def _staff(self) -> str | None:
+        """Spawn workers, each on a lease granted for it, until
+        ``workers - 1`` are alive or no lease is ready; the reason the
+        pool broke down when one cannot be spawned."""
+        while len(self.inboxes) < self.supervisor.workers - 1:
+            lease = self.leases.grant("pool")
+            if lease is None:
+                break
+            try:
+                process, inbox = self.supervisor._spawn(lease, self.seed,
+                                                        self.queue)
+            except OSError as exc:
+                # The pool itself is broken (fork/spawn failure): stop
+                # every worker and keep what they reported.
+                self.stop()
+                self._settle(0.5)
+                return f"cannot spawn workers ({exc})"
+            self.inboxes[process] = inbox
+            self._hold(process, lease)
+        if self.supervisor._inst is not None:
+            self.supervisor._inst.workers_running.set(len(self.inboxes))
+        return None
+
+    def _observe_grant(self, lease: Lease) -> None:
+        if self.supervisor._inst is not None:
+            self.supervisor._inst.queue_wait.observe(
+                time.monotonic() - lease.queued_at)
+
+    def _hold(self, process, lease: Lease) -> None:
+        """``process`` now runs ``lease``."""
+        self._observe_grant(lease)
+        self.running[lease.token] = (process, time.monotonic())
+
+    def _check(self) -> None:
+        """Reclaim the lease of a worker past ``shard_timeout`` (killed)
+        or found dead; forget idle workers that died."""
+        timeout = self.supervisor.shard_timeout
+        now = time.monotonic()
+        for token, (process, started) in list(self.running.items()):
+            if token not in self.running:
+                continue  # settled while handling another worker
+            if timeout and now - started > timeout:
+                process.kill()
+                process.join()
+                self._fail(token, f"timed out after {timeout:.1f}s", 0.2)
+            elif not process.is_alive():
+                # Died without an error message (e.g. SIGKILL, OOM).
+                process.join()
+                self._fail(token, f"worker died (exit "
+                           f"{process.exitcode})", 0.5)
+        for process in [process for process in self.idle
+                        if not process.is_alive()]:
+            self.idle.remove(process)
+            self._forget(process)
 
     def _fail(self, token: int, reason: str, grace: float) -> None:
         """Reclaim a dead or killed worker's lease, unless its queued
-        messages show it finished after all."""
+        messages show it finished after all, and forget the worker."""
+        process = self.running[token][0]
         self._settle(grace, token)
         if token in self.leases.active:
-            self._end(token, "failed")
+            self._release(token, "failed")
             self.leases.reclaim(token, reason)
+        self.running.pop(token, None)
+        if process in self.idle:
+            self.idle.remove(process)
+        self._forget(process)
 
     def _settle(self, grace: float, token: int | None = None) -> None:
         """Handle queued messages for up to ``grace`` seconds, until the
@@ -483,39 +619,54 @@ class _ProcessPool:
             except queue_module.Empty:
                 return
 
-    def _end(self, token: int, status: str) -> None:
+    def _release(self, token: int, status: str | None) -> None:
+        """The worker holding ``token`` ended that lease (``status`` is
+        its shard-wall label; None for a stale token): it waits for its
+        next one."""
         entry = self.running.pop(token, None)
         if entry is None:
             return
         process, started = entry
         inst = self.supervisor._inst
-        if inst is not None:
+        if inst is not None and status is not None:
             inst.shard_wall.observe(time.monotonic() - started, status=status)
-        process.join(timeout=5)
+        self.idle.append(process)
+
+    def _forget(self, process) -> None:
+        """Kill ``process`` if it still runs, reap it and drop it (while
+        leases remain, :meth:`_staff` spawns its replacement)."""
+        inbox = self.inboxes.pop(process, None)
+        if inbox is not None:
+            inbox.close()
         if process.is_alive():
             process.kill()
-            process.join()
+        process.join()
 
     def stop(self) -> None:
-        """Kill every worker still running (idempotent)."""
-        for process, _ in self.running.values():
-            process.kill()
-            process.join()
+        """Kill every worker still running (idempotent).  Once every
+        lease has ended, each worker is idle and has delivered all it
+        will: nothing is lost."""
+        for process in list(self.inboxes):
+            self._forget(process)
         self.running.clear()
+        self.idle.clear()
 
 
 class CampaignSupervisor:
     """Dispatch a campaign plan across supervised worker processes.
 
     Parameters mirror the failure policy, which every transport applies
-    through :meth:`lease_manager`: ``shard_timeout`` (seconds a pool
-    worker may hold its lease before it is killed; ``None`` disables),
+    through :meth:`lease_manager`: ``shard_timeout`` (seconds a spawned
+    pool worker may hold a lease before it is killed; the parent's own
+    leases have no deadline; ``None`` disables),
     ``max_retries`` (re-runs of a lease before it is split),
     ``backoff_base`` (first retry delay; doubles per attempt) and
     ``backoff_cap``.  ``journal`` names a JSONL journal file;
     with ``resume=True`` an existing journal is recovered and its
     positions skipped.  ``runner`` is the shard execution function
-    (top-level, picklable); tests substitute fault-injecting runners.
+    (top-level, picklable) of serial runs and spawned pool workers (a
+    pool parent runs its own leases through :func:`run_shard`); tests
+    substitute fault-injecting runners.
 
     ``reference_cycles`` (fault-free cycle count per testcase, e.g. from
     a probe experiment) lets the parent pre-sort the pending plan by
@@ -834,17 +985,22 @@ class CampaignSupervisor:
 
     def _run_leased(self, items: list[InjectionPlan], seed: int,
                     collect) -> None:
-        """The multiprocessing pool: one lease per worker.
+        """The multiprocessing pool: ``workers`` processes run the
+        leases, this one included (:class:`_ProcessPool`).
 
-        This process's prepared machine for the config (the caller's
-        probe, or one prepared here when the slot holds another config)
-        is shipped once per pool run, and every worker loads it instead
-        of preparing; the shipment is removed when the run ends, however
-        it ends.  Whatever the leases cannot finish — poisoned items, or
-        everything left when workers cannot be spawned — runs once
-        in-process, on that same machine."""
+        A lease holds ``min(LEASE_ITEMS, ceil(len(items) / workers))``
+        items, so a small campaign is one lease per process and a large
+        one balances its few expensive drains.  This process's prepared
+        machine for the config (the caller's probe, or one prepared here
+        when the slot holds another config) runs this process's share,
+        and is shipped once per pool run for every spawned worker to load
+        instead of preparing; the shipment is removed when the run ends,
+        however it ends.  Whatever the leases cannot finish — poisoned
+        items, or everything left when workers cannot be spawned — runs
+        once in-process, on that same machine."""
         leases = self.lease_manager(
-            items, seed, lease_items=-(-len(items) // self.workers))
+            items, seed,
+            lease_items=min(LEASE_ITEMS, -(-len(items) // self.workers)))
         self._machine_file = _ship_prepared(prepared_machine(self.config))
         pool = _ProcessPool(self, leases, seed, collect)
         try:
@@ -862,20 +1018,30 @@ class CampaignSupervisor:
             self._run_serial(leftover, seed, collect)
 
     def _spawn(self, lease: Lease, seed: int, out_queue):
-        """Start one worker process for ``lease`` (patchable in tests).
+        """Start one worker process on ``lease`` (patchable in tests);
+        returns it with the sending end of its inbox, which carries its
+        later leases.
 
         Always a fresh interpreter (spawn), never a fork, which loads the
         machine this pool run shipped before it runs the lease.  Only the
         shipment's path rides the spawn arguments: ``start`` writes them
         into a pipe the child reads only after its interpreter starts, so
         a large argument would hold up the next worker's start."""
-        process = multiprocessing.get_context("spawn").Process(
+        context = multiprocessing.get_context("spawn")
+        inbox, sender = context.Pipe(duplex=False)
+        process = context.Process(
             target=_shard_worker,
             args=(self.runner, self.config, lease.token, lease.remaining(),
-                  seed, out_queue, self._machine_file),
+                  seed, out_queue, inbox, self._machine_file),
             daemon=True)
-        process.start()
-        return process
+        try:
+            process.start()
+        except BaseException:
+            sender.close()
+            raise
+        finally:
+            inbox.close()  # the worker holds its own end
+        return process, sender
 
 
 def run_supervised_campaign(config: CampaignConfig, sites: list[int],

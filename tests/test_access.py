@@ -5,8 +5,9 @@ bit-plane schedule, taint provenance and the structural read sets — is a
 recorder on one hooked latch class.  These tests hold the layer to its
 contract for every recorder kind: a trace leaves nothing behind when it
 ends (normally or by exception), a ``suspended()`` window is invisible to
-the recorder and runs on plain classes, and only ``repro/cpu/access.py``
-swaps classes.  They also check that the two golden definitions of
+the recorder and runs on plain classes, only the latches whose reads a
+recorder watches report reads, and only ``repro/cpu/access.py`` swaps
+classes.  They also check that the two golden definitions of
 "touch" (the scalar touch trace and the compiled bit-plane schedule)
 agree.
 """
@@ -25,6 +26,7 @@ from repro.cpu.access import (
     HookedLatch,
     HookedMemory,
     TouchTrace,
+    WriteHookedLatch,
     suspended,
     trace,
 )
@@ -56,8 +58,12 @@ def assert_untraced(core) -> None:
 
 
 def assert_traced(core, recorder) -> None:
-    """``recorder``'s swap is in place on ``core``."""
-    assert all(type(latch) is HookedLatch for latch in core.all_latches())
+    """``recorder``'s swap is in place on ``core``: the latches whose
+    reads it watches are hooked, every other one is write-hooked."""
+    watched = recorder.watched_reads()
+    assert all(type(latch) is (
+        HookedLatch if watched is None or id(latch) in watched
+        else WriteHookedLatch) for latch in core.all_latches())
     assert (type(core.memory) is HookedMemory) == recorder.words
     assert (core.taint_hook is not None) == recorder.words
 
@@ -138,6 +144,47 @@ def test_suspended_window_reverts_and_records_nothing(experiment, kind):
         assert_untraced(core)
     finally:
         experiment.emulator.reload("tc0")
+
+
+@pytest.mark.parametrize("kind", ["schedule", "structural", "touch"])
+def test_other_recorders_watch_every_read(core, kind):
+    assert RECORDERS[kind](core).watched_reads() is None
+
+
+def _contained(value):
+    """``value`` and everything inside it, through containers."""
+    yield value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _contained(key)
+            yield from _contained(item)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _contained(item)
+
+
+def test_taint_tracker_watches_exactly_its_tainted_latches(core):
+    """Only the tainted latches' reads are hooked: taint switches a
+    latch's reads on, cleansing switches them off, and the tracker
+    holds no latch object (``recorder_state`` deep-copies its state)."""
+    seed, cr = core.ifu.ifar, core.idu.cr
+    tracker = TaintTracker([core], seed)
+    assert type(seed) is Latch  # built untraced: nothing is swapped
+    with trace([core], tracker):
+        assert type(seed) is HookedLatch
+        assert_traced(core, tracker)
+        touch_storage(core)  # reads the seed, then writes cr: infected
+        assert type(cr) is HookedLatch
+        assert_traced(core, tracker)
+        cr.value = 0  # a write with an empty window cleanses cr
+        assert type(cr) is WriteHookedLatch
+        assert_traced(core, tracker)
+        with suspended():
+            assert_untraced(core)
+        assert_traced(core, tracker)
+    assert_untraced(core)
+    assert not any(isinstance(item, Latch)
+                   for item in _contained(vars(tracker)))
 
 
 def test_suspended_without_a_trace_is_a_no_op(core):

@@ -31,7 +31,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.sfi import CampaignSupervisor, verify_journal
+from repro.obs import MetricsRegistry
+from repro.sfi import CampaignSupervisor, supervisor as supervisor_module
+from repro.sfi import verify_journal
 from repro.sfi.service.coordinator import SocketTransport, _WorkerConn
 from repro.sfi.service.leases import LeaseManager
 from repro.sfi.service.transport import ShardTransport
@@ -71,6 +73,12 @@ def half_then_sigkill_runner(config, items, seed, emit):
 
     gated.extra = emit.extra
     return run_shard(config, items, seed, gated)
+
+
+def plain_runner(config, items, seed, emit):
+    """``run_shard`` under a name of this module, so a supervisor still
+    pickles its runner while a test patches ``supervisor.run_shard``."""
+    return run_shard(config, items, seed, emit)
 
 
 def _journal_body(path) -> list[str]:
@@ -119,6 +127,52 @@ class TestPoolFencing:
         assert report.ok, report.issues
         positions = [json.loads(line)["pos"] for line in _journal_body(path)]
         assert sorted(positions) == [0, 1, 2, 3]
+
+
+class _FinishedWorker:
+    """Stands for a spawned worker, and its inbox, that ran its lease the
+    moment it was spawned: ``_spawn`` queues the lease's records and
+    ``done`` itself."""
+
+    exitcode = None
+
+    def is_alive(self):
+        return True
+
+    def kill(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+    def send(self, message):
+        pass
+
+    def close(self):
+        pass
+
+
+class TestPoolRun:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_run_ends_when_the_last_lease_ends_while_serving(
+            self, monkeypatch, workers):
+        """Every lease is a spawned worker's, and the last one's ``done``
+        is absorbed while the parent serves its workers rather than while
+        it waits on them: the pool run ends there."""
+        record = _fake_record()
+
+        def finished_spawn(self, lease, seed, out_queue):
+            for item in lease.remaining():
+                out_queue.put(("record", lease.token, item.position, record))
+            out_queue.put(("done", lease.token, 100))
+            worker = _FinishedWorker()
+            return worker, worker
+
+        monkeypatch.setattr(CampaignSupervisor, "_spawn", finished_spawn)
+        for _ in range(3):
+            result = CampaignSupervisor(CONFIG, workers=workers).run(
+                SITES[:workers - 1], seed=SEED)
+            assert result.total == workers - 1
 
 
 class TestSocketReports:
@@ -178,6 +232,69 @@ class TestPoolJournals:
             SITES, seed=SEED)
         assert _journal_body(journal) == serial_body
         assert verify_journal(journal).ok
+
+    @pytest.mark.slow
+    def test_raising_parent_lease_is_fenced_and_retried(
+            self, tmp_path, serial_body, monkeypatch):
+        """The parent's own share fails like a worker's: its first lease
+        journals one record and raises; the lease is fenced, reclaimed
+        and retried, and every position is journaled once."""
+        calls = []
+
+        def failing_once(config, items, seed, emit):
+            calls.append(len(items))
+            if len(calls) > 1:
+                return run_shard(config, items, seed, emit)
+
+            def gated(position, record):
+                emit(position, record)
+                raise RuntimeError("injected parent fault")
+
+            gated.extra = emit.extra
+            return run_shard(config, items, seed, gated)
+
+        monkeypatch.setattr(supervisor_module, "run_shard", failing_once)
+        journal = tmp_path / "pool.journal"
+        progress = RecordingProgress()
+        supervisor = CampaignSupervisor(
+            CONFIG, workers=2, journal=journal, backoff_base=0.0,
+            progress=progress, runner=plain_runner)
+        supervisor.run(SITES, seed=SEED)
+        assert calls[0] == len(SITES) // 2
+        assert [reason for _, _, reason in progress.retries] == \
+            ["RuntimeError: injected parent fault"]
+        assert supervisor._fence_floor > 0
+        report = verify_journal(journal)
+        assert report.ok, report.issues
+        assert _journal_body(journal) == serial_body
+
+    @pytest.mark.slow
+    def test_failed_respawn_degrades_to_serial(
+            self, marker, tmp_path, serial_body, monkeypatch):
+        """A worker dies and its replacement cannot be spawned: the pool
+        stops and what it left runs in-process, counted once."""
+        spawn = CampaignSupervisor._spawn
+        spawned = []
+
+        def spawn_once(self, lease, seed, out_queue):
+            spawned.append(lease.token)
+            if len(spawned) > 1:
+                raise OSError("fork: resource temporarily unavailable")
+            return spawn(self, lease, seed, out_queue)
+
+        monkeypatch.setattr(CampaignSupervisor, "_spawn", spawn_once)
+        journal = tmp_path / "pool.journal"
+        registry = MetricsRegistry()
+        progress = RecordingProgress()
+        CampaignSupervisor(CONFIG, workers=2, journal=journal,
+                           backoff_base=0.0, metrics=registry,
+                           progress=progress, runner=sigkill_runner).run(
+            SITES, seed=SEED)
+        assert len(spawned) == 2
+        assert registry.get("sfi_degrades_total").value() == 1
+        assert any("cannot spawn" in reason for reason in progress.degrades)
+        assert verify_journal(journal).ok
+        assert _journal_body(journal) == serial_body
 
     @pytest.mark.slow
     @pytest.mark.parametrize("runner, options", [

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -42,6 +43,7 @@ from repro.sfi.supervisor import run_shard
 
 from tests.conftest import SMALL_PARAMS
 from tests.difftools import sample_sites
+from tests.test_lease_engine import plain_runner
 
 
 # A spawned pool worker imports this module to unpickle its runner
@@ -69,6 +71,44 @@ def reporting_runner(report_dir: str, config, items, seed, emit) -> int:
               and campaign._PREPARED is slot}
     Path(report_dir, f"worker-{os.getpid()}.json").write_text(
         json.dumps(report))
+    return population
+
+
+#: ``_prepare`` calls of a spawned worker since its first lease began.
+_LEASE_PREPARES: list[SfiExperiment] | None = None
+
+
+def _count_prepares() -> list[SfiExperiment]:
+    """In a spawned worker, count every ``_prepare`` call from now on."""
+    global _LEASE_PREPARES
+    assert multiprocessing.parent_process() is not None
+    if _LEASE_PREPARES is None:
+        _LEASE_PREPARES = []
+        prepare = SfiExperiment._prepare
+
+        def counted_prepare(self):
+            _LEASE_PREPARES.append(self)
+            return prepare(self)
+
+        SfiExperiment._prepare = counted_prepare
+    return _LEASE_PREPARES
+
+
+def lease_logging_runner(report_dir: str, config, items, seed,
+                         emit) -> int:
+    """Shard runner (bind ``report_dir`` with ``partial``) for spawned
+    workers: run the lease, then append a line to this process's log:
+    how often it prepared since its first lease began, the identity of
+    the machine the slot held when the lease began (the loaded one) and
+    whether the lease ran on it."""
+    prepares = _count_prepares()
+    machine = campaign._PREPARED
+    population = run_shard(config, items, seed, emit)
+    line = {"prepares": len(prepares),
+            "machine": id(machine) if machine is not None else None,
+            "ran_on_it": campaign._PREPARED is machine}
+    with Path(report_dir, f"leases-{os.getpid()}.jsonl").open("a") as log:
+        log.write(json.dumps(line) + "\n")
     return population
 
 
@@ -393,10 +433,11 @@ def test_shipped_machine_answers_like_a_fresh_one(shipped_pairs, kind,
 # Pool workers load the parent's machine and never prepare.
 
 def _pool_run(config, sites, seed, report_dir: Path) -> list[dict]:
-    """Run a 2-worker pool campaign; return its workers' reports."""
+    """Run a 3-process pool campaign (this one and two spawned workers,
+    one lease each); return the spawned workers' reports."""
     report_dir.mkdir()
     result = CampaignSupervisor(
-        config, workers=2,
+        config, workers=3,
         runner=partial(reporting_runner, str(report_dir))).run(
         sites, seed=seed)
     assert result.total == len(sites)
@@ -412,7 +453,7 @@ def test_pool_workers_load_the_callers_probe(tmp_path, machines):
                         tmp_path / "reports")
     assert reports == [{"prepares": 0, "ran_on_slot": True}] * 2
     assert prepared == [probe]
-    assert ran == []
+    assert ran == [probe]  # the parent's share runs on the caller's probe
 
 
 @pytest.mark.slow
@@ -425,7 +466,40 @@ def test_pool_without_a_probe_prepares_once_in_the_parent(tmp_path,
     assert reports == [{"prepares": 0, "ran_on_slot": True}] * 2
     assert len(prepared) == 1 and prepared[0].config == config
     assert prepared_machine(config) is prepared[0]
-    assert ran == []
+    assert ran == [prepared[0]]
+
+
+@pytest.mark.slow
+def test_a_spawned_worker_runs_several_leases_on_one_load(tmp_path,
+                                                          monkeypatch):
+    """A spawned worker keeps the machine it loaded across leases: it
+    asks for the next lease when it reports one done.  The parent's own
+    leases are slowed here so that the worker runs most of them."""
+    config = _config(1625)
+    probe = SfiExperiment(config)
+    run_now = supervisor.run_shard
+
+    def slow_run_shard(*args):
+        time.sleep(0.5)
+        return run_now(*args)
+
+    monkeypatch.setattr(supervisor, "run_shard", slow_run_shard)
+    report_dir = tmp_path / "reports"
+    report_dir.mkdir()
+    sites = sample_sites(probe, 64, 34)
+    result = CampaignSupervisor(
+        config, workers=2,
+        runner=partial(lease_logging_runner, str(report_dir))).run(
+        sites, seed=34)
+    assert result.total == len(sites)
+    logs = sorted(report_dir.glob("leases-*.jsonl"))
+    assert len(logs) == 1
+    lines = [json.loads(line) for line in logs[0].read_text().splitlines()]
+    assert len(lines) >= 2
+    assert {(line["prepares"], line["ran_on_it"]) for line in lines} \
+        == {(0, True)}
+    machines = {line["machine"] for line in lines}
+    assert len(machines) == 1 and None not in machines
 
 
 def _journal_body(path: Path) -> list[dict]:
@@ -575,4 +649,28 @@ def test_no_shipment_outlives_its_pool_run(tmp_path, monkeypatch, ending):
     assert Path(shipped[0]).parent == temp
     assert list(temp.glob("repro-sfi-*")) == []
     assert os.listdir(journals) == ["run.jsonl"]
+    assert run._machine_file is None
+
+
+class _Interrupt(BaseException):
+    """Stands for a KeyboardInterrupt in the parent's share of a pool."""
+
+
+@pytest.mark.slow
+def test_no_shipment_outlives_an_interrupted_parent_lease(tmp_path,
+                                                          monkeypatch):
+    config = _config(1624)
+    probe = SfiExperiment(config)
+
+    def interrupted(config, items, seed, emit):
+        raise _Interrupt
+
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr("tempfile.tempdir", str(temp))
+    monkeypatch.setattr(supervisor, "run_shard", interrupted)
+    run = CampaignSupervisor(config, workers=2, runner=plain_runner)
+    with pytest.raises(_Interrupt):
+        run.run(sample_sites(probe, 4, 35), seed=35)
+    assert list(temp.glob("repro-sfi-*")) == []
     assert run._machine_file is None

@@ -18,20 +18,25 @@ held to the tracked slow path (the oracle) on every payload and every
 final machine state as well: on the mini-campaigns, on CLI-default
 campaigns (where both exits are shown to be taken), on forced digest
 collisions, over a hypothesis search of (site, inject cycle, injection
-mode) and around the frozen exit's boundary.
+mode) and around the frozen exit's boundary.  The tracker watches the
+reads of its tainted latches only; a hypothesis search holds it to a
+tracker that sees every read.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cpu.access import trace
 from repro.cpu.core import Power6Core
+from repro.cpu.tainttrace import TaintTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.rtl.fault import InjectionMode
-from repro.sfi import CampaignConfig, SfiExperiment
+from repro.sfi import CampaignConfig, SfiExperiment, campaign
 from repro.sfi.outcomes import Outcome
 from repro.sfi.sampling import random_sample
 from repro.sfi.supervisor import CampaignSupervisor
@@ -437,3 +442,61 @@ def test_tracked_frozen_exit_boundary(mode_experiments, data):
         assert frozen == (mode is InjectionMode.TOGGLE
                           and last_touch(site) <= cycle), \
             f"frozen exits {frozen:g}: {where}"
+
+
+# ----------------------------------------------------------------------
+# Property: watching only the tainted latches' reads loses nothing.
+
+class _WatchEveryRead(TaintTracker):
+    """Reference tracker: every latch read reaches it (every latch stays
+    hooked, none is ever switched) and it drops the reads of clean
+    latches itself."""
+
+    def watched_reads(self):
+        return None
+
+    def read_value(self, latch):
+        if id(latch) in self._tainted:
+            super().read_value(latch)
+
+
+@contextmanager
+def _every_read_watched():
+    """Tracked trials inside the block run under :class:`_WatchEveryRead`."""
+    taint_trace = campaign.taint_trace
+    campaign.taint_trace = lambda core, seed_latch, **options: trace(
+        [core], _WatchEveryRead([core], seed_latch, **options))
+    try:
+        yield
+    finally:
+        campaign.taint_trace = taint_trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lazy_reads_are_exact(mode_experiments, data):
+    """On the slow and the fast path, a tracked trial's record, payload
+    and final state equal those of the same trial under a tracker that
+    watches every read."""
+    mode = data.draw(st.sampled_from(list(InjectionMode)), label="mode")
+    experiments = [mode_experiments[(mode, fastpath)]
+                   for fastpath in (False, True)]
+    site = data.draw(st.integers(0, len(experiments[0].latch_map) - 1),
+                     label="site")
+    testcase = data.draw(st.integers(0, len(experiments[0].suite) - 1),
+                         label="testcase")
+    cycle = data.draw(st.integers(
+        0, experiments[0].references[testcase].cycles - 1),
+        label="inject_cycle")
+    for experiment in experiments:
+        where = (f"fastpath={experiment.fastpath} mode={mode.value} "
+                 f"site={site} testcase={testcase} cycle={cycle}")
+        with _every_read_watched():
+            expected = experiment.run_one(site, testcase, cycle)
+        payload = experiment.last_provenance
+        final = experiment.core.snapshot()
+        assert experiment.run_one(site, testcase, cycle) == expected, where
+        assert experiment.last_provenance == payload, \
+            f"payload differs: {where}"
+        assert experiment.core.snapshot() == final, \
+            f"final state differs: {where}"

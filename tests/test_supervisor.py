@@ -306,9 +306,12 @@ class TestInstrumentation:
 
     @pytest.mark.slow
     def test_split_series(self):
+        # Three processes: the two spawned workers take the two leases
+        # (and split them), so the parent's share, which never runs the
+        # runner, is empty until the splits.
         registry = MetricsRegistry()
         supervisor = CampaignSupervisor(
-            CONFIG, workers=2, max_retries=0, backoff_base=0.0,
+            CONFIG, workers=3, max_retries=0, backoff_base=0.0,
             metrics=registry, runner=oversized_shard_runner)
         result = supervisor.run(SITES[:4], seed=11)
         assert result.total == 4
