@@ -7,7 +7,9 @@ the slow path.  This bench runs the same mini-campaign both ways on one
 prepared machine, checks record equality, and publishes the numbers as
 ``benchmarks/results/BENCH_fastpath.json`` (plus a rendered text table),
 with the fast side's early exits by reason as its instrumented registry
-counts them (``sfi_early_exits_total``).
+counts them (``sfi_early_exits_total``).  Each side also records its
+prepare seconds and its host speed, ``sim_cycles_per_s``: the cycles
+its campaign simulated over the campaign's wall time.
 
 CI runs this as the fast-path smoke: the strict-inequality assertion
 (fast simulates *fewer* cycles) and the 3x floor gate regressions.
@@ -28,24 +30,36 @@ _PARAMS = CoreParams(scale=0.15, icache_lines=32, dcache_lines=32)
 
 
 def _campaign(fastpath: bool, flips: int):
+    """One side: ``(experiment, result, campaign wall, prepare seconds,
+    cycles the campaign itself simulated)``."""
     config = CampaignConfig(suite_size=2, suite_seed=99,
                             core_params=_PARAMS, fastpath=fastpath)
+    start = time.perf_counter()
     experiment = SfiExperiment(config, metrics=MetricsRegistry())
+    prepare = time.perf_counter() - start
     sites = random_sample(experiment.latch_map, flips,
                           random.Random(_SEED ^ 0x5F1))
+    prepared_cycles = experiment.emulator.stats.cycles_run
     start = time.perf_counter()
     result = experiment.run_campaign(sites, seed=_SEED)
     wall = time.perf_counter() - start
-    return experiment, result, wall
+    campaign_cycles = experiment.emulator.stats.cycles_run - prepared_cycles
+    return experiment, result, wall, prepare, campaign_cycles
 
 
-def _side(experiment, wall: float, flips: int) -> dict:
+def _side(experiment, wall: float, flips: int, prepare: float,
+          campaign_cycles: int) -> dict:
+    """``cycles_simulated`` counts the golden references too (the
+    engine's total); ``sim_cycles_per_s`` is host speed over the
+    campaign alone: its cycles over its wall time."""
     cycles = experiment.emulator.stats.cycles_run
     return {
         "wall_seconds": round(wall, 4),
         "trials_per_second": round(flips / wall, 2),
         "cycles_simulated": cycles,
         "cycles_per_trial": round(cycles / flips, 1),
+        "sim_cycles_per_s": round(campaign_cycles / wall),
+        "prepare_seconds": round(prepare, 4),
     }
 
 
@@ -53,17 +67,14 @@ def test_fastpath_speedup(benchmark):
     flips = scaled(120, minimum=40)
 
     def run():
-        slow_exp, slow_result, slow_wall = _campaign(False, flips)
-        fast_exp, fast_result, fast_wall = _campaign(True, flips)
-        return (slow_exp, slow_result, slow_wall,
-                fast_exp, fast_result, fast_wall)
+        return _campaign(False, flips), _campaign(True, flips)
 
-    (slow_exp, slow_result, slow_wall,
-     fast_exp, fast_result, fast_wall) = benchmark.pedantic(
-        run, rounds=1, iterations=1)
+    slow_side, fast_side = benchmark.pedantic(run, rounds=1, iterations=1)
+    slow_exp, slow_result, slow_wall = slow_side[:3]
+    fast_exp, fast_result, fast_wall = fast_side[:3]
 
-    slow = _side(slow_exp, slow_wall, flips)
-    fast = _side(fast_exp, fast_wall, flips)
+    slow = _side(slow_exp, slow_wall, flips, *slow_side[3:])
+    fast = _side(fast_exp, fast_wall, flips, *fast_side[3:])
     cycles_speedup = slow["cycles_simulated"] / fast["cycles_simulated"]
     detail = {
         "workload": "AVP suite (Table-1 mix)",
@@ -98,6 +109,10 @@ def test_fastpath_speedup(benchmark):
         f"  cycles-simulated speedup:  {cycles_speedup:10.2f} x"
         "   (acceptance floor: 3x)",
         f"  wall-clock speedup:        {detail['speedup_wall']:10.2f} x",
+        f"  slow  host cycles/s:       {slow['sim_cycles_per_s']:10d}"
+        f"   (prepare {slow['prepare_seconds']:.3f} s)",
+        f"  fast  host cycles/s:       {fast['sim_cycles_per_s']:10d}"
+        f"   (prepare {fast['prepare_seconds']:.3f} s)",
         "  early exits:               " + ", ".join(
             f"{reason} {count}"
             for reason, count in detail["early_exits"].items()),

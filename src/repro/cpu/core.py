@@ -232,10 +232,15 @@ class Power6Core:
     def quiesced(self) -> bool:
         """Nothing further can happen: halted with all stores drained, or a
         terminal error state was reached."""
-        nest_idle = self.nest.quiesced() if self.nest is not None else True
-        return (self.checkstopped or self.hung
-                or (self.halted and self.lsu.stq_empty() and nest_idle
-                    and not self.rut.cmt_val.value))
+        # Polled after every cycle, so it reads the latches itself; traces
+        # record this order: nest, xstop, hang, sq_valid, cmt_val.
+        nest = self.nest
+        nest_idle = nest.quiesced() if nest is not None else True
+        perv = self.pervasive
+        if perv.xstop.value or perv.hang.value:
+            return True
+        return bool(self.halted and not self.lsu.sq_valid.value
+                    and nest_idle and not self.rut.cmt_val.value)
 
     def run(self, max_cycles: int = 100_000) -> int:
         """Run until the machine quiesces; returns cycles consumed."""

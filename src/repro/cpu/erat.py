@@ -49,12 +49,18 @@ class Erat(HwModule):
         vpn = (addr >> PAGE_BITS) & ((1 << VPN_WIDTH) - 1)
         offset = addr & ((1 << PAGE_BITS) - 1)
         valid = self.valid.value
-        matches = [i for i in range(self.entries)
-                   if (valid >> i) & 1 and self.vpn[i].value == vpn]
-        if len(matches) > 1:
+        # Every valid entry's VPN is read, in entry order, even after a
+        # hit: a second match is a multi-hit.
+        hits = 0
+        entry = 0
+        for i, vpn_latch in enumerate(self.vpn):
+            if (valid >> i) & 1 and vpn_latch.value == vpn:
+                if not hits:
+                    entry = i
+                hits += 1
+        if hits > 1:
             return "multihit", 0
-        if matches:
-            entry = matches[0]
+        if hits:
             if not self.vpn[entry].parity_ok() or not self.rpn[entry].parity_ok():
                 return "parity", entry
             return "ok", (self.rpn[entry].value << PAGE_BITS) | offset

@@ -9,12 +9,11 @@ masked under an integer-dominated workload.
 from __future__ import annotations
 
 from repro.isa import alu
-from repro.isa.opcodes import Opcode, op_info
+from repro.isa.opcodes import Opcode
 from repro.rtl.module import HwModule
 
 from repro.cpu.checkers import Checker
 from repro.cpu.debugblock import DebugBlock
-from repro.cpu.fxu import Fxu
 from repro.cpu.regfile import RegisterBank
 
 _COMPUTE = {
@@ -64,13 +63,13 @@ class Fpu(HwModule):
                  itag: int = 0) -> None:
         self.val.write(1)
         self.done.write(0)
-        self.op.write(int(dec.op))
+        self.op.write(dec.op)
         self.rt.write(dec.rt)
         self.a.write(operands.get(("f", dec.ra), 0))
         self.b.write(operands.get(("f", dec.rb), 0))
         self.npc.write(next_pc)
-        self.flags.write(Fxu.F_WFPR)
-        self.cnt.write(max(0, op_info(dec.op).latency - 1))
+        self.flags.write(dec.commit_flags)
+        self.cnt.write(max(0, dec.latency - 1))
         self.itag.write(itag)
 
     def cycle(self) -> None:

@@ -10,7 +10,7 @@ by exactly one checker.
 from __future__ import annotations
 
 from repro.isa import alu
-from repro.isa.opcodes import Opcode, op_info
+from repro.isa.opcodes import Opcode
 from repro.rtl.module import HwModule
 
 from repro.cpu.checkers import Checker
@@ -77,10 +77,10 @@ class Fxu(HwModule):
     def dispatch(self, dec, operands, pc: int, next_pc: int,
                  itag: int = 0) -> None:
         op = dec.op
-        if op in (Opcode.MFLR,):
+        if op is Opcode.MFLR:
             a = self.core.idu.lr.value
             b = 0
-        elif op in (Opcode.MFCTR,):
+        elif op is Opcode.MFCTR:
             a = self.core.idu.ctr.value
             b = 0
         elif op is Opcode.BDNZ:
@@ -93,30 +93,19 @@ class Fxu(HwModule):
             a = operands.get(("g", dec.ra), 0)
             if op in _ZEXT_IMM:
                 b = dec.imm & 0xFFFF
-            elif op_info(op).has_imm:
+            elif dec.has_imm:
                 b = dec.imm & 0xFFFFFFFF
             else:
                 b = operands.get(("g", dec.rb), 0)
-        flags = 0
-        if dec.writes_gpr:
-            flags |= self.F_WGPR
-        if dec.writes_cr:
-            flags |= self.F_WCR
-        if dec.writes_lr:
-            flags |= self.F_WLR
-        if dec.writes_ctr:
-            flags |= self.F_WCTR
-        if op is Opcode.HALT:
-            flags |= self.F_HALT
         self.val.write(1)
         self.done.write(0)
-        self.op.write(int(op))
+        self.op.write(op)
         self.rt.write(dec.rt)
         self.a.write(a)
         self.b.write(b)
         self.npc.write(next_pc)
-        self.flags.write(flags)
-        self.cnt.write(max(0, op_info(op).latency - 1))
+        self.flags.write(dec.commit_flags)
+        self.cnt.write(max(0, dec.latency - 1))
         self.itag.write(itag)
 
     def cycle(self) -> None:

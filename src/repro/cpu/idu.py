@@ -11,6 +11,7 @@ the pervasive watchdog.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.isa import alu
 from repro.isa.encoding import decode
@@ -20,6 +21,7 @@ from repro.rtl.module import HwModule
 from repro.cpu.checkers import Checker
 from repro.cpu.debugblock import DebugBlock
 from repro.cpu.fxu import Fxu
+from repro.cpu.lsu import _BYTE_OPS, _STORE_OPS
 from repro.cpu.regfile import COPY_EXEC, COPY_LS
 
 _STORE_GPR = frozenset({Opcode.STW, Opcode.STB})
@@ -31,12 +33,29 @@ _XFORM_FXU = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MULLW, Opcode.DIVW,
                         Opcode.SRW, Opcode.SRAW, Opcode.CMPW, Opcode.CMPLW})
 _IFORM_FXU = frozenset({Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI,
                         Opcode.SLWI, Opcode.SRWI, Opcode.CMPWI})
-_ZEXT_IMM = frozenset({Opcode.ANDI, Opcode.ORI, Opcode.XORI})
+
+#: Executing unit per ``OpInfo.unit``, as the core attribute naming it:
+#: branches and system ops flow through the FXU.
+_UNIT_ATTR = {"FXU": "fxu", "BRU": "fxu", "SYS": "fxu", "LSU": "lsu",
+              "FPU": "fpu"}
+
+#: Distinct instruction words whose decode :func:`decode_word` keeps.
+DECODE_CACHE_WORDS = 4096
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _Decoded:
-    """Dispatch-relevant fields extracted from one instruction."""
+    """Dispatch-relevant fields extracted from one instruction, plus the
+    control the IDU and the execution units derive from them once:
+
+    * ``gpr_probe``/``fpr_probe``: the scoreboard bits the hazard check
+      probes, in order (the sources, then the target it writes);
+    * ``flag_probe``/``flag_writes``: the CR/LR/CTR ``flag_busy`` bits
+      the instruction reads or writes, and those it writes;
+    * ``unit``: the executing unit, as the core attribute naming it;
+    * ``latency``, ``has_imm``: from the opcode's ``OpInfo``;
+    * ``commit_flags``: the ``Fxu.F_*`` flags the unit hands to commit.
+    """
 
     op: Opcode
     rt: int
@@ -50,9 +69,82 @@ class _Decoded:
     reads_ctr: bool
     writes_gpr: bool
     writes_fpr: bool
-    writes_cr: bool
-    writes_lr: bool
-    writes_ctr: bool
+    gpr_probe: tuple
+    fpr_probe: tuple
+    flag_probe: int
+    flag_writes: int
+    unit: str
+    latency: int
+    has_imm: bool
+    commit_flags: int
+
+
+def _decode_fields(instr) -> _Decoded:
+    """The dispatch fields of a decoded, defined instruction."""
+    op = Opcode(instr.op)
+    gpr_sources: tuple = ()
+    fpr_sources: tuple = ()
+    reads_cr = reads_lr = reads_ctr = False
+    if op in _XFORM_FXU:
+        gpr_sources = (instr.ra, instr.rb)
+    elif op in _IFORM_FXU:
+        gpr_sources = (instr.ra,)
+    elif op in _LSU_OPS:
+        gpr_sources = (instr.ra,)
+        if op in _STORE_GPR:
+            gpr_sources = (instr.ra, instr.rt)
+        elif op is Opcode.STFS:
+            fpr_sources = (instr.rt,)
+    elif op in _FPU_OPS:
+        fpr_sources = (instr.ra, instr.rb)
+    elif op is Opcode.BC:
+        reads_cr = True
+    elif op is Opcode.BLR or op is Opcode.MFLR:
+        reads_lr = True
+    elif op is Opcode.MTLR or op is Opcode.MTCTR:
+        gpr_sources = (instr.ra,)
+    elif op is Opcode.MFCTR or op is Opcode.BDNZ:
+        reads_ctr = True
+    writes_gpr = op in GPR_WRITERS
+    writes_fpr = op in FPR_WRITERS
+    writes_cr = op in (Opcode.CMPW, Opcode.CMPWI, Opcode.CMPLW)
+    writes_lr = op in (Opcode.BL, Opcode.MTLR)
+    writes_ctr = op in (Opcode.MTCTR, Opcode.BDNZ)
+    flag_writes = writes_cr | writes_lr << 1 | writes_ctr << 2
+    info = op_info(op)
+    commit_flags = (
+        Fxu.F_WGPR * writes_gpr | Fxu.F_WFPR * writes_fpr
+        | Fxu.F_WCR * writes_cr | Fxu.F_WLR * writes_lr
+        | Fxu.F_WCTR * writes_ctr | Fxu.F_STORE * (op in _STORE_OPS)
+        | Fxu.F_BYTE * (op in _BYTE_OPS) | Fxu.F_HALT * (op is Opcode.HALT))
+    return _Decoded(
+        op=op, rt=instr.rt, ra=instr.ra, rb=instr.rb, imm=instr.imm,
+        gpr_sources=gpr_sources, fpr_sources=fpr_sources,
+        reads_cr=reads_cr, reads_lr=reads_lr, reads_ctr=reads_ctr,
+        writes_gpr=writes_gpr, writes_fpr=writes_fpr,
+        gpr_probe=gpr_sources + ((instr.rt,) if writes_gpr else ()),
+        fpr_probe=fpr_sources + ((instr.rt,) if writes_fpr else ()),
+        flag_probe=flag_writes | reads_cr | reads_lr << 1 | reads_ctr << 2,
+        flag_writes=flag_writes,
+        unit=_UNIT_ATTR[info.unit], latency=info.latency,
+        has_imm=info.has_imm, commit_flags=commit_flags,
+    )
+
+
+@lru_cache(maxsize=DECODE_CACHE_WORDS)
+def decode_word(word: int) -> _Decoded | None:
+    """The dispatch fields of instruction ``word``, or None when the IDU
+    does not dispatch it (an undefined opcode or ATTN: the illegal-opcode
+    checker's case).
+
+    A pure function of the word, memoised: a program dispatches the same
+    few hundred words over and over, and the result is immutable, so
+    the cache is no machine state.
+    """
+    instr = decode(word)
+    if not is_valid_opcode(instr.op) or instr.op == Opcode.ATTN:
+        return None
+    return _decode_fields(instr)
 
 
 class Idu(HwModule):
@@ -107,64 +199,19 @@ class Idu(HwModule):
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _decode_fields(instr) -> _Decoded:
-        op = Opcode(instr.op)
-        gpr_sources: tuple = ()
-        fpr_sources: tuple = ()
-        reads_cr = reads_lr = reads_ctr = False
-        if op in _XFORM_FXU:
-            gpr_sources = (instr.ra, instr.rb)
-        elif op in _IFORM_FXU:
-            gpr_sources = (instr.ra,)
-        elif op in _LSU_OPS:
-            gpr_sources = (instr.ra,)
-            if op in _STORE_GPR:
-                gpr_sources = (instr.ra, instr.rt)
-            elif op is Opcode.STFS:
-                fpr_sources = (instr.rt,)
-        elif op in _FPU_OPS:
-            fpr_sources = (instr.ra, instr.rb)
-        elif op is Opcode.BC:
-            reads_cr = True
-        elif op is Opcode.BLR or op is Opcode.MFLR:
-            reads_lr = True
-        elif op is Opcode.MTLR or op is Opcode.MTCTR:
-            gpr_sources = (instr.ra,)
-        elif op is Opcode.MFCTR or op is Opcode.BDNZ:
-            reads_ctr = True
-        return _Decoded(
-            op=op, rt=instr.rt, ra=instr.ra, rb=instr.rb, imm=instr.imm,
-            gpr_sources=gpr_sources, fpr_sources=fpr_sources,
-            reads_cr=reads_cr, reads_lr=reads_lr, reads_ctr=reads_ctr,
-            writes_gpr=op in GPR_WRITERS, writes_fpr=op in FPR_WRITERS,
-            writes_cr=op in (Opcode.CMPW, Opcode.CMPWI, Opcode.CMPLW),
-            writes_lr=op in (Opcode.BL, Opcode.MTLR),
-            writes_ctr=op in (Opcode.MTCTR, Opcode.BDNZ),
-        )
-
     def _hazard(self, dec: _Decoded) -> bool:
         # Per-bit scoreboard probes: only the registers an instruction
         # names are consulted, so an upset busy bit for a register the
         # program never touches is dead state, not a hazard.
-        for reg in dec.gpr_sources:
-            if self.gpr_busy.bit(reg):
+        gpr_busy = self.gpr_busy
+        for reg in dec.gpr_probe:
+            if gpr_busy.bit(reg):
                 return True
-        if dec.writes_gpr and self.gpr_busy.bit(dec.rt):
-            return True
-        for reg in dec.fpr_sources:
-            if self.fpr_busy.bit(reg):
+        fpr_busy = self.fpr_busy
+        for reg in dec.fpr_probe:
+            if fpr_busy.bit(reg):
                 return True
-        if dec.writes_fpr and self.fpr_busy.bit(dec.rt):
-            return True
-        flags = self.flag_busy.value
-        if (dec.reads_cr or dec.writes_cr) and flags & 1:
-            return True
-        if (dec.reads_lr or dec.writes_lr) and flags & 2:
-            return True
-        if (dec.reads_ctr or dec.writes_ctr) and flags & 4:
-            return True
-        return False
+        return bool(self.flag_busy.value & dec.flag_probe)
 
     def cycle(self) -> None:
         core = self.core
@@ -179,22 +226,19 @@ class Idu(HwModule):
                 return  # masked checker: the corrupt word decodes below
         word = instr_latch.value
         pc = pc_latch.value
-        instr = decode(word)
-        if not is_valid_opcode(instr.op) or instr.op == Opcode.ATTN:
+        dec = decode_word(word)
+        if dec is None:
             if core.raise_error(Checker.IDU_ILLEGAL_OPCODE):
                 return
             # Checker masked: the undefined word executes as a no-op.
             ifu.pop()
             return
-        dec = self._decode_fields(instr)
         if self._hazard(dec):
             self.stall_reason.write(1)
             return
 
         # Structural hazard: the target execution unit must be free.
-        info = op_info(dec.op)
-        unit = {"FXU": core.fxu, "BRU": core.fxu, "SYS": core.fxu,
-                "LSU": core.lsu, "FPU": core.fpu}[info.unit]
+        unit = getattr(core, dec.unit)
         if not unit.can_accept():
             self.stall_reason.write(2)
             return
@@ -202,7 +246,7 @@ class Idu(HwModule):
         # Operand reads, with point-of-use parity checks.  Reads route
         # through the physical register-file copy that feeds the consuming
         # cluster (LSU reads the load/store-side copy).
-        copy = COPY_LS if info.unit == "LSU" else COPY_EXEC
+        copy = COPY_LS if dec.unit == "lsu" else COPY_EXEC
         operands = {}
         for reg in dec.gpr_sources:
             value, ok = core.gprs.read(reg, copy)
@@ -226,7 +270,7 @@ class Idu(HwModule):
 
         # Branch resolution (at decode); every instruction still flows to
         # the commit stage so the recovery checkpoint tracks PC/LR.
-        next_pc = alu.add32(pc, 4)
+        next_pc = (pc + 4) & 0xFFFFFFFF
         op = dec.op
         redirect = None
         if op is Opcode.B:
@@ -242,7 +286,7 @@ class Idu(HwModule):
             if alu.sub32(self.ctr.value, 1) != 0:
                 redirect = next_pc = alu.add32(pc, 4 * dec.imm)
 
-        self.dec_ctrl.write((int(op) << 10) | (dec.rt << 5) | dec.ra)
+        self.dec_ctrl.write((op << 10) | (dec.rt << 5) | dec.ra)
         ifu.pop()
         if redirect is not None:
             ifu.redirect(redirect)
@@ -252,14 +296,7 @@ class Idu(HwModule):
             self.gpr_busy.write_bit(dec.rt, 1)
         if dec.writes_fpr:
             self.fpr_busy.write_bit(dec.rt, 1)
-        flags = self.flag_busy.value
-        if dec.writes_cr:
-            flags |= 1
-        if dec.writes_lr:
-            flags |= 2
-        if dec.writes_ctr:
-            flags |= 4
-        self.flag_busy.write(flags)
+        self.flag_busy.write(self.flag_busy.value | dec.flag_writes)
 
         itag = self.itag.value
         self.itag.write((itag + 1) & 0x3F)

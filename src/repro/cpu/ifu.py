@@ -40,6 +40,10 @@ class Ifu(HwModule):
         self.fb_instr = self.add_bank("fb_instr", n, 32, protected=True, ring=ring)
         self.fb_pc = self.add_bank("fb_pc", n, 32, protected=True, ring=ring)
         self.bht = self.add_latch("bht", 16, ring=ring)  # branch history (hint only)
+        # pop()'s moves, entry i <- entry i+1: (dst instr, src instr,
+        # dst pc, src pc).
+        self._shifts = tuple(zip(self.fb_instr, self.fb_instr[1:],
+                                 self.fb_pc, self.fb_pc[1:]))
         self.icache = self.add_child(DirectMappedCache(
             "ifu.icache", params.icache_lines, params.icache_words_per_line, ring))
         self.erat = self.add_child(Erat("ifu.ierat", params.ierat_entries, ring))
@@ -62,12 +66,9 @@ class Ifu(HwModule):
         Parity travels with the shifted data: a latent flip in an entry
         survives the shift and is caught at decode.
         """
-        n = self.params.fetch_buffer_entries
         valid = self.fb_valid.value >> 1  # entry i <- entry i+1
-        for i in range(n - 1):
-            dst_i, src_i = self.fb_instr[i], self.fb_instr[i + 1]
+        for dst_i, src_i, dst_p, src_p in self._shifts:
             dst_i.value, dst_i.par = src_i.value, src_i.par
-            dst_p, src_p = self.fb_pc[i], self.fb_pc[i + 1]
             dst_p.value, dst_p.par = src_p.value, src_p.par
         self.fb_valid.write(valid)
 
@@ -135,15 +136,12 @@ class Ifu(HwModule):
             # Illegal FSM encoding; the pervasive FSM checker reports it.
             return
 
-        # Find a free fetch-buffer slot (entries fill oldest-first).
+        # Find a free fetch-buffer slot (entries fill oldest-first): the
+        # lowest clear bit of the valid mask.
         n = self.params.fetch_buffer_entries
         valid = self.fb_valid.value & ((1 << n) - 1)
-        slot = -1
-        for i in range(n):
-            if not (valid >> i) & 1:
-                slot = i
-                break
-        if slot < 0:
+        slot = (~valid & (valid + 1)).bit_length() - 1
+        if slot >= n:
             return
         if not self.ifar.parity_ok():
             if core.raise_error(Checker.IFU_IFAR_PARITY):

@@ -18,7 +18,6 @@ from repro.cpu.checkers import Checker
 from repro.cpu.debugblock import DebugBlock
 from repro.cpu.erat import PAGE_BITS, Erat
 from repro.cpu.regfile import RegisterBank
-from repro.cpu.fxu import Fxu
 
 # LSU state machine.
 L_AGEN = 0
@@ -92,7 +91,7 @@ class Lsu(HwModule):
         op = dec.op
         self.val.write(1)
         self.done.write(0)
-        self.op.write(int(op))
+        self.op.write(op)
         self.rt.write(dec.rt)
         self.base.write(operands.get(("g", dec.ra), 0))
         self.disp.write(dec.imm & 0xFFFF)
@@ -102,16 +101,7 @@ class Lsu(HwModule):
             self.st_data.write(operands.get(("f", dec.rt), 0))
         else:
             self.st_data.write(operands.get(("g", dec.rt), 0))
-        flags = 0
-        if dec.writes_gpr:
-            flags |= Fxu.F_WGPR
-        if dec.writes_fpr:
-            flags |= Fxu.F_WFPR
-        if int(op) in _STORE_OPS:
-            flags |= Fxu.F_STORE
-        if int(op) in _BYTE_OPS:
-            flags |= Fxu.F_BYTE
-        self.flags.write(flags)
+        self.flags.write(dec.commit_flags)
         self.itag.write(itag)
 
     # ------------------------------------------------------------------

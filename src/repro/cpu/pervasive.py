@@ -28,8 +28,14 @@ R_RESTORE = 2
 R_REFETCH = 3
 LEGAL_REC_STATES = (R_IDLE, R_FREEZE, R_RESTORE, R_REFETCH)
 
-# GPTR clock-stop bit assignments.
-_CLKSTOP_BITS = {"FETCH": 0, "DISP": 1, "FXU": 2, "LSU": 3, "FPU": 4, "COMMIT": 5}
+# GPTR clock-stop masks, one bit per stage.
+_CLKSTOP_MASKS = {"FETCH": 1 << 0, "DISP": 1 << 1, "FXU": 1 << 2,
+                  "LSU": 1 << 3, "FPU": 1 << 4, "COMMIT": 1 << 5}
+_FETCH_HELD = _CLKSTOP_MASKS["FETCH"]
+_DISP_HELD = _CLKSTOP_MASKS["DISP"]
+
+#: FIR bit (and ``mode_chk_en`` bit) of the FSM / configuration checker.
+_FSM_CHECKER = int(Checker.CORE_FSM_ILLEGAL)
 
 _CLKCFG_RESET = 0x10         # one-hot PLL-multiplier select
 _PLLCFG_RESET = 0b01011010   # fixed calibration pattern
@@ -144,14 +150,13 @@ class Pervasive(HwModule):
         return bool(self.mode_cache_en.value & 2)
 
     def fetch_held(self) -> bool:
-        return bool(self.gptr_clkstop.value & (1 << _CLKSTOP_BITS["FETCH"]))
+        return bool(self.gptr_clkstop.value & _FETCH_HELD)
 
     def dispatch_held(self) -> bool:
-        return bool(self.gptr_clkstop.value & (1 << _CLKSTOP_BITS["DISP"]))
+        return bool(self.gptr_clkstop.value & _DISP_HELD)
 
     def unit_held(self, unit: str) -> bool:
-        bit = _CLKSTOP_BITS.get(unit)
-        return bool(bit is not None and (self.gptr_clkstop.value >> bit) & 1)
+        return bool(self.gptr_clkstop.value & _CLKSTOP_MASKS[unit])
 
     # ------------------------------------------------------------------
     # Error-handling fabric.
@@ -213,6 +218,9 @@ class Pervasive(HwModule):
     # ------------------------------------------------------------------
 
     def cycle(self) -> None:
+        # The per-cycle checks run inline, in their fixed order: test
+        # controls, configuration, FSM encodings, then the watchdog or a
+        # recovery step.
         if self.xstop.value:
             return
         if self.fir_xstop.value:
@@ -220,11 +228,30 @@ class Pervasive(HwModule):
             # set bit (including an upset one) stops the machine.
             self.xstop.write(1)
             return
-        self._check_test_controls()
+        if self.gptr_forceerr.value & 0xF:
+            # A latched force-error control re-raises every cycle; the
+            # second occurrence lands during recovery and checkstops.
+            self.report_error(Checker.CORE_FSM_ILLEGAL)
         if self.xstop.value:
             return
-        self._check_config()
-        self._check_fsms()
+        if (self.mode_chk_en.value >> _FSM_CHECKER) & 1:
+            clkcfg = self.mode_clkcfg.value
+            if (clkcfg == 0 or clkcfg & (clkcfg - 1)
+                    or self.mode_pllcfg.value & 0xF != _PLLCFG_RESET & 0xF):
+                # Corrupted persistent clock configuration cannot be
+                # cured by retry (scan-only state survives recovery):
+                # fail-stop.  The voltage-id / reference-clock fields
+                # are latched but only sampled at boot, so runtime flips
+                # there are dormant.
+                self.checkstop(Checker.CORE_FSM_ILLEGAL)
+        if self.rstate.value not in LEGAL_REC_STATES:
+            # The recovery sequencer itself is corrupt: unrecoverable.
+            self.checkstop(Checker.CORE_FSM_ILLEGAL)
+        elif (self.mode_chk_en.value >> _FSM_CHECKER) & 1:
+            core = self.core
+            if (core.ifu.fstate.value not in LEGAL_FETCH_STATES
+                    or core.lsu.state.value not in LEGAL_LSU_STATES):
+                self.report_error(Checker.CORE_FSM_ILLEGAL)
         if self.xstop.value:
             return
         state = self.rstate.value
@@ -236,37 +263,7 @@ class Pervasive(HwModule):
             self._restore_cycle()
         elif state == R_REFETCH:
             self._refetch_cycle()
-        # Illegal rstate encodings are caught by _check_fsms (checkstop).
-
-    def _check_test_controls(self) -> None:
-        if self.gptr_forceerr.value & 0xF:
-            # A latched force-error control re-raises every cycle; the
-            # second occurrence lands during recovery and checkstops.
-            self.report_error(Checker.CORE_FSM_ILLEGAL)
-
-    def _check_config(self) -> None:
-        if not self.checker_enabled(Checker.CORE_FSM_ILLEGAL):
-            return
-        clkcfg = self.mode_clkcfg.value
-        if (clkcfg == 0 or clkcfg & (clkcfg - 1)
-                or self.mode_pllcfg.value & 0xF != _PLLCFG_RESET & 0xF):
-            # Corrupted persistent clock configuration cannot be cured by
-            # retry (scan-only state survives recovery): fail-stop.  The
-            # voltage-id / reference-clock fields are latched but only
-            # sampled at boot, so runtime flips there are dormant.
-            self.checkstop(Checker.CORE_FSM_ILLEGAL)
-
-    def _check_fsms(self) -> None:
-        if self.rstate.value not in LEGAL_REC_STATES:
-            # The recovery sequencer itself is corrupt: unrecoverable.
-            self.checkstop(Checker.CORE_FSM_ILLEGAL)
-            return
-        if not self.checker_enabled(Checker.CORE_FSM_ILLEGAL):
-            return
-        core = self.core
-        if (core.ifu.fstate.value not in LEGAL_FETCH_STATES
-                or core.lsu.state.value not in LEGAL_LSU_STATES):
-            self.report_error(Checker.CORE_FSM_ILLEGAL)
+        # Illegal rstate encodings were checkstopped above.
 
     def _watchdog(self) -> None:
         core = self.core

@@ -160,7 +160,9 @@ def op_info(opcode: int) -> OpInfo:
     Raises:
         KeyError: if ``opcode`` is not a defined instruction.
     """
-    return _OP_TABLE[Opcode(opcode)]
+    # An ``Opcode`` key hashes and compares as its number, so a plain
+    # int looks it up without constructing the enum member.
+    return _OP_TABLE[opcode]
 
 
 def is_valid_opcode(opcode: int) -> bool:

@@ -57,14 +57,29 @@ class EccStatus(enum.Enum):
     UNCORRECTABLE = "uncorrectable"
 
 
-def ecc_encode(data: int) -> int:
-    """Compute the 7-bit check field (6 Hamming bits + overall parity)."""
-    data &= (1 << _DATA_BITS) - 1
+def _encode_bits(data: int) -> int:
+    """The check field of ``data``, one check bit at a time (builds the
+    byte tables below)."""
     check = 0
     for i, mask in enumerate(_CHECK_MASKS):
         check |= parity(data & mask) << i
     overall = parity(data) ^ parity(check)
     return check | (overall << _CHECK_BITS)
+
+
+# Every check bit, the overall parity included, is an XOR of data bits:
+# the code is linear over GF(2), so a word's check field is the XOR of
+# the check fields of its four bytes, each in its own lane.
+_LANE0, _LANE1, _LANE2, _LANE3 = (
+    tuple(_encode_bits(byte << shift) for byte in range(256))
+    for shift in (0, 8, 16, 24))
+
+
+def ecc_encode(data: int) -> int:
+    """Compute the 7-bit check field (6 Hamming bits + overall parity)."""
+    data &= 0xFFFFFFFF
+    return (_LANE0[data & 0xFF] ^ _LANE1[(data >> 8) & 0xFF]
+            ^ _LANE2[(data >> 16) & 0xFF] ^ _LANE3[data >> 24])
 
 
 def ecc_decode(data: int, check: int) -> tuple[int, int, EccStatus]:
@@ -76,12 +91,10 @@ def ecc_decode(data: int, check: int) -> tuple[int, int, EccStatus]:
     """
     data &= (1 << _DATA_BITS) - 1
     check &= (1 << (_CHECK_BITS + 1)) - 1
-    syndrome = 0
-    for i, mask in enumerate(_CHECK_MASKS):
-        if parity(data & mask) != ((check >> i) & 1):
-            syndrome |= 1 << i
-    overall_ok = (parity(data) ^ parity(check & (_OVERALL_BIT - 1))
-                  ^ ((check >> _CHECK_BITS) & 1)) == 0
+    # The Hamming bits recomputed from the data, against the stored
+    # ones; the overall parity covers data and check field together.
+    syndrome = (ecc_encode(data) ^ check) & (_OVERALL_BIT - 1)
+    overall_ok = not (data.bit_count() + check.bit_count()) & 1
 
     if syndrome == 0 and overall_ok:
         return data, check, EccStatus.OK

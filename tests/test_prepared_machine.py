@@ -48,9 +48,12 @@ from tests.test_lease_engine import plain_runner
 
 # A spawned pool worker imports this module to unpickle its runner
 # (``reporting_runner``) before it loads its machine, so from then on it
-# counts every ``_prepare`` call of its process.
+# counts every ``_prepare`` call of its process.  The test process is
+# the main process; a spawned child carries its own name from the start
+# of its interpreter, while ``parent_process()`` is still None during
+# that import (the child sets it afterwards, in its bootstrap).
 _WORKER_PREPARES: list[SfiExperiment] = []
-if multiprocessing.parent_process() is not None:
+if multiprocessing.current_process().name != "MainProcess":
     _real_prepare = SfiExperiment._prepare
 
     def _counted_prepare(self):
