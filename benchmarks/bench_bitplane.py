@@ -1,4 +1,4 @@
-"""Bit-plane backend speedup — waves, peels and lag-shifted rejoins.
+"""Bit-plane backend speedup — in-plane waves and scalar peels.
 
 PR 9's bit-plane backend claims a >=5x reduction in *campaign* cycles
 simulated per trial over the PR-4 fast path on the seed campaign, while
@@ -6,22 +6,22 @@ staying bit-identical to it (and the fast path is bit-identical to the
 slow path by its own suite).  This bench runs the same mini-campaign
 both ways on prepared machines, compares campaign-only cycle deltas
 (both sides prepare identically-sized golden instrumentation; the
-bit-plane side additionally compiles each golden's schedule and re-runs
-it once to lay down its dense rungs and digest trails), checks record
-equality, and publishes ``benchmarks/results/BENCH_bitplane.json``.
+bit-plane side additionally compiles each golden's schedule), checks
+record equality, and publishes ``benchmarks/results/BENCH_bitplane.json``.
 
 Wall-clock figures sit beside the cycle counts: each side is prepared
 and run :data:`_REPEATS` times from scratch (the schedule cache is
 cleared, so every bit-plane repetition pays its compile), campaign and
 prepare seconds are reported as the minimum with the max−min spread,
-and the bit-plane's own prepare — schedule compile plus the dense pass
-— is timed separately, because a backend's speedup is only real once
-the set-up it needs is counted.
+and the bit-plane's own prepare — the schedule compile — is timed
+separately, because a backend's speedup is only real once the set-up
+it needs is counted.
 
 The trial count is pinned, not ``scaled()``: the speedup is a property
-of the seed campaign's lane-fate mix (how many lanes converge in-plane,
-peel, rejoin with lag), and shrinking or growing the sample changes the
-mix being measured, not the measurement's cost-accuracy trade-off.
+of the seed campaign's lane-fate mix (how many lanes converge or
+survive in-plane, how many peel), and shrinking or growing the sample
+changes the mix being measured, not the measurement's cost-accuracy
+trade-off.
 """
 
 import random
@@ -39,8 +39,8 @@ _TRIALS = 120
 _REPEATS = 3
 _PARAMS = CoreParams(scale=0.15, icache_lines=32, dcache_lines=32)
 
-#: The bit-plane-only prepare phases: schedule compile, dense pass.
-_BITPLANE_PHASES = ("_compile_schedule", "_bitplane_prepare")
+#: The bit-plane-only prepare phase: the schedule compile.
+_BITPLANE_PHASES = ("_compile_schedule",)
 
 
 def _campaign(backend: str):
@@ -104,8 +104,8 @@ def test_bitplane_speedup(benchmark, monkeypatch):
         return sides
 
     sides = benchmark.pedantic(run, rounds=1, iterations=1)
-    (fast_exp, fast_result, fast_cycles, _) = sides["scalar"][0]
-    (bp_exp, bp_result, bp_cycles, _) = sides["bitplane"][0]
+    (_, fast_result, fast_cycles, _) = sides["scalar"][0]
+    (_, bp_result, bp_cycles, _) = sides["bitplane"][0]
     walls = {backend: [wall for *_, wall in runs]
              for backend, runs in sides.items()}
     prepares = {backend: [run[0].prepare_seconds for run in runs]
@@ -116,9 +116,7 @@ def test_bitplane_speedup(benchmark, monkeypatch):
     fast = _side(fast_cycles, walls["scalar"], prepares["scalar"])
     bitplane_side = _side(bp_cycles, walls["bitplane"],
                           prepares["bitplane"])
-    bitplane_side["compile_and_dense_pass_seconds"] = _seconds(
-        phase_seconds[1::2])
-    bitplane_side["dense_rung_stride"] = bp_exp.dense_rung_stride
+    bitplane_side["compile_seconds"] = _seconds(phase_seconds[1::2])
     cycles_speedup = fast_cycles / bp_cycles
     wall_speedup = min(walls["scalar"]) / min(walls["bitplane"])
     with_prepare = ((min(walls["scalar"]) + min(prepares["scalar"]))
@@ -140,9 +138,9 @@ def test_bitplane_speedup(benchmark, monkeypatch):
         cycles_speedup >= 5.0 and detail["records_bit_identical"],
         detail=detail)
 
-    bp_phases = bitplane_side["compile_and_dense_pass_seconds"]
+    bp_compile = bitplane_side["compile_seconds"]
     lines = [
-        "Bit-plane backend speedup (waves + peels + lag-shifted rejoins)",
+        "Bit-plane backend speedup (in-plane waves + scalar peels)",
         f"  trials:                    {_TRIALS}  (AVP suite, Table-1 mix,"
         " pinned)",
         f"  fast-path cycles/trial:    {fast['cycles_per_trial']:10.1f}"
@@ -151,7 +149,7 @@ def test_bitplane_speedup(benchmark, monkeypatch):
         f"{bitplane_side['cycles_per_trial']:10.1f}"
         f"   ({bitplane_side['trials_per_second']:.1f} trials/s)",
         f"  campaign-cycles speedup:   {cycles_speedup:10.2f} x"
-        "   (acceptance floor: 5x over the PR-4 fast path)",
+        "   (acceptance floor: 5x over the fast path)",
         f"  campaign wall, min of {_REPEATS}:  "
         f"fast path {fast['wall_seconds']:.3f} s "
         f"(spread {fast['wall_spread']:.3f}), "
@@ -163,9 +161,8 @@ def test_bitplane_speedup(benchmark, monkeypatch):
         f"(spread {fast['prepare_seconds']['spread']:.3f}), "
         f"bit-plane {bitplane_side['prepare_seconds']['min']:.3f} s "
         f"(spread {bitplane_side['prepare_seconds']['spread']:.3f})",
-        f"  bit-plane compile + dense pass: {bp_phases['min']:.3f} s "
-        f"(spread {bp_phases['spread']:.3f}; dense rung stride "
-        f"{bp_exp.dense_rung_stride})",
+        f"  bit-plane schedule compile: {bp_compile['min']:.3f} s "
+        f"(spread {bp_compile['spread']:.3f})",
         f"  wall speedup with prepare: "
         f"{detail['speedup_wall_with_prepare']:10.2f} x",
         f"  records bit-identical:     {detail['records_bit_identical']}",

@@ -31,7 +31,6 @@ from repro.sfi import (
     per_kind_campaigns,
     per_ring_campaigns,
     per_unit_campaigns,
-    run_supervised_campaign,
     sample_size_experiment,
 )
 
@@ -67,6 +66,5 @@ __all__ = [
     "per_kind_campaigns",
     "per_ring_campaigns",
     "per_unit_campaigns",
-    "run_supervised_campaign",
     "sample_size_experiment",
 ]

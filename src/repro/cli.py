@@ -1140,8 +1140,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="scalar",
                    help="trial execution backend: 'bitplane' packs up to "
                         "63 trials per machine word and resolves them "
-                        "against the compiled golden schedule; records "
-                        "are byte-identical to the scalar backend")
+                        "against the compiled golden schedule, and runs "
+                        "the trials it cannot resolve on the scalar "
+                        "path; records are byte-identical to the scalar "
+                        "backend")
     p.add_argument("--wave-lanes", type=int, default=None, metavar="N",
                    help="bitplane backend: trials per wave (1-63, "
                         "default 63)")

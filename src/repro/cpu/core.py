@@ -30,10 +30,6 @@ from repro.cpu.regfile import RegisterFile
 from repro.cpu.rut import CKPT_CR, CKPT_CTR, CKPT_LR, CKPT_PC, Rut
 
 
-#: Distinct digest masks whose kept-latch lists a core caches at once.
-_KEPT_MASKS = 32
-
-
 @dataclass
 class CoreSnapshot:
     """Complete machine state captured at a cycle boundary."""
@@ -101,9 +97,6 @@ class Power6Core:
                 self._unit_of_latch[id(latch)] = unit_name
         self._arrays = [self.ifu.icache.array, self.lsu.dcache.array,
                         self.rut.ckpt]
-        # Masked digests: mask -> the latches it keeps (see
-        # ``_kept_latches``).  A campaign uses one mask per testcase.
-        self._kept_by_mask: dict[frozenset, list[Latch]] = {}
 
     # ------------------------------------------------------------------
     # Structure queries (used by the emulator and the SFI framework).
@@ -280,8 +273,7 @@ class Power6Core:
     # ------------------------------------------------------------------
     # State digests (the fast path's golden-match primitive).
 
-    def state_digest(self, exclude: frozenset | None = None,
-                     include_cycle: bool = True) -> int:
+    def state_digest(self) -> int:
         """Order-stable digest of the complete *machine* state.
 
         Covers everything that determines future behaviour — every latch
@@ -292,40 +284,20 @@ class Power6Core:
         runs whose digests match evolve identically from here even though
         their logs differ (the injected run carries an INJECTION event).
 
-        ``exclude`` masks a set of latches out of the digest, given as
-        positions in :meth:`all_latches` order: excluded latches are
-        *omitted* from the value and parity sections (not hashed as
-        placeholders), so two states digested under the same mask match
-        exactly when they agree everywhere *outside* it.  The mask is
-        resolved once to the latches it keeps (cached per mask), so a
-        masked digest costs only the kept latches.  The bit-plane
-        backend's set-masked early exit compares against a golden trail
-        digested with the same exclusion; ``None`` and the empty set give
-        the full digest.
-
-        ``include_cycle=False`` drops the cycle counter from the digest,
-        producing a *lag-free* digest: a trial delayed by recovery can
-        match the golden trajectory at an earlier cycle — same machine,
-        shifted in time — which the bit-plane drain exploits to rejoin
-        recovered lanes onto the golden tail.
-
         The value is a built-in ``hash()`` over ints, bools, tuples and a
         frozenset of int pairs only, which every process of one
         interpreter build hashes alike (no ``str``, whose hash is salted
         per process, and no ``None``, whose hash is address-based on
-        3.10 and 3.11: the lag-free form puts -1 in the cycle slot).  So
-        a digest compares across the processes of one build, which is
-        how pool workers drain against their parent's golden digests,
-        but not across builds, and it is never persisted.  Its sections
-        are read straight from the live state — no snapshot copies, no
-        sort — and :meth:`same_state` is the exact comparison a digest
-        hit stands for.
+        3.10 and 3.11).  So a digest compares across the processes of
+        one build, which is how pool workers drain against their
+        parent's golden digests, but not across builds, and it is never
+        persisted.  Its sections are read straight from the live state —
+        no snapshot copies, no sort — and :meth:`same_state` is the
+        exact comparison a digest hit stands for.
         """
-        latches = self._kept_latches(exclude) if exclude \
-            else self._all_latches
+        latches = self._all_latches
         return hash((
-            self.cycles if include_cycle else -1,
-            self.halted, self.commits_prev, self.committed,
+            self.cycles, self.halted, self.commits_prev, self.committed,
             tuple([latch.value for latch in latches]),
             tuple([latch.par for latch in latches]),
             self.memory.nonzero_items(),
@@ -333,33 +305,16 @@ class Power6Core:
                    for part in array.contents()]),
         ))
 
-    def _kept_latches(self, exclude: frozenset) -> list[Latch]:
-        """The latches outside ``exclude``, in :meth:`all_latches` order."""
-        kept = self._kept_by_mask.get(exclude)
-        if kept is None:
-            if len(self._kept_by_mask) >= _KEPT_MASKS:
-                self._kept_by_mask.clear()
-            kept = [latch for index, latch in enumerate(self._all_latches)
-                    if index not in exclude]
-            self._kept_by_mask[exclude] = kept
-        return kept
-
-    def same_state(self, snap: CoreSnapshot,
-                   exclude: frozenset | None = None,
-                   include_cycle: bool = True) -> bool:
+    def same_state(self, snap: CoreSnapshot) -> bool:
         """Does the live machine equal ``snap`` on everything
-        :meth:`state_digest` covers under the same ``exclude`` and
-        ``include_cycle``?  The exact check a digest match only
-        suggests: a 64-bit hash can collide, this comparison cannot."""
-        if include_cycle and self.cycles != snap.cycles:
+        :meth:`state_digest` covers?  The exact check a digest match
+        only suggests: a 64-bit hash can collide, this comparison
+        cannot."""
+        if (self.cycles, self.halted, self.commits_prev, self.committed) != \
+                (snap.cycles, snap.halted, snap.commits_prev, snap.committed):
             return False
-        if (self.halted, self.commits_prev, self.committed) != \
-                (snap.halted, snap.commits_prev, snap.committed):
-            return False
-        exclude = exclude or frozenset()
-        for index, (latch, saved) in enumerate(
-                zip(self._all_latches, snap.latches)):
-            if index not in exclude and (latch.value, latch.par) != saved:
+        for latch, saved in zip(self._all_latches, snap.latches):
+            if (latch.value, latch.par) != saved:
                 return False
         if self.memory.nonzero_words() != \
                 {index: word for index, word in snap.memory.items() if word}:

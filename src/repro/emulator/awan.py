@@ -128,10 +128,6 @@ class AwanEmulator:
             return len(self._ladder)
         return sum(1 for key in self._ladder if key[0] == name)
 
-    def rung_cycles(self, name: str) -> list[int]:
-        """Cycles of the rungs held for checkpoint ``name``, ascending."""
-        return sorted(key[1] for key in self._ladder if key[0] == name)
-
     def save_rung(self, name: str) -> None:
         """Snapshot the current (mid-execution) state as a ladder rung
         for checkpoint ``name`` at the current cycle."""

@@ -53,14 +53,6 @@ PLANE_LANES = 64
 GOLDEN_LANE = 0
 MAX_WAVE_TRIALS = PLANE_LANES - 1
 
-#: Strides of the bit-plane side's own golden instrumentation (denser
-#: than the scalar fast path's, because a peeled lane re-enters close
-#: to its first-read cycle and exits at the first licensed boundary).
-#: The rung stride is a floor: an experiment widens it until its dense
-#: rungs fit the ladder bound (``SfiExperiment.dense_rung_stride``).
-BITPLANE_DIGEST_STRIDE = 8
-BITPLANE_RUNG_STRIDE = 4
-
 
 class BitplaneCompileError(RuntimeError):
     """Generated plane code failed its pre-exec lint or compile."""
@@ -314,10 +306,7 @@ class CompiledSchedule:
 
     Holds, per latch (keyed by position in ``core.all_latches()``
     order), the sequence-exact read/write streams of every domain, the
-    cycle->sequence boundary marks, the initial state, and the
-    *never-read mask set* — latches the golden run never reads in any
-    domain, whose divergence therefore cannot influence a
-    golden-mirroring trial (the licence for the set-masked early exit).
+    cycle->sequence boundary marks and the initial state.
 
     Instances are immutable by convention (all streams tupled at build
     time) and shared across experiments via the compile cache, so the
@@ -333,8 +322,8 @@ class CompiledSchedule:
         self.total_seq = trace.seq
         self.marks = tuple(trace.marks)
         self.initial = trace.initial
-        latches = core.all_latches()
-        positions = {id(latch): i for i, latch in enumerate(latches)}
+        positions = {id(latch): i
+                     for i, latch in enumerate(core.all_latches())}
 
         def _by_index(table):
             return {positions[key]: tuple(stream)
@@ -356,11 +345,6 @@ class CompiledSchedule:
         self.bw_seq = _bits_by_index(trace.bw_seq)
         self.bw_cyc = _bits_by_index(trace.bw_cyc)
         self.bw_val = _bits_by_index(trace.bw_val)
-        bit_read_ids = {key[0] for key in self.br}
-        self.mask_indices = frozenset(
-            index for index in range(len(latches))
-            if index not in self.vr and index not in self.pr
-            and index not in bit_read_ids)
         self._kernels: dict = {}
         self.kernel_sources: list[str] = []
 
@@ -443,22 +427,6 @@ class CompiledSchedule:
             level = self.bw_val[(index, bit)][pos] & 1
         return level
 
-    def whole_write_after(self, index: int, cycle: int,
-                          is_parity: bool = False) -> bool:
-        """Does the golden run whole-write this latch domain after
-        ``cycle``?  (Masked-exit reconstruction: if yes, the trial's
-        final value is the golden final value.)"""
-        cycles = (self.pw_cyc if is_parity else self.vw_cyc).get(index, ())
-        return bool(cycles) and cycles[-1] > cycle
-
-    def bits_written_after(self, index: int, cycle: int) -> int:
-        """Mask of bits the golden run bit-writes after ``cycle``."""
-        mask = 0
-        for (idx, bit), cycles in self.bw_cyc.items():
-            if idx == index and cycles and cycles[-1] > cycle:
-                mask |= 1 << bit
-        return mask
-
     # -- wave resolution (generated plane kernels) ---------------------
 
     def resolve_wave(self, lanes):
@@ -468,8 +436,8 @@ class CompiledSchedule:
         inject_cycle)`` tuples, at most :data:`MAX_WAVE_TRIALS` long;
         entry *i* rides plane-word bit ``i + 1`` (bit 0 is the golden
         lane).  Returns a list of per-lane fates: ``("peel", cycle)``
-        with the golden first-read cycle to re-enter the scalar path
-        at, ``("converge", None)`` or ``("survive", None)``.
+        with the cycle golden first reads the flipped bit in,
+        ``("converge", None)`` or ``("survive", None)``.
         """
         if len(lanes) > MAX_WAVE_TRIALS:
             raise ValueError(

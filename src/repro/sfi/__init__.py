@@ -37,7 +37,6 @@ from repro.sfi.supervisor import (
     CampaignExecutionError,
     CampaignProgress,
     CampaignSupervisor,
-    run_supervised_campaign,
 )
 from repro.sfi.classify import ClassifyOptions, classify
 from repro.sfi.experiments import SampleSizePoint, sample_size_experiment
@@ -84,7 +83,6 @@ __all__ = [
     "verify_journal",
     "plan_injections",
     "run_parallel_campaign",
-    "run_supervised_campaign",
     "load_campaign",
     "macro_campaign",
     "merge_campaigns",

@@ -24,11 +24,8 @@ from repro.cpu.core import CoreSnapshot, Power6Core
 from repro.cpu.events import EventKind, EventLog, MachineEvent
 from repro.cpu.tainttrace import TaintTracker, detection_info, taint_trace
 from repro.cpu.params import CoreParams
-from repro.cpu.pervasive import R_IDLE
 from repro.emulator.awan import AwanEmulator
 from repro.emulator.bitplane import (
-    BITPLANE_DIGEST_STRIDE,
-    BITPLANE_RUNG_STRIDE,
     MAX_WAVE_TRIALS,
     ScheduleTrace,
     compile_netlist,
@@ -216,8 +213,7 @@ class PreparedState:
     """Everything :meth:`SfiExperiment._prepare` builds: the AVP suite,
     each testcase's fault-free reference and golden trace, the
     emulator's cycle-0 checkpoints and ladder rungs, and on the
-    bit-plane backend each testcase's compiled schedule, lag map and
-    masked digest trail plus the dense rung stride.
+    bit-plane backend each testcase's compiled schedule.
 
     Nothing in it depends on the process that built it: latches are
     keyed by position, never by ``id()``, and its digests are ones any
@@ -236,11 +232,6 @@ class PreparedState:
     rungs: list[tuple[tuple[str, int], CoreSnapshot]] = field(
         default_factory=list)
     schedules: list = field(default_factory=list)
-    # Per testcase: set-masked lag-free digest -> first golden cycle.
-    lagmaps: list[dict[int, int]] = field(default_factory=list)
-    # Per testcase: cycle -> set-masked golden digest.
-    masked_trails: list[dict[int, int]] = field(default_factory=list)
-    dense_rung_stride: int | None = None
 
 
 # Injection latency is milliseconds-scale on the software backend.
@@ -508,13 +499,9 @@ class SfiExperiment:
         """Build the AVP suite, then checkpoint each testcase at cycle 0,
         establish its fault-free reference execution, and (on the fast
         path) build its checkpoint ladder and golden digest trail along
-        the way.
-
-        The bit-plane backend compiles each testcase's schedule right
-        after its reference run, then — once every golden length is
-        known — derives the dense rung stride that fits the ladder bound
-        and lays its instrumentation down in a second pass.  Everything
-        built goes into the returned state; the caller installs it."""
+        the way; the bit-plane backend also compiles each testcase's
+        schedule from its reference run.  Everything built goes into the
+        returned state; the caller installs it."""
         config = self.config
         emulator = self.emulator
         state = PreparedState(suite=make_suite(
@@ -526,12 +513,6 @@ class SfiExperiment:
             state.references.append(
                 self._reference_run(testcase, index, state))
             emulator.reload(self._ckpt_name(index))
-        if self.bitplane:
-            state.dense_rung_stride = self._fit_dense_rung_stride(
-                state.goldens)
-            for index in range(len(state.suite)):
-                self._bitplane_prepare(index, state)
-                emulator.reload(self._ckpt_name(index))
         state.checkpoints, state.rungs = emulator.saved_states()
         return state
 
@@ -545,13 +526,8 @@ class SfiExperiment:
         self.suite = state.suite
         self.references = state.references
         self.goldens = state.goldens
-        # Bit-plane: per-testcase compiled schedules plus the dense
-        # digest trails (lag-free and never-read-set masked) the wave
-        # path drains against; the dense rung stride (None: none laid).
+        # Bit-plane: per-testcase compiled schedules.
         self.schedules = state.schedules
-        self._bp_lagmap = state.lagmaps
-        self._bp_masked = state.masked_trails
-        self.dense_rung_stride = state.dense_rung_stride
         self.emulator.load_saved_states(state.checkpoints, state.rungs)
         self.emulator.reload(self._ckpt_name(len(state.suite) - 1))
 
@@ -926,83 +902,6 @@ class SfiExperiment:
                      tuple(sorted(config.mode_overrides.items())))
         return compile_netlist(self.core, recorder, cache_key=cache_key)
 
-    def _fit_dense_rung_stride(self,
-                               goldens: list[GoldenTrace]) -> int | None:
-        """The smallest stride >= ``BITPLANE_RUNG_STRIDE`` at which every
-        testcase's dense rungs, together with the ``ckpt_stride`` rungs
-        its reference run already laid, fit the ladder bound — so the
-        LRU evicts none of them before the campaign can use them.
-
-        The dense pass saves a rung at every multiple of the stride up to
-        and including the golden end cycle; a multiple that already holds
-        a rung replaces it rather than adding one.  None when not even
-        one dense rung per testcase fits.
-        """
-        emulator = self.emulator
-        laid = [emulator.rung_cycles(self._ckpt_name(index))
-                for index in range(len(goldens))]
-        ends = [golden.end_cycle for golden in goldens]
-        budget = emulator.max_rungs
-        for stride in range(BITPLANE_RUNG_STRIDE, max(ends) + 1):
-            held = sum(end // stride
-                       + sum(1 for cycle in cycles if cycle % stride)
-                       for cycles, end in zip(laid, ends))
-            if held <= budget:
-                return stride
-        return None
-
-    def _bitplane_prepare(self, index: int, state: PreparedState) -> None:
-        """Lay down the bit-plane side's dense instrumentation in a
-        second, untraced golden run.
-
-        The re-run replays the exact reference trajectory (chunk
-        boundaries cannot change cycle-by-cycle evolution — asserted
-        against the golden-final snapshot) and samples what the traced
-        run could not know yet: the *lag map* — every cycle's set-masked
-        lag-free digest mapped to its first occurrence, letting a trial
-        delayed by recovery rejoin the golden tail at an earlier golden
-        cycle — the set-masked digest trail for the frozen-flip check
-        (the never-read mask set only exists once the schedule is
-        compiled), and ladder rungs every ``dense_rung_stride`` cycles so
-        a peeled lane enters close to its first-read cycle.
-        """
-        core = self.core
-        emulator = self.emulator
-        golden = state.goldens[index]
-        testcase = state.suite[index]
-        mask = state.schedules[index].mask_indices
-        lagmap: dict[int, int] = {}
-        masked: dict[int, int] = {}
-        emulator.reload(self._ckpt_name(index))
-        end = golden.end_cycle
-        stride = BITPLANE_DIGEST_STRIDE
-        rung_stride = state.dense_rung_stride
-        # First occurrence wins: if two golden cycles digest identically
-        # outside the mask set, their futures mirror (the digest covers
-        # everything that drives evolution), so rejoining through the
-        # earlier one reconstructs the same final state and event tail.
-        lagmap.setdefault(
-            core.state_digest(exclude=mask, include_cycle=False),
-            core.cycles)
-        while core.cycles < end and not core.quiesced:
-            if emulator.clock(1) < 1:
-                break
-            cycle = core.cycles
-            if rung_stride is not None and cycle % rung_stride == 0:
-                emulator.save_rung(self._ckpt_name(index))
-            if cycle < end:
-                lagmap.setdefault(
-                    core.state_digest(exclude=mask, include_cycle=False),
-                    cycle)
-                if cycle % stride == 0:
-                    masked[cycle] = core.state_digest(exclude=mask)
-        if core.snapshot() != golden.final:
-            raise AvpBaselineError(
-                f"testcase seed={testcase.seed}: bit-plane golden re-run "
-                "diverged from the reference trajectory")
-        state.lagmaps.append(lagmap)
-        state.masked_trails.append(masked)
-
     def _run_waves(self, scheduled, records, record_hook) -> None:
         """Batch scheduled plan items into waves and execute them.
 
@@ -1034,10 +933,10 @@ class SfiExperiment:
         """Resolve one wave in-plane and execute its lanes.
 
         In-plane fates (converge/survive) reconstruct their records
-        host-side at zero simulation cost; peeled lanes fall to the
-        scalar path (:meth:`_run_peeled`, or plain :meth:`run_one` when
-        the wave could not be resolved in-plane at all — non-TOGGLE
-        modes and goldens with truncated event logs).
+        host-side at zero simulation cost; every peeled lane runs the
+        scalar trial (:meth:`run_one`), whether the golden run consumes
+        its flip or the wave could not be resolved in-plane at all
+        (non-TOGGLE modes and goldens with truncated event logs).
         """
         config = self.config
         inst = self._instruments
@@ -1058,18 +957,17 @@ class SfiExperiment:
         if inst is not None:
             inst.waves.inc()
             inst.wave_occupancy.observe(float(len(wave)))
-        for (item, inject_cycle), (fate, read_cycle) in zip(wave, fates):
+        if in_plane:
+            reason = "consumed"
+        elif config.injection_mode is not InjectionMode.TOGGLE:
+            reason = "mode"
+        else:
+            reason = "no-golden"
+        for (item, inject_cycle), (fate, _cycle) in zip(wave, fates):
             start = time.perf_counter() if inst is not None else 0.0
             if fate == "peel":
-                if not in_plane:
-                    reason = ("mode" if config.injection_mode
-                              is not InjectionMode.TOGGLE else "no-golden")
-                    record = self.run_one(item.site_index, tc_index,
-                                          inject_cycle)
-                else:
-                    reason = "consumed"
-                    record = self._run_peeled(item.site_index, tc_index,
-                                              inject_cycle, read_cycle)
+                record = self.run_one(item.site_index, tc_index,
+                                      inject_cycle)
                 if inst is not None:
                     inst.wave_peels.inc(reason=reason)
             else:
@@ -1158,201 +1056,17 @@ class SfiExperiment:
             trace=tuple(core.event_log),
         )
 
-    def _run_peeled(self, site_index: int, tc_index: int, inject_cycle: int,
-                    read_cycle: int) -> InjectionRecord:
-        """Scalar execution of a peeled wave lane.
-
-        Until the golden run first *reads* the diverged bit (at
-        ``read_cycle``) the trial is bit-identical to golden everywhere
-        else, so enter at the densest ladder rung at or below
-        ``read_cycle - 1``: re-apply the flip in place, rebuild the
-        event prefix the trial would carry (golden prefix + INJECTION
-        splice), and drain against the dense bit-plane digest trail.
-        """
-        config = self.config
-        emulator = self.emulator
-        core = self.core
-        reference = self.references[tc_index]
-        golden = self.goldens[tc_index]
-        inst = self._instruments
-        name = self._ckpt_name(tc_index)
-        entry_target = inject_cycle
-        if read_cycle is not None:
-            entry_target = max(inject_cycle, read_cycle - 1)
-        start_cycle = emulator.restore_nearest(name, entry_target)
-        skipped = 0
-        if start_cycle <= inject_cycle:
-            if inject_cycle > start_cycle:
-                emulator.clock(inject_cycle - start_cycle)
-            site = emulator.inject(site_index, config.injection_mode,
-                                   config.sticky_cycles)
-        else:
-            # Entered from a golden rung *after* the injection point:
-            # no golden event touches the bit in (inject, entry], so the
-            # trial state there is the golden state plus the flip.
-            site = self.latch_map.site(site_index)
-            level = site.inject()
-            emulator.stats.injections += 1
-            log = core.event_log
-            log.clear()
-            log.replay(event for event in golden.events
-                       if event.cycle <= inject_cycle)
-            log.record(inject_cycle, EventKind.INJECTION,
-                       f"{site.name} -> {level} "
-                       f"({config.injection_mode.value})")
-            log.replay(event for event in golden.events
-                       if inject_cycle < event.cycle <= start_cycle)
-            skipped = start_cycle - inject_cycle
-        budget = ((reference.cycles - inject_cycle) + config.drain_cycles
-                  - skipped)
-        exit_info = self._drain_bitplane(tc_index, budget, site)
-        cycles_saved = start_cycle
-        exit_kind = None
-        if exit_info is not None:
-            exit_kind, cut = exit_info
-            schedule = self.schedules[tc_index]
-            # ``cut`` is the *golden* cycle the trial rejoined at; the
-            # trial itself sits ``delta`` cycles later (recovery stalls
-            # it, then it replays the golden trajectory shifted in
-            # time).  The remaining trial evolution is the golden tail
-            # after ``cut`` with every cycle stamp shifted by ``delta``.
-            delta = core.cycles - cut
-            cycles_saved += golden.end_cycle - cut
-            frozen = (site.latch.value, site.latch.par)
-            mask_state = [(i, self._latches[i].value, self._latches[i].par)
-                          for i in schedule.mask_indices]
-            events = core.event_log.snapshot()
-            core.restore(golden.final)
-            core.cycles += delta
-            core.event_log.restore(events)
-            tail = (event for event in golden.events if event.cycle > cut)
-            if delta:
-                tail = (MachineEvent(event.cycle + delta, event.kind,
-                                     event.detail) for event in tail)
-            core.event_log.replay(tail)
-            # Mask-set latches are never read, so the trial's writes to
-            # them mirror golden's (time-shifted): a whole-write after
-            # the cut lands the golden final value (already restored);
-            # otherwise the trial value at the cut persists, with golden
-            # bit-writes after the cut merged over it.
-            for i, value, par in mask_state:
-                latch = self._latches[i]
-                final_value, _final_par = golden.final.latches[i]
-                if not schedule.whole_write_after(i, cut):
-                    bits = schedule.bits_written_after(i, cut)
-                    latch.value = (value & ~bits) | (final_value & bits)
-                if not schedule.whole_write_after(i, cut, is_parity=True):
-                    latch.par = par
-            if exit_kind == "masked":
-                site.latch.value, site.latch.par = frozen
-        outcome = classify(core, reference.testcase,
-                           config.classify_options)
-        if inst is not None:
-            if start_cycle > 0:
-                inst.ladder_hits.inc()
-            else:
-                inst.ladder_misses.inc()
-            if exit_kind is not None:
-                inst.early_exits.inc(reason=exit_kind)
-            inst.cycles_saved.observe(float(cycles_saved))
-        extras = {"saved_cycles": cycles_saved}
-        if exit_kind is not None:
-            extras["exit"] = exit_kind
-        self.last_fastpath = extras
-        self.last_provenance = None
-        return InjectionRecord(
-            site_index=site_index,
-            site_name=site.name,
-            unit=self.latch_map.unit_of(site_index),
-            kind=site.latch.kind,
-            ring=site.latch.ring,
-            testcase_seed=reference.testcase.seed,
-            inject_cycle=inject_cycle,
-            outcome=outcome,
-            trace=tuple(core.event_log),
-        )
-
-    def _drain_bitplane(self, tc_index: int, budget: int,
-                        site) -> tuple[str, int] | None:
-        """Peeled-lane drain against the bit-plane lag map.
-
-        Every drained cycle, the trial's set-masked *lag-free* digest
-        (cycle counter excluded, never-read mask set excluded — neither
-        can influence future golden-mirroring evolution) is looked up in
-        the golden lag map.  A hit at golden cycle ``u`` means the trial
-        is the golden machine at ``u``, possibly delayed: recovery
-        stalls the pipeline for a handful of cycles, after which the
-        trial replays the golden trajectory shifted in time, which a
-        same-cycle compare can never see.  Returns ``("rejoin", u)``.
-
-        A second, stride-cadence check handles the flip that golden
-        never reads again (``("masked", cycle)``): the diverged latch is
-        inert, so compare with it temporarily held at its golden-final
-        value.  Checks are skipped while a sticky fault still re-arms
-        (the flip keeps returning) and while the recovery sequencer is
-        active (golden never leaves ``R_IDLE``, so no digest can match).
-
-        A digest match is only a 64-bit hash match, so every hit is
-        confirmed exactly (:meth:`_confirm_hit`) before the caller
-        reconstructs from it; a collision is counted and the drain goes
-        on.
-        """
-        core = self.core
-        emulator = self.emulator
-        golden = self.goldens[tc_index]
-        schedule = self.schedules[tc_index]
-        lagmap = self._bp_lagmap[tc_index]
-        masked_trail = self._bp_masked[tc_index]
-        mask = schedule.mask_indices
-        stride = BITPLANE_DIGEST_STRIDE
-        end = golden.end_cycle
-        latch = site.latch
-        latch_index = self._latch_index[id(latch)]
-        in_mask = latch_index in mask
-        last_touch = golden.last_touch.get(latch_index, -1)
-        frozen = golden.final.latches[latch_index]
-        rstate = core.pervasive.rstate
-        remaining = budget
-        while remaining > 0:
-            run = emulator.clock(1)
-            remaining -= run
-            if run < 1 or core.quiesced:
-                return None
-            if emulator.sticky_pending or rstate.value != R_IDLE:
-                continue
-            rejoin = lagmap.get(
-                core.state_digest(exclude=mask, include_cycle=False))
-            if rejoin is not None and self._confirm_hit(
-                    tc_index, "rejoin", rejoin, mask):
-                return ("rejoin", rejoin)
-            cycle = core.cycles
-            if (not in_mask and cycle < end and cycle % stride == 0
-                    and last_touch <= cycle):
-                reference_masked = masked_trail.get(cycle)
-                if reference_masked is None:
-                    continue
-                held = (latch.value, latch.par)
-                latch.value, latch.par = frozen
-                masked_digest = core.state_digest(exclude=mask)
-                latch.value, latch.par = held
-                if masked_digest == reference_masked and self._confirm_hit(
-                        tc_index, "masked", cycle, mask,
-                        held=[(latch_index, frozen)]):
-                    return ("masked", cycle)
-        return None
-
     def _confirm_hit(self, tc_index: int, exit_kind: str, golden_cycle: int,
-                     mask: frozenset | None = None, held=()) -> bool:
+                     held=()) -> bool:
         """Check a drain's digest hit exactly against the golden state.
 
         Snapshots the trial, rebuilds the golden machine at
         ``golden_cycle`` (nearest rung at or below it, then clocked the
-        rest of the way), compares everything the digest covers outside
-        ``mask`` — the cycle counter for every hit but a lag-free
-        ``rejoin``, and with each ``held`` ``(latch index, (value,
-        par))`` override applied to the trial side — and restores the
-        trial.  A mismatch is a digest collision: counted in
-        ``sfi_digest_collisions_total{exit}``, and the hit is refused.
+        rest of the way), compares everything the digest covers, with
+        each ``held`` ``(latch index, (value, par))`` override applied to
+        the trial side, and restores the trial.  A mismatch is a digest
+        collision: counted in ``sfi_digest_collisions_total{exit}``, and
+        the hit is refused.
         """
         core = self.core
         emulator = self.emulator
@@ -1366,8 +1080,7 @@ class SfiExperiment:
         start = emulator.restore_nearest(self._ckpt_name(tc_index),
                                          golden_cycle)
         emulator.clock(golden_cycle - start)
-        same = core.same_state(expected, exclude=mask,
-                               include_cycle=exit_kind != "rejoin")
+        same = core.same_state(expected)
         core.restore(trial)
         if not same and self._instruments is not None:
             self._instruments.digest_collisions.inc(exit=exit_kind)

@@ -1042,10 +1042,3 @@ class CampaignSupervisor:
         finally:
             inbox.close()  # the worker holds its own end
         return process, sender
-
-
-def run_supervised_campaign(config: CampaignConfig, sites: list[int],
-                            seed: int = 0, **kwargs) -> CampaignResult:
-    """Convenience wrapper: build a :class:`CampaignSupervisor` and run."""
-    supervisor = CampaignSupervisor(config, **kwargs)
-    return supervisor.run(sites, seed)

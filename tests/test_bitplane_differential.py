@@ -4,9 +4,9 @@
 reconstructs most records without simulating a single trial cycle; the
 claim, exactly like the fast path's, is records *bit-identical* to the
 seed slow path — same outcome, same inject cycle, same event trace —
-for every lane fate: in-plane converge/survive reconstructions, peeled
-lanes re-entered mid-wave from the ladder, lag-shifted rejoins of
-recovered lanes, and the non-TOGGLE scalar fallback.
+for every lane fate: in-plane converge/survive reconstructions, and
+peeled lanes and the non-TOGGLE fallback, both of which run the scalar
+trial.
 
 The suite runs the fixed mini-campaigns of the fast-path suite (their
 slow-path outcomes jointly span every class) across wave sizes
@@ -130,8 +130,8 @@ def test_mid_wave_peels_alongside_plane_fates(slow_records):
 
     The toggle campaign resolves some lanes in-plane (converge/survive,
     record reconstructed host-side) while peeling others of the *same
-    wave* to the scalar path at their first-read cycle; both kinds must
-    coexist and still match the slow path record-for-record."""
+    wave* to the scalar trial; both kinds must coexist and still match
+    the slow path record-for-record."""
     fates = {}
     _overrides, seed, _flips = CASES["toggle"]
     experiment, result = _bitplane("toggle", wave_lanes=63)
@@ -157,33 +157,10 @@ def test_mid_wave_peels_alongside_plane_fates(slow_records):
     assert result.records == slow_records("toggle")
 
 
-def test_lag_rejoin_of_recovered_lanes():
-    """Recovery-delayed lanes rejoin the golden tail time-shifted; the
-    drain must classify them without simulating to quiesce, and the
-    reconstructed records still match the scalar path bit-for-bit.
-
-    Uses the bench campaign (seed 2008, 120 flips — the seed-4 toggle
-    mini-campaign draws no recovery survivors), compared against the
-    scalar fast path, itself bit-identical to the slow path by the
-    fast-path suite."""
-    seed, flips = 2008, 120
-    fates = {}
-    _, fast_result = run_campaign({}, seed, flips, fastpath=True)
-    experiment, result = run_campaign({}, seed, flips, backend="bitplane")
-    experiment.fastpath_hook = \
-        lambda position, extras: fates.__setitem__(position, extras)
-    sites = [record.site_index for record in result.records]
-    result = experiment.run_campaign(sites, seed)
-    exits = {str(e.get("exit", "")) for e in fates.values()}
-    assert "rejoin" in exits, f"no lag rejoin fired (exits: {exits})"
-    assert result.records == fast_result.records
-
-
 def test_trace_ring_truncation_under_pressure(slow_records):
     """The reconstructed records splice golden event tails through the
     same bounded ring a full drain records through — with the ring
-    shrunk to 4 events, truncation must stay bit-identical, including
-    the time-shifted tails of lag-rejoined lanes."""
+    shrunk to 4 events, truncation must stay bit-identical."""
     overrides, seed, flips = CASES["toggle"]
     slow = run_campaign(overrides, seed, flips, fastpath=False,
                         trace_max_events=4)[1].records
@@ -206,56 +183,14 @@ def test_bitplane_simulates_fewer_cycles(slow_records):
         < fast_exp.emulator.stats.cycles_run
 
 
-@pytest.mark.parametrize("exit_kind", ["rejoin", "masked"])
-def test_false_digest_hits_are_confirmed_away(exit_kind, monkeypatch):
-    """Every drain hit is checked exactly before it is trusted.
-
-    ``state_digest`` is patched after prepare so the drain's probes
-    report hits that are false: for ``rejoin`` every lag-free probe
-    finds the golden cycle-0 entry of the lag map, for ``masked`` every
-    stride probe finds the golden masked trail's own value.  Each false
-    hit must be refused and counted in
-    ``sfi_digest_collisions_total{exit}``, and the drain must carry on
-    to the records the slow path writes."""
-    from repro.cpu.core import Power6Core
-    from repro.obs.metrics import MetricsRegistry
-    from repro.sfi import CampaignConfig, SfiExperiment
-
-    from tests.difftools import BASE_CONFIG, sample_sites
-
-    seed, flips = 2008, 120
-    registry = MetricsRegistry()
-    experiment = SfiExperiment(
-        CampaignConfig(**BASE_CONFIG, backend="bitplane"), metrics=registry)
-    sites = sample_sites(experiment, flips, seed)
-    slow = run_campaign({}, seed, flips, sites=sites,
-                        fastpath=False)[1].records
-
-    real_digest = Power6Core.state_digest
-    masks = {id(schedule.mask_indices): index
-             for index, schedule in enumerate(experiment.schedules)}
-
-    def false_digest(core, exclude=None, include_cycle=True):
-        index = masks.get(id(exclude))
-        if index is not None:
-            if exit_kind == "rejoin" and not include_cycle:
-                lagmap = experiment._bp_lagmap[index]
-                return next(key for key, cycle in lagmap.items()
-                            if cycle == 0)
-            if exit_kind == "masked" and include_cycle:
-                trail = experiment._bp_masked[index]
-                if core.cycles in trail:
-                    return trail[core.cycles]
-        return real_digest(core, exclude, include_cycle)
-
-    monkeypatch.setattr(Power6Core, "state_digest", false_digest)
-    records = experiment.run_campaign(sites, seed).records
-    monkeypatch.undo()
-
-    collisions = registry.get("sfi_digest_collisions_total")
-    assert collisions is not None
-    assert collisions.value(exit=exit_kind) > 0
-    mismatches = report_mismatches(f"bitplane/false-{exit_kind}", seed,
-                                   slow, records)
-    assert not mismatches, \
-        "a false digest hit reached the records:\n" + "\n".join(mismatches)
+def test_records_identical_without_ladder_rungs():
+    """With ``ladder_max_rungs=0`` the ladder holds no rung, so every
+    peeled lane replays from its testcase's cycle-0 checkpoint, and the
+    records are still the slow path's."""
+    seed, flips = 4, 24
+    experiment, result = run_campaign({}, seed, flips, backend="bitplane",
+                                      ladder_max_rungs=0)
+    assert experiment.emulator.rung_count() == 0
+    sites = [record.site_index for record in result.records]
+    slow = run_campaign({}, seed, flips, sites=sites, fastpath=False)[1]
+    assert result.records == slow.records

@@ -394,7 +394,7 @@ def test_shipped_machine_equals_a_fresh_one(kind):
     assert _built(loaded) == _built(fresh)
     assert loaded.goldens and loaded.emulator.rung_count()
     if kind == "bitplane":
-        assert loaded.schedules and loaded._bp_lagmap
+        assert loaded.schedules
 
 
 def test_a_field_prepare_does_not_ship_is_caught(monkeypatch):
@@ -513,12 +513,12 @@ def _journal_body(path: Path) -> list[dict]:
 
 
 #: Per kind, the sites seed and the fast-path exits a pool campaign
-#: must take: golden digests (scalar) and lag maps (``rejoin``) are what
-#: a worker compares its own digests against.
+#: must take: the parent's golden digests are what a worker compares its
+#: own digests against, on scalar trials and on bit-plane peels alike.
 POOL_PARITY = {
     "scalar": (41, {"golden", "frozen"}),
     "provenance": (42, set()),
-    "bitplane": (43, {"rejoin"}),
+    "bitplane": (44, {"golden", "wave-converge"}),
 }
 
 
@@ -546,10 +546,9 @@ def test_pool_exits_and_payloads_equal_the_serial_run(tmp_path, kind):
 # ----------------------------------------------------------------------
 # Digests compare across the processes of one interpreter build.
 
-def _digests(machine: SfiExperiment, mask: frozenset) -> list[tuple]:
-    """``(state, full, masked, lag-free digest)`` of every golden-final
-    state and of a few rung states of the first testcase, all masked
-    with ``mask``."""
+def _digests(machine: SfiExperiment) -> list[tuple]:
+    """``(state, digest)`` of every golden-final state and of a few rung
+    states of the first testcase."""
     _, rungs = machine.emulator.saved_states()
     first = [(key, snapshot) for key, snapshot in rungs
              if key[0] == "tc0"]
@@ -561,46 +560,36 @@ def _digests(machine: SfiExperiment, mask: frozenset) -> list[tuple]:
     digests = []
     for label, state in states:
         core.restore(state)
-        digests.append((label, core.state_digest(),
-                        core.state_digest(exclude=mask),
-                        core.state_digest(exclude=mask,
-                                          include_cycle=False)))
+        digests.append((label, core.state_digest()))
     return digests
 
 
-def _digests_in_child(config: CampaignConfig, path: str,
-                      mask: frozenset) -> list[tuple]:
+def _digests_in_child(config: CampaignConfig, path: str) -> list[tuple]:
     """In a spawned interpreter: load the shipped machine, digest it."""
     supervisor._load_prepared(config, path)
-    return _digests(prepared_machine(config), mask)
+    return _digests(prepared_machine(config))
 
 
 def test_digests_of_a_shipped_machine_match_in_another_interpreter():
-    machine = SfiExperiment(_config(1623, backend="bitplane"))
-    mask = machine.schedules[0].mask_indices
-    assert mask
+    machine = SfiExperiment(_config(1623))
     path = supervisor._ship_prepared(machine)
     try:
         with ProcessPoolExecutor(
                 1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            child = pool.submit(_digests_in_child, machine.config, path,
-                                mask).result()
+            child = pool.submit(_digests_in_child, machine.config,
+                                path).result()
     finally:
         os.unlink(path)
-    assert child == _digests(machine, mask)
+    assert child == _digests(machine)
     # What a worker's drain compares them with: the parent's golden
-    # digests, masked trail and lag map of the same testcase.
+    # digests of the same testcase.
     golden = machine.goldens[0]
-    rungs = [(label[1], full, masked, lag)
-             for label, full, masked, lag in child if label[0] == "tc0"]
+    rungs = [(label[1], digest) for label, digest in child
+             if label[0] == "tc0"]
     assert len(rungs) >= 3
-    for cycle, full, masked, lag in rungs:
-        assert golden.digests.get(cycle, full) == full
-        assert machine._bp_masked[0].get(cycle, masked) == masked
-        if cycle < golden.end_cycle:
-            assert machine._bp_lagmap[0][lag] <= cycle
-    assert any(cycle in golden.digests for cycle, *_ in rungs)
-    assert any(cycle in machine._bp_masked[0] for cycle, *_ in rungs)
+    for cycle, digest in rungs:
+        assert golden.digests.get(cycle, digest) == digest
+    assert any(cycle in golden.digests for cycle, _ in rungs)
 
 
 # ----------------------------------------------------------------------

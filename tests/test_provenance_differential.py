@@ -294,8 +294,7 @@ class _MatchesAny:
 
 def _match_every_digest(monkeypatch) -> None:
     monkeypatch.setattr(Power6Core, "state_digest",
-                        lambda core, exclude=None, include_cycle=True:
-                        _MatchesAny())
+                        lambda core: _MatchesAny())
 
 
 def test_false_tracked_hits_are_confirmed_away(monkeypatch):
@@ -327,19 +326,23 @@ def test_false_tracked_hits_are_confirmed_away(monkeypatch):
     assert not differ, f"a false tracked hit reached positions {differ}"
 
 
-def test_false_untracked_hits_are_confirmed_away(monkeypatch):
+@pytest.mark.parametrize("backend", ["scalar", "bitplane"])
+def test_false_untracked_hits_are_confirmed_away(monkeypatch, backend,
+                                                 baseline_records):
     """Every untracked ``golden`` and ``masked`` exit is checked exactly
-    before it is trusted.
+    before it is trusted, on the scalar path and on the bit-plane
+    backend's peeled lanes, which run the scalar trial.
 
     With ``state_digest`` patched after prepare as above, every digest
     probe of an untracked drain is a hit.  Hits on a trial that really
     differs from golden must be refused and counted in
-    ``sfi_digest_collisions_total{exit}``, and the records must still
-    be the slow path's."""
+    ``sfi_digest_collisions_total{exit}``, for both exits, and the
+    records must still be the slow path's."""
     overrides, seed, flips = CASES["toggle"]
-    oracle = _campaign("toggle", provenance=False, fastpath=False)[1].records
+    oracle = baseline_records("toggle", False)
     registry = MetricsRegistry()
-    experiment = SfiExperiment(CampaignConfig(**_BASE, **overrides),
+    experiment = SfiExperiment(CampaignConfig(**_BASE, **overrides,
+                                              backend=backend),
                                metrics=registry)
     sites = random_sample(experiment.latch_map, flips,
                           random.Random(seed ^ 0x5F1))
@@ -350,6 +353,7 @@ def test_false_untracked_hits_are_confirmed_away(monkeypatch):
     collisions = registry.get("sfi_digest_collisions_total")
     assert collisions is not None
     assert collisions.value(exit="golden") > 0
+    assert collisions.value(exit="masked") > 0
     differ = [position for position, (a, b) in enumerate(zip(oracle, records))
               if a != b]
     assert not differ, f"a false digest hit reached positions {differ}"

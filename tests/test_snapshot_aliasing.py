@@ -9,7 +9,9 @@ The fast path leans on two invariants of the core state machinery:
   to every architectural field (latch values *and* parity shadows, SRAM
   arrays, ECC check bits, memory, cycle/halt bookkeeping) and is
   deliberately insensitive to the event log, which is observational
-  (the injected run carries an INJECTION event the golden run lacks).
+  (the injected run carries an INJECTION event the golden run lacks);
+  ``same_state()``, the exact check a digest hit stands for, sees every
+  field the digest sees.
 
 Each mutation below flips exactly one mutable field class; the suite
 asserts digest sensitivity per field and full restore round-trips, then
@@ -20,7 +22,6 @@ prove rungs don't alias the live core or each other.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cpu.events import EventKind
 from repro.emulator.awan import AwanEmulator
@@ -131,6 +132,17 @@ def test_digest_changes_for_each_architectural_mutation(running_core, field):
         f"digest blind to {field} mutation"
 
 
+@pytest.mark.parametrize("field", sorted(MUTATIONS))
+def test_same_state_sees_each_architectural_mutation(running_core, field):
+    """``same_state`` is the exact check behind every confirmed digest
+    hit, so it must see every field the digest sees."""
+    snap = running_core.snapshot()
+    assert running_core.same_state(snap)
+    MUTATIONS[field](running_core)
+    assert not running_core.same_state(snap), \
+        f"same_state blind to {field} mutation"
+
+
 def test_digest_ignores_event_log(running_core):
     """Documented exclusion: the log is observational, not architectural."""
     before = running_core.state_digest()
@@ -213,40 +225,6 @@ def test_ladder_rungs_do_not_alias(running_core):
     assert running_core.state_digest() == digests[rungs[1]]
 
 
-def test_lagfree_digest_ignores_exactly_the_cycle_counter(running_core):
-    """``include_cycle=False`` is the lag-shifted rejoin's digest: blind
-    to the cycle counter (a recovery-delayed trial matches an earlier
-    golden cycle) and to nothing else."""
-    full = running_core.state_digest()
-    lagfree = running_core.state_digest(include_cycle=False)
-    running_core.cycles += 1
-    assert running_core.state_digest() != full
-    assert running_core.state_digest(include_cycle=False) == lagfree
-
-
-@pytest.mark.parametrize("field", sorted(set(MUTATIONS) - {"cycles"}))
-def test_lagfree_digest_sensitive_to_every_other_field(running_core, field):
-    before = running_core.state_digest(include_cycle=False)
-    MUTATIONS[field](running_core)
-    assert running_core.state_digest(include_cycle=False) != before, \
-        f"lag-free digest blind to {field} mutation"
-
-
-def test_exclusion_composes_with_lagfree_digest(running_core):
-    """The drain's actual compare: mask exclusion and cycle exclusion
-    are orthogonal — together they ignore the masked latch and the
-    cycle counter, and still see everything else."""
-    core = running_core
-    index = core.all_latches().index(core.rut.cmt_res)
-    mask = frozenset({index})
-    before = core.state_digest(exclude=mask, include_cycle=False)
-    core.rut.cmt_res.value ^= 1
-    core.cycles += 1
-    assert core.state_digest(exclude=mask, include_cycle=False) == before
-    core.pervasive.fir_rec.value ^= 1
-    assert core.state_digest(exclude=mask, include_cycle=False) != before
-
-
 # ----------------------------------------------------------------------
 # Bit-plane state: wave reconstructions restore golden snapshots and
 # splice event tails dozens of times per campaign — none of it may leak
@@ -312,140 +290,18 @@ def test_rung_restore_matches_replay_from_base(running_core):
     assert running_core.state_digest() == rung_digest
 
 
-# ----------------------------------------------------------------------
-# Masked digests: a mask omits exactly its own latches.  The bit-plane
-# drain digests under a compiled schedule's never-read set (most of the
-# core's latches), resolved once per mask to the latches it keeps.
-
-@pytest.fixture(scope="module")
-def bitplane_experiment():
-    """A prepared bit-plane experiment at the default core scale, so
-    its compiled mask is the real ~850-latch never-read set."""
-    from repro.sfi import CampaignConfig, SfiExperiment
-    return SfiExperiment(CampaignConfig(suite_size=2, backend="bitplane"))
-
-
-@pytest.fixture()
-def masked_core(bitplane_experiment):
-    """(core, mask): the experiment's core restored to a mid-run golden
-    rung, and testcase 0's compiled never-read mask."""
-    experiment = bitplane_experiment
-    experiment.emulator.restore_nearest("tc0", 300)
-    return experiment.core, experiment.schedules[0].mask_indices
-
-
-def _latch_state(core):
-    return [(latch.value, latch.par) for latch in core.all_latches()]
-
-
-def _flip(latch):
-    latch.value ^= 1
-
-
-def test_compiled_mask_is_the_real_never_read_set(masked_core):
-    core, mask = masked_core
-    assert 700 <= len(mask) < len(core.all_latches())
-
-
-@pytest.mark.parametrize("field", sorted(MUTATIONS))
-def test_masked_digest_sees_every_mutation_outside_the_mask(masked_core,
-                                                            field):
-    """A mutation changes the masked digest iff it reaches something
-    outside the mask: every non-latch field, and every latch field whose
-    latch the mask keeps."""
-    core, mask = masked_core
-    before = core.state_digest(exclude=mask)
-    latches_before = _latch_state(core)
-    MUTATIONS[field](core)
-    changed = {index for index, (old, new)
-               in enumerate(zip(latches_before, _latch_state(core)))
-               if old != new}
-    inside = bool(changed) and changed <= mask
-    assert (core.state_digest(exclude=mask) == before) == inside, \
-        f"masked digest wrong about {field} (latches {sorted(changed)})"
-
-
-def test_masked_digest_ignores_a_mutation_inside_the_mask(masked_core):
-    core, mask = masked_core
-    latches = core.all_latches()
-    before = core.state_digest(exclude=mask)
-    lagfree = core.state_digest(exclude=mask, include_cycle=False)
-    for index in sorted(mask)[::97]:
-        latches[index].value ^= 1
-        latches[index].par ^= 1
-    assert core.state_digest(exclude=mask) == before
-    assert core.state_digest(exclude=mask, include_cycle=False) == lagfree
-    assert core.state_digest() != core.state_digest(exclude=mask)
-
-
-def test_two_masks_each_ignore_exactly_their_own_latches(masked_core):
-    """Interleaved digests under two masks on one core: the per-mask
-    kept-latch cache must never hand one mask's latches to the other."""
-    core, mask = masked_core
-    latches = core.all_latches()
-    inside = sorted(mask)
-    only_a = frozenset(inside[: len(inside) // 2])
-    only_b = frozenset(inside[len(inside) // 2:])
-    a_latch = latches[inside[0]]
-    b_latch = latches[inside[-1]]
-    digest_a = core.state_digest(exclude=only_a)
-    digest_b = core.state_digest(exclude=only_b)
-    _flip(a_latch)
-    assert core.state_digest(exclude=only_a) == digest_a
-    assert core.state_digest(exclude=only_b) != digest_b
-    _flip(a_latch)
-    _flip(b_latch)
-    assert core.state_digest(exclude=only_b) == digest_b
-    assert core.state_digest(exclude=only_a) != digest_a
-    _flip(b_latch)
-    assert core.state_digest(exclude=only_a) == digest_a
-    assert core.state_digest(exclude=only_b) == digest_b
-
-
-def test_traced_digests_equal_untraced_digests(masked_core):
+def test_traced_digests_equal_untraced_digests(running_core):
     """Golden trails are digested inside ``suspended()`` windows of a
     traced run and compared against untraced drains: neither the hooked
     classes nor a suspension may change a digest."""
     from repro.cpu.access import suspended, trace
     from tests.test_access import RECORDERS
 
-    core, mask = masked_core
-    kinds = ({}, {"include_cycle": False}, {"exclude": mask},
-             {"exclude": mask, "include_cycle": False})
-    expected = [core.state_digest(**kwargs) for kwargs in kinds]
+    core = running_core
+    expected = core.state_digest()
     for make in RECORDERS.values():
         with trace([core], make(core)):
-            assert [core.state_digest(**kwargs)
-                    for kwargs in kinds] == expected
+            assert core.state_digest() == expected
             with suspended():
-                assert [core.state_digest(**kwargs)
-                        for kwargs in kinds] == expected
-    assert [core.state_digest(**kwargs) for kwargs in kinds] == expected
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_digest_changes_iff_flipped_latch_is_outside_the_mask(masked_core,
-                                                              data):
-    core, _mask = masked_core
-    latches = core.all_latches()
-    count = len(latches)
-    mask = frozenset(data.draw(
-        st.sets(st.integers(0, count - 1), max_size=count), label="mask"))
-    index = data.draw(st.integers(0, count - 1), label="latch")
-    latch = latches[index]
-    parity = data.draw(st.booleans(), label="parity")
-    bit = data.draw(st.integers(0, latch.width - 1), label="bit")
-    before = core.state_digest(exclude=mask)
-    if parity:
-        latch.par ^= 1
-    else:
-        latch.flip(bit)
-    after = core.state_digest(exclude=mask)
-    if parity:
-        latch.par ^= 1
-    else:
-        latch.flip(bit)
-    assert (after != before) == (index not in mask)
-    assert core.state_digest(exclude=mask) == before
+                assert core.state_digest() == expected
+    assert core.state_digest() == expected
