@@ -1,7 +1,7 @@
 """Latch access tracing: the one place that observes storage access.
 
-Golden last touch (:class:`TouchTrace`: the frozen, masked and tracked
-exits), the bit-plane schedule (``repro.emulator.bitplane``: in-plane
+Golden last touch (:class:`TouchTrace`: the frozen and tracked exits),
+the bit-plane schedule (``repro.emulator.bitplane``: in-plane
 wave classification), taint flow (``repro.cpu.tainttrace``: provenance
 payloads) and golden read sets (``repro.emulator.structural``: proven
 masking bounds) are all :class:`Recorder` subclasses, so there is one
@@ -122,7 +122,7 @@ class Recorder:
 class TouchTrace(Recorder):
     """Last-touch cycle per latch (keyed by ``id(latch)``).
 
-    The frozen, masked and tracked exits need one fact about the
+    The frozen and tracked exits need one fact about the
     fault-free run: after which cycle is a given latch never read or
     written again?  Each access is stamped with the cycle it happens in
     (``Core.cycle`` increments ``cycles`` before any unit runs), so a

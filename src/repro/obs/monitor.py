@@ -69,7 +69,7 @@ class JournalProgress:
     outcomes: Counter = field(default_factory=Counter)
     # Fast-path sidecars (the ``{"fastpath": ...}`` journal-line extras):
     # how many records carried one, summed cycles saved, and the early
-    # exits by reason ("frozen", "golden", "masked", "wave-survive", ...).
+    # exits by reason ("frozen", "golden", "wave-survive", ...).
     fastpath: int = 0
     saved_cycles: int = 0
     early_exits: Counter = field(default_factory=Counter)

@@ -25,11 +25,8 @@ from repro.sfi.storage import (
     JournalCursor,
     JournalDelta,
     JournalVerifyReport,
-    load_campaign,
-    merge_campaigns,
     record_from_dict,
     record_to_row,
-    save_campaign,
     scan_journal,
     verify_journal,
 )
@@ -83,10 +80,7 @@ __all__ = [
     "verify_journal",
     "plan_injections",
     "run_parallel_campaign",
-    "load_campaign",
     "macro_campaign",
-    "merge_campaigns",
-    "save_campaign",
     "CampaignResult",
     "ClassifyOptions",
     "HardeningReport",

@@ -149,8 +149,8 @@ class CampaignConfig:
     # When True, every trial is taint-tracked and produces a provenance
     # payload (propagation DAG, infection footprint, detection latency,
     # masking attribution) alongside its record.  On the fast path a
-    # TOGGLE flip golden never touches again takes the frozen exit with
-    # the payload of a tracker seeded at the flip (nothing can move its
+    # flip golden never touches again takes the frozen exit with the
+    # payload of a tracker seeded at the flip (nothing can move its
     # taint).  Any other tracked trial enters from a ladder rung (the
     # tracker is installed after the flip, so it never sees the prefix)
     # and takes only one drain exit, the confirmed taint-inert one: the
@@ -193,9 +193,9 @@ class GoldenTrace:
     cycle the fault-free run read or wrote that latch (the reference
     run's :class:`~repro.cpu.access.TouchTrace`, or on the bit-plane
     backend its ``ScheduleTrace``, which stamps it the same way) — the
-    licence for the frozen, masked and tracked early exits: a flip
-    confined to a latch the golden run never touches again is frozen,
-    so the trial's future is the golden future.  Positions, unlike the
+    licence for the frozen and tracked early exits: a flip confined to
+    a latch the golden run never touches again is frozen, so the
+    trial's future is the golden future.  Positions, unlike the
     recorder's ``id(latch)`` keys, mean the same latch in every
     process, so a golden travels to pool workers as it is.
     """
@@ -565,7 +565,7 @@ class SfiExperiment:
         :meth:`CommHost.run_until_quiesce` because chunking cannot change
         cycle-by-cycle evolution.  The whole run is latch-touch traced
         (rung/digest snapshots excepted — they are observational), which
-        licences the frozen, masked and tracked exits; on the bit-plane
+        licences the frozen and tracked exits; on the bit-plane
         backend the trace records the full access schedule, compiled
         here for the wave path.
         """
@@ -622,15 +622,15 @@ class SfiExperiment:
                 provenance: bool | None = None) -> InjectionRecord:
         """Perform a single injection and classify its outcome.
 
-        On the fast path a TOGGLE flip into a latch golden never touches
-        after ``inject_cycle`` is not simulated at all (the ``frozen``
-        exit, :meth:`_golden_record`).  Any other trial restores the
-        nearest ladder rung at or below ``inject_cycle`` (instead of
-        re-simulating from cycle 0) and ends the drain at the first
-        confirmed golden-digest match (instead of draining to quiesce).
-        All of these are equivalence-preserving, so the returned record
-        is bit-identical to the slow path's — the differential suite
-        (``pytest -m differential``) enforces this.
+        On the fast path a flip (TOGGLE or STICKY) into a latch golden
+        never touches after ``inject_cycle`` is not simulated at all (the
+        ``frozen`` exit, :meth:`_golden_record`).  Any other trial
+        restores the nearest ladder rung at or below ``inject_cycle``
+        (instead of re-simulating from cycle 0) and ends the drain at the
+        first confirmed golden-digest match (instead of draining to
+        quiesce).  All of these are equivalence-preserving, so the
+        returned record is bit-identical to the slow path's — the
+        differential suite (``pytest -m differential``) enforces this.
 
         ``provenance`` (default: the config flag) taint-tracks the trial
         and leaves its payload in ``last_provenance``.  A tracked frozen
@@ -650,7 +650,7 @@ class SfiExperiment:
         inst = self._instruments
         track = config.provenance if provenance is None else provenance
         fast = self.fastpath
-        if fast and config.injection_mode is InjectionMode.TOGGLE:
+        if fast:
             golden = self.goldens[testcase_index]
             latch = self.latch_map.site(site_index).latch
             if golden.usable and golden.last_touch.get(
@@ -659,7 +659,9 @@ class SfiExperiment:
                 # the cycle it happens in (``Core.cycle`` increments
                 # ``cycles`` first), so golden never reads or writes the
                 # latch after the flip.  The trial is golden plus the
-                # flip from here on by construction; nothing to simulate.
+                # flip from here on by construction, in either mode: a
+                # sticky hold re-asserts a level nothing rewrites, so it
+                # changes nothing.  Nothing to simulate.
                 record = self._golden_record(site_index, testcase_index,
                                              inject_cycle, "frozen")
                 if track:
@@ -691,7 +693,7 @@ class SfiExperiment:
               else nullcontext()) as tracker:
             if golden is not None and golden.usable:
                 exit_info = self._drain_with_digests(
-                    testcase_index, budget, site, tracker)
+                    testcase_index, budget, tracker)
             else:
                 self.host.run_until_quiesce(budget)
         tracker_payload = tracker.payload() if tracker is not None else None
@@ -769,7 +771,7 @@ class SfiExperiment:
                 payload["residual_tainted"]
         self.last_provenance = payload
 
-    def _drain_with_digests(self, tc_index: int, budget: int, site,
+    def _drain_with_digests(self, tc_index: int, budget: int,
                             tracker=None) -> tuple[str, list] | None:
         """Post-injection drain with golden-digest early-exit checks.
 
@@ -778,11 +780,8 @@ class SfiExperiment:
         boundary before the golden end to compare state digests.
         Returns ``(exit kind, held latches)`` on a confirmed match:
 
-        * ``"golden"``: the faulty state has fully rejoined the golden
-          trajectory (nothing held);
-        * ``"masked"``: it matches everywhere *except* the injected
-          latch, and the golden run never touches that latch again, so
-          the flip is frozen and inert (the injected latch is held);
+        * ``"golden"``, the only exit of an untracked trial: the faulty
+          state has fully rejoined the golden trajectory (nothing held);
         * ``"tracked"``, the only exit of a trial run under ``tracker``:
           the taint is provably inert (:meth:`_taint_inert`; every
           tainted latch is held).
@@ -801,12 +800,6 @@ class SfiExperiment:
         stride = max(1, config.digest_stride)
         digests = golden.digests
         end = golden.end_cycle
-        latch = site.latch
-        latch_index = self._latch_index[id(latch)]
-        # A latch absent from the trace was never touched at all — the
-        # most eligible case for the masked exit.
-        last_touch = golden.last_touch.get(latch_index, -1)
-        frozen = golden.final.latches[latch_index]
         remaining = budget
         while remaining > 0:
             cycle = core.cycles
@@ -833,19 +826,6 @@ class SfiExperiment:
                 if digest == core.state_digest() and self._confirm_hit(
                         tc_index, "golden", cycle):
                     return ("golden", [])
-                if last_touch <= cycle:
-                    # Golden never reads or writes the injected latch
-                    # after this cycle, so its golden value here equals
-                    # its golden-final value; compare with the latch
-                    # masked to it.
-                    held = (latch.value, latch.par)
-                    latch.value, latch.par = frozen
-                    masked = core.state_digest()
-                    latch.value, latch.par = held
-                    if masked == digest and self._confirm_hit(
-                            tc_index, "masked", cycle,
-                            held=[(latch_index, frozen)]):
-                        return ("masked", [latch])
         return None
 
     def _taint_inert(self, tc_index: int, cycle: int, digest: int,
@@ -1007,7 +987,7 @@ class SfiExperiment:
     def _golden_record(self, site_index: int, tc_index: int,
                        inject_cycle: int, exit_kind: str,
                        level: int | None = None) -> InjectionRecord:
-        """The record of a TOGGLE trial that is never simulated.
+        """The record of a trial that is never simulated.
 
         Its event sequence is the golden sequence with the INJECTION
         event spliced in at the inject cycle, replayed through the ring
@@ -1015,9 +995,10 @@ class SfiExperiment:
         golden final state.  With ``level`` None the flip is frozen:
         golden never reads or writes the bit after the inject cycle, so
         the bit's golden-final level is its level at the flip, and the
-        flip is applied to the final state.  Otherwise golden overwrote
-        the bit before reading it, and ``level`` is the level the flip
-        set.
+        flip is applied to the final state (a STICKY hold only
+        re-asserts the flipped level, which nothing rewrites).  Otherwise
+        golden overwrote the bit before reading it, and ``level`` is the
+        level the flip set.
         """
         config = self.config
         core = self.core

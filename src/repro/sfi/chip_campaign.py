@@ -322,17 +322,9 @@ class ChipExperiment:
         if journal is not None:
             if resume and os.path.exists(journal):
                 journal_obj, covered = CampaignJournal.recover(
-                    journal, record_decoder=_chip_record_from_dict,
+                    journal, seed=seed, total=count,
+                    record_decoder=_chip_record_from_dict,
                     kind=_CHIP_JOURNAL_KIND)
-                header = journal_obj.header
-                if header.get("seed") != seed or \
-                        header.get("total_sites") != count:
-                    raise CampaignStorageError(
-                        f"{journal}: journal is for a different chip "
-                        f"campaign (seed={header.get('seed')}, "
-                        f"count={header.get('total_sites')})")
-                covered = {trial: record for trial, record in covered.items()
-                           if 0 <= trial < count}
                 progress.on_resume(len(covered))
             else:
                 journal_obj = CampaignJournal.create(

@@ -1,20 +1,15 @@
 """Campaign persistence.
 
 Real injection campaigns run for hours and accumulate across sessions;
-results are stored as JSON-lines (one record per line, with the full
-cause-and-effect trace) so later analysis, merging and re-scoring need
-no re-simulation.
+results are stored as JSON-lines journals (one header line, then one
+line per record with the full cause-and-effect trace) so later analysis
+and re-scoring need no re-simulation.
 
-Two on-disk shapes share the line format:
-
-* **archives** (:func:`save_campaign` / :func:`load_campaign`) — written
-  once after a campaign finishes, with a header that records how many
-  lines must follow; a short read is an error.
-* **journals** (:class:`CampaignJournal`) — appended one record at a
-  time *while* the campaign runs.  A crash can leave a torn final line,
-  so journal recovery tolerates exactly that (and nothing else): the
-  fragment is skipped with a warning and its injection re-runs on
-  resume.
+A journal (:class:`CampaignJournal`) is appended one record at a time
+*while* the campaign runs.  A crash can leave a torn final line, so
+every reader (:func:`read_journal`, :meth:`CampaignJournal.recover`)
+tolerates exactly that (and nothing else): the fragment is skipped with
+a warning and its injection re-runs on resume.
 """
 
 from __future__ import annotations
@@ -30,9 +25,8 @@ from repro.cpu.events import EventKind, MachineEvent
 from repro.rtl.latch import LatchKind
 
 from repro.sfi.outcomes import Outcome
-from repro.sfi.results import CampaignResult, InjectionRecord
+from repro.sfi.results import InjectionRecord
 
-_FORMAT_VERSION = 1
 _JOURNAL_FORMAT_VERSION = 1
 _JOURNAL_KIND = "sfi-journal"
 
@@ -100,80 +94,25 @@ def _parse_line(path: Path, number: int, line: str, *, is_last: bool):
         if is_last:
             warnings.warn(
                 f"{path}: skipping truncated trailing line {number} "
-                f"(crash mid-write?)", RuntimeWarning, stacklevel=3)
+                f"(crash mid-write?)", RuntimeWarning, stacklevel=4)
             return None
         raise CampaignStorageError(
             f"{path}:{number}: malformed JSON line: {exc}") from exc
 
 
-def save_campaign(result: CampaignResult, path: str | Path) -> None:
-    """Write a campaign as JSON-lines (header line + one line/record)."""
-    path = Path(path)
-    with path.open("w") as handle:
-        header = {"format": _FORMAT_VERSION,
-                  "population_bits": result.population_bits,
-                  "records": result.total}
-        handle.write(json.dumps(header) + "\n")
-        for record in result.records:
-            handle.write(json.dumps(_record_to_dict(record)) + "\n")
+def _parse_journal(path: Path, decoder,
+                   kind: str) -> tuple[dict, dict, list[str] | None]:
+    """Read and decode the journal at ``path``: ``(header, covered,
+    clean)``.
 
-
-def load_campaign(path: str | Path) -> CampaignResult:
-    """Read a campaign written by :func:`save_campaign`.
-
-    Raises :class:`CampaignStorageError` (a ``ValueError``) on an empty
-    file, unknown format version, malformed line or short record count; a
-    torn trailing line is skipped with a warning before the count check.
+    ``covered`` maps campaign position -> decoded record for every
+    complete line.  ``clean`` is None when the file needs no repair,
+    else the text of a repaired copy: the header and those lines, each
+    newline-terminated.  A torn final line is skipped with a warning; a
+    missing file, a missing or foreign header, a malformed interior line
+    or a line without ``pos`` and ``record`` raises
+    :class:`CampaignStorageError`.
     """
-    path = Path(path)
-    with path.open() as handle:
-        lines = handle.readlines()
-    if not lines or not lines[0].strip():
-        raise CampaignStorageError(f"{path}: empty campaign file")
-    header = _parse_line(path, 1, lines[0], is_last=len(lines) == 1)
-    if not isinstance(header, dict) or header.get("format") != _FORMAT_VERSION:
-        got = header.get("format") if isinstance(header, dict) else header
-        raise CampaignStorageError(
-            f"{path}: unsupported campaign format {got!r} "
-            f"(this build reads version {_FORMAT_VERSION})")
-    result = CampaignResult(population_bits=header.get("population_bits", 0))
-    body = [(number, line) for number, line in enumerate(lines[1:], start=2)
-            if line.strip()]
-    for offset, (number, line) in enumerate(body):
-        payload = _parse_line(path, number, line,
-                              is_last=offset == len(body) - 1)
-        if payload is not None:
-            result.add(_record_from_dict(payload))
-    if result.total != header.get("records", result.total):
-        raise CampaignStorageError(
-            f"{path}: truncated campaign file "
-            f"({result.total} of {header['records']} records)")
-    return result
-
-
-def merge_campaigns(paths: list[str | Path]) -> CampaignResult:
-    """Merge several stored campaigns (e.g. parallel shards, or sessions
-    accumulated across days) into one result."""
-    merged = CampaignResult()
-    for path in paths:
-        loaded = load_campaign(path)
-        merged.population_bits = merged.population_bits or loaded.population_bits
-        merged.records.extend(loaded.records)
-    return merged
-
-
-def read_journal(path: str | Path, record_decoder=None,
-                 kind: str = _JOURNAL_KIND) -> tuple[dict, dict]:
-    """Read a journal without reopening it for writing.
-
-    Returns ``(header, covered)`` exactly as :meth:`CampaignJournal.recover`
-    would decode them, but never rewrites the file, drops no torn tail
-    and opens no append handle — safe on a journal another process is
-    still appending to (``repro-sfi trace --journal`` / ``monitor``).
-    A torn final line is simply skipped.
-    """
-    path = Path(path)
-    decoder = record_decoder or _record_from_dict
     try:
         with path.open() as handle:
             lines = handle.readlines()
@@ -188,7 +127,9 @@ def read_journal(path: str | Path, record_decoder=None,
         raise CampaignStorageError(
             f"{path}: not a {kind} journal this build can read "
             f"(header {header!r})")
+    decoder = decoder or _record_from_dict
     covered: dict[int, object] = {}
+    kept = [lines[0]]
     body = [(number, line) for number, line in enumerate(lines[1:], 2)
             if line.strip()]
     for offset, (number, line) in enumerate(body):
@@ -196,10 +137,27 @@ def read_journal(path: str | Path, record_decoder=None,
                               is_last=offset == len(body) - 1)
         if payload is None:
             continue
-        if "pos" not in payload or "record" not in payload:
+        if (not isinstance(payload, dict) or "pos" not in payload
+                or "record" not in payload):
             raise CampaignStorageError(
                 f"{path}:{number}: journal line missing pos/record")
         covered[payload["pos"]] = decoder(payload["record"])
+        kept.append(line)
+    kept = [line if line.endswith("\n") else line + "\n" for line in kept]
+    return header, covered, None if kept == lines else kept
+
+
+def read_journal(path: str | Path, record_decoder=None,
+                 kind: str = _JOURNAL_KIND) -> tuple[dict, dict]:
+    """Read a journal without reopening it for writing.
+
+    Returns ``(header, covered)`` decoded exactly as
+    :meth:`CampaignJournal.recover` decodes them, but never rewrites the
+    file, drops no torn tail and opens no append handle — safe on a
+    journal another process is still appending to (``repro-sfi trace
+    --journal`` / ``monitor``).  A torn final line is simply skipped.
+    """
+    header, covered, _ = _parse_journal(Path(path), record_decoder, kind)
     return header, covered
 
 
@@ -465,54 +423,38 @@ class CampaignJournal:
         return cls(path, header, handle)
 
     @classmethod
-    def recover(cls, path: str | Path,
+    def recover(cls, path: str | Path, *, seed: int, total: int,
                 record_decoder=None,
                 kind: str = _JOURNAL_KIND) -> tuple["CampaignJournal", dict]:
-        """Reopen an interrupted journal for resumption.
+        """Reopen the interrupted journal of campaign ``(seed, total)``
+        for resumption.
 
-        Returns ``(journal, covered)`` where ``covered`` maps campaign
-        position -> decoded record for every complete line; the journal
-        is reopened for appending (after dropping any torn final line).
+        Returns ``(journal, covered)``, where ``covered`` maps campaign
+        position -> decoded record for every complete line (as
+        :func:`read_journal` decodes them) whose position lies in the
+        plan, ``[0, total)``.  A journal of another seed or total raises
+        :class:`CampaignStorageError` and is left as it is; otherwise it
+        is rewritten without its torn final line, if any, and reopened
+        for appending.
         """
         path = Path(path)
-        decoder = record_decoder or _record_from_dict
-        try:
-            with path.open() as handle:
-                lines = handle.readlines()
-        except FileNotFoundError as exc:
+        header, covered, clean = _parse_journal(path, record_decoder, kind)
+        if header.get("seed") != seed or header.get("total_sites") != total:
             raise CampaignStorageError(
-                f"{path}: no journal to resume from") from exc
-        if not lines or not lines[0].strip():
-            raise CampaignStorageError(f"{path}: empty journal")
-        header = _parse_line(path, 1, lines[0], is_last=len(lines) == 1)
-        if (not isinstance(header, dict)
-                or header.get("format") != _JOURNAL_FORMAT_VERSION
-                or header.get("kind") != kind):
-            raise CampaignStorageError(
-                f"{path}: not a {kind} journal this build can read "
-                f"(header {header!r})")
-        covered: dict[int, object] = {}
-        keep = [lines[0]]
-        body = [(number, line) for number, line in enumerate(lines[1:], 2)
-                if line.strip()]
-        for offset, (number, line) in enumerate(body):
-            payload = _parse_line(path, number, line,
-                                  is_last=offset == len(body) - 1)
-            if payload is None:
-                continue
-            if "pos" not in payload or "record" not in payload:
-                raise CampaignStorageError(
-                    f"{path}:{number}: journal line missing pos/record")
-            covered[payload["pos"]] = decoder(payload["record"])
-            keep.append(line if line.endswith("\n") else line + "\n")
-        # Rewrite without the torn tail so future appends start clean.
-        if len(keep) != len(lines):
+                f"{path}: journal is for a different campaign "
+                f"(seed={header.get('seed')}, "
+                f"total={header.get('total_sites')}; this run has "
+                f"seed={seed}, total={total})")
+        if clean is not None:
+            # Rewrite without the torn tail, every line terminated, so
+            # future appends start on a line of their own.
             with path.open("w") as handle:
-                handle.writelines(keep)
+                handle.writelines(clean)
                 handle.flush()
                 os.fsync(handle.fileno())
-        handle = path.open("a")
-        return cls(path, header, handle), covered
+        covered = {position: record for position, record in covered.items()
+                   if 0 <= position < total}
+        return cls(path, header, path.open("a")), covered
 
     # -- appending -----------------------------------------------------
 

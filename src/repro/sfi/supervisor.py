@@ -60,7 +60,7 @@ from repro.sfi.results import CampaignResult
 from repro.sfi.service.backoff import DEFAULT_CAP
 from repro.sfi.service.leases import LEASE_ITEMS, Lease, LeaseManager, Requeue
 from repro.sfi.service.transport import PoolTransport, ShardTransport
-from repro.sfi.storage import CampaignJournal, CampaignStorageError
+from repro.sfi.storage import CampaignJournal
 
 
 class CampaignExecutionError(RuntimeError):
@@ -869,20 +869,10 @@ class CampaignSupervisor:
         if self.journal_path is None:
             return None, {}
         if self.resume and os.path.exists(self.journal_path):
-            journal, covered = CampaignJournal.recover(self.journal_path)
-            header = journal.header
-            if header.get("seed") != seed or \
-                    header.get("total_sites") != len(plan):
-                raise CampaignStorageError(
-                    f"{self.journal_path}: journal is for a different "
-                    f"campaign (seed={header.get('seed')}, "
-                    f"total={header.get('total_sites')}; this run has "
-                    f"seed={seed}, total={len(plan)})")
+            journal, covered = CampaignJournal.recover(
+                self.journal_path, seed=seed, total=len(plan))
             self.population_bits = self.population_bits or \
-                header.get("population_bits", 0)
-            # Drop journaled positions beyond the plan defensively.
-            covered = {pos: rec for pos, rec in covered.items()
-                       if 0 <= pos < len(plan)}
+                journal.header.get("population_bits", 0)
             self.progress.on_resume(len(covered))
             return journal, covered
         journal = CampaignJournal.create(

@@ -121,7 +121,7 @@ def write_fixture_journal(path: str | Path, *, seed: int, records: int,
             if fastpath and rng.random() < 0.5:
                 extra = {"fastpath": {
                     "saved_cycles": rng.randrange(100, 1200),
-                    "exit": rng.choice(("golden", "masked"))}}
+                    "exit": rng.choice(("golden", "frozen"))}}
             journal.append(position, record, extra=extra)
             if provenance and record.outcome is not Outcome.VANISHED:
                 payloads.append((position, _provenance_payload(rng, record)))
@@ -233,7 +233,7 @@ def populate_synthetic_campaigns(warehouse, *, campaigns: int,
             fast = rng.random() < 0.5
             rows.append((campaign_id, position, *record_to_row(record),
                          1 if fast else 0,
-                         rng.choice(("golden", "masked")) if fast else None,
+                         rng.choice(("golden", "frozen")) if fast else None,
                          rng.randrange(100, 1200) if fast else 0))
             if len(rows) >= 20000:
                 conn.executemany(

@@ -4,7 +4,7 @@ Everything that observes the machine through :mod:`repro.cpu.access`
 sees one stream: each latch ``value`` and ``par`` read and write (with
 the value written), each ``bit`` and ``write_bit``, each SRAM array and
 memory-word access and each cycle boundary, in order.  The touch trace
-behind the frozen, masked and tracked exits, the bit-plane schedule, the
+behind the frozen and tracked exits, the bit-plane schedule, the
 taint tracker (whose consume-on-write pairing depends on order) and the
 structural tracer all rest on it, and so does every simulated
 statistic.  A change to the simulator kernel may change the host work

@@ -5,7 +5,7 @@ import pytest
 from repro.avp import make_suite
 from repro.cpu.chip import Power6Chip
 from repro.sfi.chip_campaign import ChipExperiment
-from repro.sfi import Outcome
+from repro.sfi import CampaignStorageError, Outcome
 
 from tests.conftest import SMALL_PARAMS
 
@@ -116,3 +116,15 @@ class TestChipCampaign:
         assert [r.outcome for r in resumed.records] == \
             [r.outcome for r in full.records]
         assert resumed.isolation_rate() == full.isolation_rate()
+
+    def test_resume_rejects_mismatched_campaign(self, chip_experiment,
+                                                tmp_path):
+        """A chip journal of another seed is refused, and left as it
+        is, rather than resumed as if it were this campaign's."""
+        journal = tmp_path / "chip.journal"
+        chip_experiment.run_campaign(3, seed=7, journal=journal)
+        before = journal.read_text()
+        with pytest.raises(CampaignStorageError, match="different"):
+            chip_experiment.run_campaign(3, seed=8, journal=journal,
+                                         resume=True)
+        assert journal.read_text() == before

@@ -1,7 +1,7 @@
 """Ratchet: cross-cycle machine state lives where snapshots and traces see it.
 
-The checkpoint ladder, the golden digests and the frozen, masked and
-tracked exits all rest on one premise: every piece of state that carries
+The checkpoint ladder, the golden digests and the frozen and tracked
+exits all rest on one premise: every piece of state that carries
 from one cycle to the next lives in latches, memory, SRAM arrays, the
 core's counters or the event log.  ``Power6Core.snapshot()`` captures
 exactly those, and the touch trace (:mod:`repro.cpu.access`) observes

@@ -128,11 +128,11 @@ def boundary_experiments():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_frozen_exit_boundary(boundary_experiments, data):
-    """A TOGGLE trial takes the frozen exit exactly when golden's last
-    touch of the injected latch is at or before the inject cycle, and
-    its record and final state equal the slow path's, within two cycles
-    of that touch and after the last digest boundary (where no digest
-    is left to exit at).  A STICKY trial never takes it."""
+    """A trial of either injection mode takes the frozen exit exactly
+    when golden's last touch of the injected latch is at or before the
+    inject cycle, and its record and final state equal the slow path's,
+    within two cycles of that touch and after the last digest boundary
+    (where no digest is left to exit at)."""
     fast = boundary_experiments[(InjectionMode.TOGGLE, True)]
     latch_map = fast.latch_map
     testcase = data.draw(st.integers(0, len(fast.suite) - 1),
@@ -169,5 +169,6 @@ def test_frozen_exit_boundary(boundary_experiments, data):
             f"final state differs: mode={mode.value} site={site} "
             f"testcase={testcase} cycle={cycle}")
         frozen = quick.last_fastpath.get("exit") == "frozen"
-        assert frozen == (mode is InjectionMode.TOGGLE
-                          and last_touch(site) <= cycle)
+        assert frozen == (last_touch(site) <= cycle), (
+            f"frozen={frozen}: mode={mode.value} site={site} "
+            f"testcase={testcase} cycle={cycle}")

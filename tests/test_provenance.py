@@ -403,7 +403,7 @@ class TestJournalFastpathExtras:
                                            "exit": "golden"}})
         journal.append(1, record, record_encoder=dict,
                        extra={"fastpath": {"saved_cycles": 41,
-                                           "exit": "masked"}})
+                                           "exit": "frozen"}})
         journal.append(2, record, record_encoder=dict)
         journal.close()
         return path
@@ -413,13 +413,13 @@ class TestJournalFastpathExtras:
         assert progress.done == 3
         assert progress.fastpath == 2
         assert progress.saved_cycles == 741
-        assert progress.early_exits == {"golden": 1, "masked": 1}
+        assert progress.early_exits == {"golden": 1, "frozen": 1}
 
     def test_monitor_frame_renders_fastpath_line(self, tmp_path):
         progress = read_journal_progress(self._journal(tmp_path))
         frame = render_monitor_frame(progress, None, None)
         assert "fastpath: 2 injections, 741 cycles saved" in frame
-        assert "golden: 1" in frame and "masked: 1" in frame
+        assert "golden: 1" in frame and "frozen: 1" in frame
 
     def test_extras_precede_record_and_stay_optional(self, tmp_path):
         lines = self._journal(tmp_path).read_text().splitlines()

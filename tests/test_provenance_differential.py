@@ -7,8 +7,8 @@ only side-channel payloads appear.  This suite enforces the claim over
 the same mini-campaigns the fast-path differential suite uses, whose
 slow-path outcomes jointly span every outcome class.
 
-On the fast path a tracked TOGGLE flip into a latch golden never
-touches again takes the frozen exit: it is not simulated, and its
+On the fast path a tracked flip (TOGGLE or STICKY) into a latch golden
+never touches again takes the frozen exit: it is not simulated, and its
 payload is that of a tracker seeded at the flip.  Any other tracked
 trial enters from a ladder rung and ends at the first confirmed
 taint-inert digest boundary, reconstructing the rest from the golden
@@ -17,8 +17,8 @@ and a ``fastpath=True`` untracked baseline, and the tracked fast path is
 held to the tracked slow path (the oracle) on every payload and every
 final machine state as well: on the mini-campaigns, on CLI-default
 campaigns (where both exits are shown to be taken), on forced digest
-collisions, over a hypothesis search of (site, inject cycle, injection
-mode) and around the frozen exit's boundary.  The tracker watches the
+collisions, over a hypothesis search of (site, testcase, inject cycle,
+injection mode, tracked or not) and around the frozen exit's boundary.  The tracker watches the
 reads of its tainted latches only; a hypothesis search holds it to a
 tracker that sees every read.
 """
@@ -258,10 +258,10 @@ def test_cli_default_payloads_identical(cli_default):
 
 def test_cli_default_final_states_identical(cli_default):
     """Seeds 1003 and 2001, 150 flips each: the machine state a tracked
-    trial leaves behind equals the slow path's.  An exit that restores
-    golden-final and re-applies only the injected latch (the untracked
-    masked exit's freeze) keeps records and payloads but fails here:
-    every tainted latch it holds must be re-applied."""
+    trial leaves behind equals the slow path's.  An exit that restored
+    golden-final and re-applied only the injected latch would keep
+    records and payloads but fail here: every tainted latch it holds
+    must be re-applied."""
     trials, _ = cli_default
     for seed, _ in CLI_CAMPAIGNS:
         slow = trials[(seed, False)][:150]
@@ -329,15 +329,15 @@ def test_false_tracked_hits_are_confirmed_away(monkeypatch):
 @pytest.mark.parametrize("backend", ["scalar", "bitplane"])
 def test_false_untracked_hits_are_confirmed_away(monkeypatch, backend,
                                                  baseline_records):
-    """Every untracked ``golden`` and ``masked`` exit is checked exactly
-    before it is trusted, on the scalar path and on the bit-plane
-    backend's peeled lanes, which run the scalar trial.
+    """Every untracked ``golden`` exit is checked exactly before it is
+    trusted, on the scalar path and on the bit-plane backend's peeled
+    lanes, which run the scalar trial.
 
     With ``state_digest`` patched after prepare as above, every digest
     probe of an untracked drain is a hit.  Hits on a trial that really
     differs from golden must be refused and counted in
-    ``sfi_digest_collisions_total{exit}``, for both exits, and the
-    records must still be the slow path's."""
+    ``sfi_digest_collisions_total{exit="golden"}``, and the records must
+    still be the slow path's."""
     overrides, seed, flips = CASES["toggle"]
     oracle = baseline_records("toggle", False)
     registry = MetricsRegistry()
@@ -353,19 +353,19 @@ def test_false_untracked_hits_are_confirmed_away(monkeypatch, backend,
     collisions = registry.get("sfi_digest_collisions_total")
     assert collisions is not None
     assert collisions.value(exit="golden") > 0
-    assert collisions.value(exit="masked") > 0
     differ = [position for position, (a, b) in enumerate(zip(oracle, records))
               if a != b]
     assert not differ, f"a false digest hit reached positions {differ}"
 
 
 # ----------------------------------------------------------------------
-# Property: any (site, inject cycle, injection mode).
+# Property: any (site, testcase, inject cycle, injection mode, tracked).
 
 @pytest.fixture(scope="module")
 def mode_experiments():
     """Tracked experiments per (injection mode, fastpath); the fast
-    ones count their early exits."""
+    ones count their early exits.  ``run_one(..., provenance=False)``
+    runs an untracked trial on them."""
     return {(mode, fastpath): SfiExperiment(
                 CampaignConfig(**_BASE, injection_mode=mode,
                                fastpath=fastpath, provenance=True),
@@ -376,7 +376,12 @@ def mode_experiments():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_tracked_trial_property(mode_experiments, data):
+    """Any trial, tracked or not, in either injection mode: the fast
+    path's record, final machine state and (tracked) payload equal the
+    slow path's.  A tracked trial leaves no fast-path extra for the
+    journal; an untracked one always does."""
     mode = data.draw(st.sampled_from(list(InjectionMode)), label="mode")
+    tracked = data.draw(st.booleans(), label="tracked")
     slow = mode_experiments[(mode, False)]
     fast = mode_experiments[(mode, True)]
     site = data.draw(st.integers(0, len(slow.latch_map) - 1), label="site")
@@ -384,22 +389,22 @@ def test_tracked_trial_property(mode_experiments, data):
                          label="testcase")
     cycle = data.draw(st.integers(
         0, slow.references[testcase].cycles - 1), label="inject_cycle")
-    record = slow.run_one(site, testcase, cycle)
-    assert fast.run_one(site, testcase, cycle) == record
+    record = slow.run_one(site, testcase, cycle, provenance=tracked)
+    assert fast.run_one(site, testcase, cycle, provenance=tracked) == record
     assert fast.last_provenance == slow.last_provenance
+    assert (fast.last_provenance is None) == (not tracked)
     assert fast.core.snapshot() == slow.core.snapshot()
-    assert fast.last_fastpath is None
+    assert (fast.last_fastpath is None) == tracked
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_tracked_frozen_exit_boundary(mode_experiments, data):
-    """A tracked TOGGLE trial takes the frozen exit exactly when
-    golden's last touch of the injected latch is at or before the inject
-    cycle, and its record, payload and final state equal the slow
-    path's, within two cycles of that touch and after the last digest
-    boundary (where no digest is left to exit at).  A STICKY trial never
-    takes it."""
+    """A tracked trial of either injection mode takes the frozen exit
+    exactly when golden's last touch of the injected latch is at or
+    before the inject cycle, and its record, payload and final state
+    equal the slow path's, within two cycles of that touch and after the
+    last digest boundary (where no digest is left to exit at)."""
     fast = mode_experiments[(InjectionMode.TOGGLE, True)]
     latch_map = fast.latch_map
     testcase = data.draw(st.integers(0, len(fast.suite) - 1),
@@ -443,8 +448,7 @@ def test_tracked_frozen_exit_boundary(mode_experiments, data):
             f"final state differs: {where}"
         assert quick.last_fastpath is None
         frozen = exits.value(reason="frozen") - before
-        assert frozen == (mode is InjectionMode.TOGGLE
-                          and last_touch(site) <= cycle), \
+        assert frozen == (last_touch(site) <= cycle), \
             f"frozen exits {frozen:g}: {where}"
 
 

@@ -1,116 +1,152 @@
-"""Campaign persistence and macro-targeted campaigns."""
+"""Campaign journals and macro-targeted campaigns."""
 
 import json
 
 import pytest
 
-from repro.sfi.outcomes import OUTCOME_ORDER
 from repro.sfi.storage import (
+    CampaignJournal,
     CampaignStorageError,
-    load_campaign,
-    merge_campaigns,
-    save_campaign,
+    read_journal,
 )
 from repro.sfi.targeted import macro_campaign
 
 
+def _journaled(experiment, tmp_path, count=6, seed=3):
+    """Journal a ``count``-flip campaign: ``(result, journal path)``."""
+    result = experiment.run_random_campaign(count, seed=seed)
+    path = tmp_path / "c.jsonl"
+    with CampaignJournal.create(
+            path, seed=seed, total_sites=count,
+            population_bits=result.population_bits) as journal:
+        for position, record in enumerate(result.records):
+            journal.append(position, record)
+    return result, path
+
+
+def _recovered(path, seed=3, total=6) -> dict:
+    """``covered`` of :meth:`CampaignJournal.recover`, handle closed."""
+    journal, covered = CampaignJournal.recover(path, seed=seed, total=total)
+    journal.close()
+    return covered
+
+
+def _both_raise(path, match: str) -> None:
+    """The read-only reader and the resume path refuse ``path`` alike."""
+    with pytest.raises(CampaignStorageError, match=match):
+        read_journal(path)
+    with pytest.raises(CampaignStorageError, match=match):
+        CampaignJournal.recover(path, seed=3, total=6)
+
+
 class TestStorage:
     def test_roundtrip(self, experiment, tmp_path):
-        result = experiment.run_random_campaign(20, seed=5)
-        path = tmp_path / "campaign.jsonl"
-        save_campaign(result, path)
-        loaded = load_campaign(path)
-        assert loaded.total == result.total
-        assert loaded.population_bits == result.population_bits
-        assert loaded.counts() == result.counts()
-        assert [r.site_name for r in loaded.records] == \
-            [r.site_name for r in result.records]
+        """Every journaled record reads back equal through either
+        reader."""
+        result, path = _journaled(experiment, tmp_path, count=20, seed=5)
+        header, covered = read_journal(path)
+        assert header["population_bits"] == result.population_bits
+        assert [covered[position] for position in range(20)] == \
+            result.records
+        assert _recovered(path, seed=5, total=20) == covered
 
     def test_traces_survive_roundtrip(self, experiment, tmp_path):
-        result = experiment.run_random_campaign(10, seed=6)
-        path = tmp_path / "campaign.jsonl"
-        save_campaign(result, path)
-        loaded = load_campaign(path)
-        original = result.records[0].trace
-        restored = loaded.records[0].trace
-        assert len(restored) == len(original)
-        assert all(a.cycle == b.cycle and a.kind == b.kind
-                   for a, b in zip(original, restored))
-
-    def test_merge(self, experiment, tmp_path):
-        a = experiment.run_random_campaign(8, seed=1)
-        b = experiment.run_random_campaign(12, seed=2)
-        path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_campaign(a, path_a)
-        save_campaign(b, path_b)
-        merged = merge_campaigns([path_a, path_b])
-        assert merged.total == 20
-        for outcome in OUTCOME_ORDER:
-            assert merged.counts()[outcome] == \
-                a.counts()[outcome] + b.counts()[outcome]
-
-    def test_truncation_detected(self, experiment, tmp_path):
-        result = experiment.run_random_campaign(6, seed=3)
-        path = tmp_path / "c.jsonl"
-        save_campaign(result, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(ValueError, match="truncated"):
-            load_campaign(path)
+        """Each record's event trace reads back event for event."""
+        result, path = _journaled(experiment, tmp_path, count=10, seed=6)
+        _, covered = read_journal(path)
+        assert any(record.trace for record in result.records)
+        for position, record in enumerate(result.records):
+            restored = covered[position].trace
+            assert len(restored) == len(record.trace)
+            assert all(a.cycle == b.cycle and a.kind == b.kind
+                       for a, b in zip(record.trace, restored))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            load_campaign(path)
+        _both_raise(path, "empty")
 
 
 class TestStorageErrors:
-    """Hardened loading: clear CampaignStorageError, never a bare
-    KeyError/JSONDecodeError, and tolerant recovery of a torn tail."""
-
-    def _saved(self, experiment, tmp_path, count=6):
-        result = experiment.run_random_campaign(count, seed=3)
-        path = tmp_path / "c.jsonl"
-        save_campaign(result, path)
-        return result, path
+    """Hardened journal reading: clear CampaignStorageError, never a
+    bare KeyError/JSONDecodeError, and tolerant recovery of a torn
+    tail.  ``read_journal`` and ``CampaignJournal.recover`` share one
+    parser, so each case holds for both."""
 
     def test_unknown_format_version(self, experiment, tmp_path):
-        _, path = self._saved(experiment, tmp_path)
+        _, path = _journaled(experiment, tmp_path)
         lines = path.read_text().splitlines(keepends=True)
         header = json.loads(lines[0])
         header["format"] = 99
         path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
-        with pytest.raises(CampaignStorageError, match="unsupported"):
-            load_campaign(path)
+        _both_raise(path, "this build can read")
 
     def test_malformed_middle_line(self, experiment, tmp_path):
-        _, path = self._saved(experiment, tmp_path)
+        _, path = _journaled(experiment, tmp_path)
         lines = path.read_text().splitlines(keepends=True)
         lines[2] = "{this is not json}\n"
         path.write_text("".join(lines))
-        with pytest.raises(CampaignStorageError, match="malformed JSON"):
-            load_campaign(path)
+        _both_raise(path, "malformed JSON")
+        lines[2] = "[2, 3]\n"  # JSON, but not a journal line
+        path.write_text("".join(lines))
+        _both_raise(path, "missing pos/record")
 
     def test_missing_record_field(self, experiment, tmp_path):
-        _, path = self._saved(experiment, tmp_path)
+        _, path = _journaled(experiment, tmp_path)
         lines = path.read_text().splitlines(keepends=True)
         payload = json.loads(lines[1])
-        del payload["outcome"]
+        del payload["record"]["outcome"]
         lines[1] = json.dumps(payload) + "\n"
         path.write_text("".join(lines))
-        with pytest.raises(CampaignStorageError, match="missing or has a bad"):
-            load_campaign(path)
+        _both_raise(path, "missing or has a bad")
 
     def test_torn_trailing_line_warns_then_counts(self, experiment, tmp_path):
-        """A crash mid-append leaves a torn last line: it is skipped with
-        a warning, and the archive's count check then reports the loss."""
-        _, path = self._saved(experiment, tmp_path)
-        text = path.read_text()
-        path.write_text(text[:-30])  # tear the final record line
+        """A crash mid-append leaves a torn last line: both readers skip
+        it with a warning and count one record fewer.  ``read_journal``
+        leaves the file as it is; ``recover`` drops the fragment, so the
+        next append starts on a line of its own."""
+        result, path = _journaled(experiment, tmp_path)
+        torn = path.read_text()[:-30]
+        path.write_text(torn)
         with pytest.warns(RuntimeWarning, match="truncated trailing"):
-            with pytest.raises(CampaignStorageError, match="truncated"):
-                load_campaign(path)
+            _, covered = read_journal(path)
+        assert sorted(covered) == list(range(5))
+        assert path.read_text() == torn
+        with pytest.warns(RuntimeWarning, match="truncated trailing"):
+            journal, recovered = CampaignJournal.recover(path, seed=3,
+                                                         total=6)
+        assert recovered == covered
+        journal.append(5, result.records[5])
+        journal.close()
+        _, covered = read_journal(path)
+        assert [covered[position] for position in range(6)] == \
+            result.records
+
+    def test_unterminated_last_line_is_completed(self, experiment, tmp_path):
+        """A complete last record without its newline is kept, and
+        ``recover`` terminates it before appending after it."""
+        result, path = _journaled(experiment, tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + lines[-1].rstrip("\n"))
+        journal, covered = CampaignJournal.recover(path, seed=3, total=6)
+        assert sorted(covered) == list(range(6))
+        journal.append(0, result.records[0])
+        journal.close()
+        assert len(path.read_text().splitlines()) == 8
+        assert sorted(read_journal(path)[1]) == list(range(6))
+
+    def test_recover_keeps_only_planned_positions(self, experiment,
+                                                  tmp_path):
+        """A resume covers the positions of its plan, ``[0, total)``,
+        and refuses a journal of another seed or total."""
+        result, path = _journaled(experiment, tmp_path)
+        with path.open("a") as handle:
+            handle.write(json.dumps({"pos": 6, "record": json.loads(
+                path.read_text().splitlines()[1])["record"]}) + "\n")
+        assert sorted(_recovered(path)) == list(range(6))
+        for seed, total in ((4, 6), (3, 7)):
+            with pytest.raises(CampaignStorageError, match="different"):
+                CampaignJournal.recover(path, seed=seed, total=total)
 
     def test_storage_error_is_a_value_error(self):
         assert issubclass(CampaignStorageError, ValueError)
