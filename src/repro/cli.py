@@ -1130,8 +1130,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sticky", action="store_true",
                    help="sticky injection mode instead of toggle")
     p.add_argument("--ckpt-stride", type=int, default=None, metavar="K",
-                   help="checkpoint-ladder rung every K reference cycles "
-                        "(0 disables rungs; default 64)")
+                   help="checkpoint-ladder rung every K reference cycles; "
+                        "a draining trial exits early at the first rung "
+                        "it equals (0 disables rungs: only the frozen "
+                        "exit is left and every other trial drains to "
+                        "quiesce; default 64)")
     p.add_argument("--no-fastpath", action="store_true",
                    help="disable the fast path (checkpoint ladder + "
                         "early exits); records are "

@@ -19,7 +19,7 @@ cores' memory swapped to :class:`HookedMemory`, their SRAM arrays'
 ``read``/``write``/``write_raw`` wrapped and ``Core.taint_hook`` set.
 Traces do not nest: a second swap would silently undo the first on
 exit.  :func:`suspended` takes the active trace off the machine for
-observational windows (digests, snapshots, rung replays), so they
+observational windows (snapshots, rung comparisons), so they
 neither reach the recorder nor pay for tracing.  Untraced code always
 runs on plain classes.
 """

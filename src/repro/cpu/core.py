@@ -271,7 +271,7 @@ class Power6Core:
         )
 
     # ------------------------------------------------------------------
-    # State digests (the fast path's golden-match primitive).
+    # State fingerprint and exact comparison (the drain's rung check).
 
     def state_digest(self) -> int:
         """Order-stable digest of the complete *machine* state.
@@ -288,12 +288,12 @@ class Power6Core:
         frozenset of int pairs only, which every process of one
         interpreter build hashes alike (no ``str``, whose hash is salted
         per process, and no ``None``, whose hash is address-based on
-        3.10 and 3.11).  So a digest compares across the processes of
-        one build, which is how pool workers drain against their
-        parent's golden digests, but not across builds, and it is never
-        persisted.  Its sections are read straight from the live state —
-        no snapshot copies, no sort — and :meth:`same_state` is the
-        exact comparison a digest hit stands for.
+        3.10 and 3.11); it is never persisted.  Its sections are read
+        straight from the live state — no snapshot copies, no sort.  No
+        campaign path calls it: a draining trial compares itself with a
+        golden rung exactly (:meth:`same_state`).  It stays for the
+        snapshot tests and for ``perfbench``, whose traced rounds wrap
+        it by name.
         """
         latches = self._all_latches
         return hash((
@@ -306,10 +306,12 @@ class Power6Core:
         ))
 
     def same_state(self, snap: CoreSnapshot) -> bool:
-        """Does the live machine equal ``snap`` on everything
-        :meth:`state_digest` covers?  The exact check a digest match
-        only suggests: a 64-bit hash can collide, this comparison
-        cannot."""
+        """Does the live machine equal ``snap`` on everything that
+        determines its future (everything :meth:`state_digest` covers:
+        the event log, which is observational, is left out)?  Exact,
+        and it stops at the first differing field.  A fast-path drain
+        compares the trial with a golden ladder rung this way at every
+        rung boundary, and exits early on a match."""
         if (self.cycles, self.halted, self.commits_prev, self.committed) != \
                 (snap.cycles, snap.halted, snap.commits_prev, snap.committed):
             return False

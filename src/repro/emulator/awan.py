@@ -142,6 +142,12 @@ class AwanEmulator:
             self._ladder.popitem(last=False)
             self.stats.rung_evictions += 1
 
+    def rung(self, name: str, cycle: int) -> CoreSnapshot | None:
+        """The rung of ``name`` saved at exactly ``cycle``, or None
+        (never saved, or evicted).  A lookup for comparison, not a
+        restore: the ladder's LRU order is left as it is."""
+        return self._ladder.get((name, cycle))
+
     def restore_nearest(self, name: str, cycle: int) -> int:
         """Restore the highest rung of ``name`` at or below ``cycle``
         (falling back to the base checkpoint); returns the restored

@@ -13,7 +13,7 @@ import random
 import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.avp.generator import MixWeights
 from repro.avp.runner import AvpBaselineError, ReferenceRun
@@ -135,14 +135,13 @@ class CampaignConfig:
     fastpath: bool = True
     # Snapshot a ladder rung every ``ckpt_stride`` cycles of the
     # reference run, so ``run_one`` fast-forwards at most one stride of
-    # pre-injection cycles instead of re-simulating from cycle 0.
-    # None (or 0): no mid-execution rungs, only the cycle-0 checkpoint.
+    # pre-injection cycles instead of re-simulating from cycle 0.  The
+    # rungs are also the drain's golden trail: at each rung boundary the
+    # trial is compared with the rung exactly, and exits the moment the
+    # faulty state has rejoined the golden trajectory.
+    # None (or 0): no mid-execution rungs, only the cycle-0 checkpoint,
+    # so only the frozen exit is left and every other trial drains.
     ckpt_stride: int | None = 64
-    # Record a golden state digest every ``digest_stride`` cycles; the
-    # post-injection drain compares against it at the same cadence and
-    # classifies ``vanished`` the moment the faulty state rejoins the
-    # golden trajectory.
-    digest_stride: int = 16
     # Ladder memory bound (LRU-evicted rungs across all testcases).
     ladder_max_rungs: int = 256
     # --- Fault provenance (taint propagation DAG per injection) -------
@@ -153,9 +152,10 @@ class CampaignConfig:
     # payload of a tracker seeded at the flip (nothing can move its
     # taint).  Any other tracked trial enters from a ladder rung (the
     # tracker is installed after the flip, so it never sees the prefix)
-    # and takes only one drain exit, the confirmed taint-inert one: the
-    # payload is final there.  Records and payloads are identical to
-    # ``fastpath=False`` (the provenance differential suite asserts both).
+    # and takes only one drain exit, the taint-inert one, checked exactly
+    # against a rung: the payload is final there.  Records and payloads
+    # are identical to ``fastpath=False`` (the provenance differential
+    # suite asserts both).
     provenance: bool = False
     # --- Bit-plane backend (64 trials per machine word) ---------------
     # ``backend="bitplane"`` batches same-testcase plan items into waves
@@ -175,16 +175,15 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class GoldenTrace:
-    """Fault-free execution fingerprint of one testcase (the fast path's
-    comparison substrate).
+    """Fault-free execution fingerprint of one testcase (with the
+    checkpoint ladder's rungs, the fast path's comparison substrate).
 
-    ``digests`` maps cycle -> :meth:`Power6Core.state_digest` sampled at
-    every ``digest_stride`` boundary of the reference run; ``events`` is
-    the complete fault-free event sequence (needed to splice the golden
-    tail onto an early-exited trace); ``end_cycle`` is where the golden
-    run quiesced.  ``usable`` is False when the golden event log dropped
-    events (the tail would be incomplete), which disables early exit for
-    that testcase while leaving the checkpoint ladder active.
+    ``events`` is the complete fault-free event sequence (needed to
+    splice the golden tail onto an early-exited trace); ``end_cycle`` is
+    where the golden run quiesced.  ``usable`` is False when the golden
+    event log dropped events (the tail would be incomplete), which
+    disables early exit for that testcase while leaving the checkpoint
+    ladder active.
 
     ``final`` is the complete quiesced machine state (the early-exit
     paths reconstruct the trial's final state from it instead of
@@ -200,7 +199,6 @@ class GoldenTrace:
     process, so a golden travels to pool workers as it is.
     """
 
-    digests: dict[int, int]
     events: tuple[MachineEvent, ...]
     end_cycle: int
     usable: bool
@@ -216,9 +214,9 @@ class PreparedState:
     bit-plane backend each testcase's compiled schedule.
 
     Nothing in it depends on the process that built it: latches are
-    keyed by position, never by ``id()``, and its digests are ones any
-    process of the same interpreter build computes alike
-    (:meth:`~repro.cpu.core.Power6Core.state_digest`).  So a pool
+    keyed by position, never by ``id()``, and its rungs are plain
+    values that a drain compares field by field
+    (:meth:`~repro.cpu.core.Power6Core.same_state`).  So a pool
     worker loads its parent's state (``SfiExperiment(config,
     prepared=state)``) instead of preparing, and a fresh prepare
     installs its own through the same :meth:`SfiExperiment._install`.
@@ -329,10 +327,6 @@ class _ExperimentInstruments:
         self.wave_occupancy = registry.histogram(
             "sfi_wave_occupancy_lanes", "trial lanes per resolved wave",
             buckets=_WAVE_OCCUPANCY_BUCKETS)
-        self.digest_collisions = registry.counter(
-            "sfi_digest_collisions_total",
-            "drain digest hits refused by the exact state check, by exit",
-            ("exit",))
 
 
 # This process's prepared machine, the one slot of Figure 1's "prepare
@@ -393,7 +387,7 @@ class SfiExperiment:
         self.emulator = emulator_cls(self.core)
         if hasattr(self.emulator, "max_rungs"):
             self.emulator.max_rungs = self.config.ladder_max_rungs
-        # The fast path needs the ladder/digest API; a foreign emulator
+        # The fast path needs the ladder API; a foreign emulator
         # class without it silently keeps the original slow path.
         self.fastpath = bool(
             self.config.fastpath
@@ -498,8 +492,8 @@ class SfiExperiment:
     def _prepare(self) -> PreparedState:
         """Build the AVP suite, then checkpoint each testcase at cycle 0,
         establish its fault-free reference execution, and (on the fast
-        path) build its checkpoint ladder and golden digest trail along
-        the way; the bit-plane backend also compiles each testcase's
+        path) build its checkpoint ladder and touch trace along the
+        way; the bit-plane backend also compiles each testcase's
         schedule from its reference run.  Everything built goes into the
         returned state; the caller installs it."""
         config = self.config
@@ -556,50 +550,40 @@ class SfiExperiment:
 
     def _instrumented_reference(self, index: int, budget: int,
                                 state: PreparedState) -> None:
-        """Golden run with ladder rungs and digest samples.
+        """Golden run with ladder rungs.
 
-        Clocks in chunks that stop at every ``ckpt_stride`` and
-        ``digest_stride`` boundary (never exceeding ``poll_interval``,
-        the host's normal batching), snapshotting a rung / recording a
-        digest at each; the machine trajectory is identical to one long
-        :meth:`CommHost.run_until_quiesce` because chunking cannot change
-        cycle-by-cycle evolution.  The whole run is latch-touch traced
-        (rung/digest snapshots excepted — they are observational), which
-        licences the frozen and tracked exits; on the bit-plane
-        backend the trace records the full access schedule, compiled
-        here for the wave path.
+        Clocks in chunks that stop at every ``ckpt_stride`` boundary
+        (never exceeding ``poll_interval``, the host's normal batching),
+        snapshotting a rung at each; the machine trajectory is identical
+        to one long :meth:`CommHost.run_until_quiesce` because chunking
+        cannot change cycle-by-cycle evolution.  The whole run is
+        latch-touch traced (rung snapshots excepted — they are
+        observational), which licences the frozen and tracked exits; on
+        the bit-plane backend the trace records the full access
+        schedule, compiled here for the wave path.
         """
         config = self.config
         core = self.core
         emulator = self.emulator
         ckpt_stride = config.ckpt_stride or 0
-        digest_stride = max(1, config.digest_stride)
-        digests: dict[int, int] = {}
         remaining = budget
         recorder = ScheduleTrace(core) if self.bitplane else TouchTrace(core)
         with trace([core], recorder):
             while remaining > 0 and not core.quiesced:
-                cycle = core.cycles
-                target = cycle + min(config.poll_interval, remaining,
-                                     digest_stride - cycle % digest_stride)
+                chunk = min(config.poll_interval, remaining)
                 if ckpt_stride:
-                    target = min(target,
-                                 cycle + ckpt_stride - cycle % ckpt_stride)
-                chunk = target - cycle
+                    chunk = min(chunk, ckpt_stride - core.cycles % ckpt_stride)
                 run = emulator.clock(chunk)
                 remaining -= run
                 if run < chunk or core.quiesced:
                     break
-                with suspended():
-                    if ckpt_stride and core.cycles % ckpt_stride == 0:
+                if ckpt_stride and core.cycles % ckpt_stride == 0:
+                    with suspended():
                         emulator.save_rung(self._ckpt_name(index))
-                    if core.cycles % digest_stride == 0:
-                        digests[core.cycles] = core.state_digest()
             with suspended():
                 final = core.snapshot()
         positions = self._latch_index
         state.goldens.append(GoldenTrace(
-            digests=digests,
             events=tuple(core.event_log),
             end_cycle=core.cycles,
             usable=core.event_log.dropped == 0,
@@ -627,8 +611,8 @@ class SfiExperiment:
         ``frozen`` exit, :meth:`_golden_record`).  Any other trial
         restores the nearest ladder rung at or below ``inject_cycle``
         (instead of re-simulating from cycle 0) and ends the drain at the
-        first confirmed golden-digest match (instead of draining to
-        quiesce).  All of these are equivalence-preserving, so the
+        first rung the machine equals (instead of draining to quiesce).
+        All of these are equivalence-preserving, so the
         returned record is bit-identical to the slow path's — the
         differential suite (``pytest -m differential``) enforces this.
 
@@ -638,7 +622,7 @@ class SfiExperiment:
         flip and never installed: nothing reads or writes the latch
         again, so that payload is final.  Any other tracked trial runs
         with the tracker installed after the flip; it enters from a rung
-        too, but its only early exit is the confirmed taint-inert one
+        too, but its only early exit is the taint-inert one
         (:meth:`_taint_inert`), where the payload is already final.
         Record and payload equal the slow path's, and a tracked trial
         leaves no fast-path extras for the journal.
@@ -691,8 +675,8 @@ class SfiExperiment:
         # (golden-comparison reads are observational).
         with (taint_trace(core, site.latch) if track
               else nullcontext()) as tracker:
-            if golden is not None and golden.usable:
-                exit_info = self._drain_with_digests(
+            if golden is not None and golden.usable and config.ckpt_stride:
+                exit_info = self._drain_against_rungs(
                     testcase_index, budget, tracker)
             else:
                 self.host.run_until_quiesce(budget)
@@ -771,14 +755,19 @@ class SfiExperiment:
                 payload["residual_tainted"]
         self.last_provenance = payload
 
-    def _drain_with_digests(self, tc_index: int, budget: int,
-                            tracker=None) -> tuple[str, list] | None:
-        """Post-injection drain with golden-digest early-exit checks.
+    def _drain_against_rungs(self, tc_index: int, budget: int,
+                             tracker=None) -> tuple[str, list] | None:
+        """Post-injection drain with early-exit checks against the golden
+        rungs.
 
         Clocks exactly the cycles the slow path would (same quiesce and
-        budget stops), additionally pausing at every ``digest_stride``
-        boundary before the golden end to compare state digests.
-        Returns ``(exit kind, held latches)`` on a confirmed match:
+        budget stops), additionally pausing at every ``ckpt_stride``
+        boundary before the golden end.  Where the ladder holds this
+        testcase's rung for that cycle and no sticky fault is still
+        held, the trial is compared with the rung in place
+        (:meth:`Power6Core.same_state`: exact, and it stops at the first
+        differing field).  Returns ``(exit kind, held latches)`` on a
+        match:
 
         * ``"golden"``, the only exit of an untracked trial: the faulty
           state has fully rejoined the golden trajectory (nothing held);
@@ -786,20 +775,17 @@ class SfiExperiment:
           the taint is provably inert (:meth:`_taint_inert`; every
           tainted latch is held).
 
-        A digest match is only a 64-bit hash match, so every hit is
-        confirmed exactly (:meth:`_confirm_hit`) first; a collision is
-        counted and the drain goes on.  The caller re-applies the held
-        latches' trial values to the golden final state.  None means the
-        drain completed (quiesce or exhausted budget) and the caller
-        classifies normally.
+        A boundary whose rung the ladder evicted offers no exit.  The
+        caller re-applies the held latches' trial values to the golden
+        final state.  None means the drain completed (quiesce or
+        exhausted budget) and the caller classifies normally.
         """
         config = self.config
         core = self.core
         emulator = self.emulator
-        golden = self.goldens[tc_index]
-        stride = max(1, config.digest_stride)
-        digests = golden.digests
-        end = golden.end_cycle
+        name = self._ckpt_name(tc_index)
+        stride = config.ckpt_stride
+        end = self.goldens[tc_index].end_cycle
         remaining = budget
         while remaining > 0:
             cycle = core.cycles
@@ -811,62 +797,58 @@ class SfiExperiment:
             if run < chunk or core.quiesced:
                 return None
             cycle = core.cycles
-            if cycle < end and cycle % stride == 0 \
-                    and not emulator.sticky_pending:
-                digest = digests.get(cycle)
-                if digest is None:
-                    continue
-                if tracker is not None:
-                    inert = self._taint_inert(tc_index, cycle, digest,
-                                              tracker)
-                    if inert is not None:
-                        tracker.settle_inert(cycle)
-                        return ("tracked", inert)
-                    continue
-                if digest == core.state_digest() and self._confirm_hit(
-                        tc_index, "golden", cycle):
-                    return ("golden", [])
+            if cycle % stride or emulator.sticky_pending:
+                continue
+            rung = emulator.rung(name, cycle)
+            if rung is None:
+                continue
+            if tracker is not None:
+                inert = self._taint_inert(tc_index, rung, tracker)
+                if inert is not None:
+                    tracker.settle_inert(cycle)
+                    return ("tracked", inert)
+            elif core.same_state(rung):
+                return ("golden", [])
         return None
 
-    def _taint_inert(self, tc_index: int, cycle: int, digest: int,
+    def _taint_inert(self, tc_index: int, rung: CoreSnapshot,
                      tracker) -> list | None:
         """The tainted latches, when a tracked trial's taint is provably
-        inert at ``cycle``; otherwise None.
+        inert at the cycle of golden ``rung``; otherwise None.
 
         The taint is inert when every tainted node is a latch the golden
-        run never reads or writes after ``cycle`` (``last_touch``; array
-        and memory words never qualify) and the trial equals golden at
-        ``cycle`` with those latches held at their golden-final values
-        (golden's values there, since it never touches them again):
-        first by digest, then exactly (:meth:`_confirm_hit`).  The trial
-        then replays golden with the held latches frozen, so nothing
-        tainted is read or written again and the tracker's payload is
-        final.  Probe and confirmation run with the tracker suspended:
-        their reads, writes and rung replay are not value flow.
+        run never reads or writes after that cycle (``last_touch``; array
+        and memory words never qualify) and the trial equals the rung
+        with those latches held at the rung's values (their golden-final
+        values, since golden never touches them again).  The trial then
+        replays golden with the held latches frozen, so nothing tainted
+        is read or written again and the tracker's payload is final.
+        The comparison runs with the tracker suspended: its reads and
+        the held latches' swaps are not value flow.
         """
         keys = tracker.tainted_latches()
         if keys is None:
             return None
-        golden = self.goldens[tc_index]
+        last_touch = self.goldens[tc_index].last_touch
         held = []
         for key in keys:
             index = self._latch_index[key]
-            if golden.last_touch.get(index, -1) > cycle:
+            if last_touch.get(index, -1) > rung.cycles:
                 return None
-            held.append((index, golden.final.latches[index]))
+            held.append(index)
         latches = self._latches
         with suspended():
             trial = [(latches[index].value, latches[index].par)
-                     for index, _ in held]
-            for index, (value, par) in held:
+                     for index in held]
+            for index in held:
+                latches[index].value, latches[index].par = \
+                    rung.latches[index]
+            same = self.core.same_state(rung)
+            for index, (value, par) in zip(held, trial):
                 latches[index].value, latches[index].par = value, par
-            probe = self.core.state_digest()
-            for (index, _), (value, par) in zip(held, trial):
-                latches[index].value, latches[index].par = value, par
-            if probe != digest or not self._confirm_hit(
-                    tc_index, "tracked", cycle, held=held):
-                return None
-        return [latches[index] for index, _ in held]
+        if not same:
+            return None
+        return [latches[index] for index in held]
 
     # ------------------------------------------------------------------
     # Bit-plane backend (waves of up to 63 trials per plane word).
@@ -1036,36 +1018,6 @@ class SfiExperiment:
             outcome=outcome,
             trace=tuple(core.event_log),
         )
-
-    def _confirm_hit(self, tc_index: int, exit_kind: str, golden_cycle: int,
-                     held=()) -> bool:
-        """Check a drain's digest hit exactly against the golden state.
-
-        Snapshots the trial, rebuilds the golden machine at
-        ``golden_cycle`` (nearest rung at or below it, then clocked the
-        rest of the way), compares everything the digest covers, with
-        each ``held`` ``(latch index, (value, par))`` override applied to
-        the trial side, and restores the trial.  A mismatch is a digest
-        collision: counted in ``sfi_digest_collisions_total{exit}``, and
-        the hit is refused.
-        """
-        core = self.core
-        emulator = self.emulator
-        trial = core.snapshot()
-        expected = trial
-        if held:
-            latches = list(trial.latches)
-            for index, pair in held:
-                latches[index] = pair
-            expected = replace(trial, latches=latches)
-        start = emulator.restore_nearest(self._ckpt_name(tc_index),
-                                         golden_cycle)
-        emulator.clock(golden_cycle - start)
-        same = core.same_state(expected)
-        core.restore(trial)
-        if not same and self._instruments is not None:
-            self._instruments.digest_collisions.inc(exit=exit_kind)
-        return same
 
     def run_plan(self, plan: list[InjectionPlan], seed: int = 0,
                  record_hook=None) -> CampaignResult:

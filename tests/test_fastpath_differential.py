@@ -6,8 +6,9 @@ path: same outcome, same inject cycle, same event trace, for every
 (site, cycle, testcase, stride).  This suite enforces the claim over
 randomized mini-campaigns whose slow-path outcomes span every class —
 vanished, corrected, hang, checkstop and SDC — across ladder strides
-K in {1, 7, 64, inf}, and searches the frozen exit's boundary (inject
-cycles around the injected latch's last golden touch) with hypothesis.
+K in {1, 7, 64, inf}, and searches with hypothesis the frozen exit's
+boundary (inject cycles around the injected latch's last golden touch)
+and the rung boundary where a drain takes the ``golden`` exit.
 
 Campaign plumbing and failing-seed reporting live in
 ``tests/difftools.py`` (shared with the bit-plane suite).
@@ -16,7 +17,7 @@ Campaign plumbing and failing-seed reporting live in
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.rtl.fault import InjectionMode
 from repro.sfi import CampaignConfig, ClassifyOptions, SfiExperiment
@@ -42,8 +43,9 @@ CASES = {
 }
 
 #: Ladder strides under test; None is the K = inf case (no mid-execution
-#: rungs: every injection falls back to the cycle-0 checkpoint while the
-#: digest early exit stays active).
+#: rungs: every injection falls back to the cycle-0 checkpoint, and with
+#: no rung to compare against no drain exits early; only the frozen exit
+#: is left, and records stay bit-identical).
 STRIDES = {"K1": 1, "K7": 7, "K64": 64, "Kinf": None}
 
 
@@ -131,8 +133,8 @@ def test_frozen_exit_boundary(boundary_experiments, data):
     """A trial of either injection mode takes the frozen exit exactly
     when golden's last touch of the injected latch is at or before the
     inject cycle, and its record and final state equal the slow path's,
-    within two cycles of that touch and after the last digest boundary
-    (where no digest is left to exit at)."""
+    within two cycles of that touch and after the last rung boundary
+    (where no rung is left to exit at)."""
     fast = boundary_experiments[(InjectionMode.TOGGLE, True)]
     latch_map = fast.latch_map
     testcase = data.draw(st.integers(0, len(fast.suite) - 1),
@@ -149,7 +151,7 @@ def test_frozen_exit_boundary(boundary_experiments, data):
                        label="offset")
     if offset == "tail":
         site = data.draw(st.integers(0, len(latch_map) - 1), label="site")
-        stride = fast.config.digest_stride
+        stride = fast.config.ckpt_stride
         cycle = data.draw(st.integers((end - 1) // stride * stride, end - 1),
                           label="inject_cycle")
     else:
@@ -172,3 +174,68 @@ def test_frozen_exit_boundary(boundary_experiments, data):
         assert frozen == (last_touch(site) <= cycle), (
             f"frozen={frozen}: mode={mode.value} site={site} "
             f"testcase={testcase} cycle={cycle}")
+
+
+# ----------------------------------------------------------------------
+# Property: a drain exits at exactly the first rung its machine equals.
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_golden_exit_at_first_matching_rung(boundary_experiments, data):
+    """An untracked trial that drains (its flip is not frozen) exits
+    ``golden`` at exactly the first rung boundary after the flip where
+    the slow path's machine equals that rung and no sticky fault is
+    held, and drains in full when there is no such boundary.  Its record
+    equals the slow path's either way."""
+    mode = data.draw(st.sampled_from(list(InjectionMode)), label="mode")
+    slow = boundary_experiments[(mode, False)]
+    fast = boundary_experiments[(mode, True)]
+    latch_map = fast.latch_map
+    testcase = data.draw(st.integers(0, len(fast.suite) - 1),
+                         label="testcase")
+    golden = fast.goldens[testcase]
+    assert golden.usable
+    end = golden.end_cycle
+    stride = fast.config.ckpt_stride
+    # Half the draws flip within a sticky window before a rung boundary,
+    # where a STICKY trial may equal the rung while its fault still holds.
+    near = st.builds(lambda boundary, back: boundary * stride - back,
+                     st.integers(1, (end - 1) // stride),
+                     st.integers(1, fast.config.sticky_cycles))
+    cycle = data.draw(st.integers(0, end - 1) | near, label="inject_cycle")
+    drained = [site for site in range(len(latch_map))
+               if golden.last_touch.get(fast._latch_index[
+                   id(latch_map.site(site).latch)], -1) > cycle]
+    site = data.draw(st.sampled_from(drained), label="site")
+    name = fast._ckpt_name(testcase)
+    ladder = fast.emulator
+
+    # The slow path's trial, paused at every rung boundary after the flip.
+    emulator, core = slow.emulator, slow.core
+    emulator.reload(name)
+    emulator.clock(cycle)
+    emulator.inject(site, mode, slow.config.sticky_cycles)
+    expected = None
+    for boundary in range((cycle // stride + 1) * stride, end, stride):
+        step = boundary - core.cycles
+        if emulator.clock(step) < step or core.quiesced:
+            break
+        rung = ladder.rung(name, boundary)
+        if rung is not None and not emulator.sticky_pending \
+                and core.same_state(rung):
+            expected = boundary
+            break
+
+    record = fast.run_one(site, testcase, cycle)
+    where = f"mode={mode.value} site={site} testcase={testcase} cycle={cycle}"
+    assert record == slow.run_one(site, testcase, cycle), where
+    extras = fast.last_fastpath
+    event("full drain" if expected is None else "golden exit")
+    if expected is None:
+        assert "exit" not in extras, f"{extras}: {where}"
+        return
+    assert extras.get("exit") == "golden", f"{extras}: {where}"
+    entry = next((c for c in range(cycle // stride * stride, 0, -stride)
+                  if ladder.rung(name, c) is not None), 0)
+    # saved_cycles = entry rung's cycle + the golden cycles after the exit.
+    assert entry + end - extras["saved_cycles"] == expected, where

@@ -12,8 +12,8 @@ A local pool ships its parent's machine to every worker, which loads it
 instead of preparing.  The tests below hold a loaded machine to a fresh
 one on everything ``_prepare`` builds and on every output, check that
 no pool worker prepares and that the pool's exits and payloads equal a
-serial run's, that digests computed in another interpreter equal the
-parent's, and that no shipment outlives its pool run.
+serial run's (a worker's drains compare against the rungs it loaded),
+and that no shipment outlives its pool run.
 
 Every config here uses a suite seed no other test builds, so the slot
 can only hold a machine this module made.
@@ -25,7 +25,6 @@ import json
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -541,55 +540,6 @@ def test_pool_exits_and_payloads_equal_the_serial_run(tmp_path, kind):
              if "fastpath" in line}
     assert exits <= taken, taken
     assert bool(payloads) == (kind == "provenance")
-
-
-# ----------------------------------------------------------------------
-# Digests compare across the processes of one interpreter build.
-
-def _digests(machine: SfiExperiment) -> list[tuple]:
-    """``(state, digest)`` of every golden-final state and of a few rung
-    states of the first testcase."""
-    _, rungs = machine.emulator.saved_states()
-    first = [(key, snapshot) for key, snapshot in rungs
-             if key[0] == "tc0"]
-    states = [(("final", tc), golden.final)
-              for tc, golden in enumerate(machine.goldens)]
-    states += [(("tc0", key[1]), snapshot)
-               for key, snapshot in first[::max(1, len(first) // 6)]]
-    core = machine.core
-    digests = []
-    for label, state in states:
-        core.restore(state)
-        digests.append((label, core.state_digest()))
-    return digests
-
-
-def _digests_in_child(config: CampaignConfig, path: str) -> list[tuple]:
-    """In a spawned interpreter: load the shipped machine, digest it."""
-    supervisor._load_prepared(config, path)
-    return _digests(prepared_machine(config))
-
-
-def test_digests_of_a_shipped_machine_match_in_another_interpreter():
-    machine = SfiExperiment(_config(1623))
-    path = supervisor._ship_prepared(machine)
-    try:
-        with ProcessPoolExecutor(
-                1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            child = pool.submit(_digests_in_child, machine.config,
-                                path).result()
-    finally:
-        os.unlink(path)
-    assert child == _digests(machine)
-    # What a worker's drain compares them with: the parent's golden
-    # digests of the same testcase.
-    golden = machine.goldens[0]
-    rungs = [(label[1], digest) for label, digest in child
-             if label[0] == "tc0"]
-    assert len(rungs) >= 3
-    for cycle, digest in rungs:
-        assert golden.digests.get(cycle, digest) == digest
-    assert any(cycle in golden.digests for cycle, _ in rungs)
 
 
 # ----------------------------------------------------------------------

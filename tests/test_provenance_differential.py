@@ -10,17 +10,18 @@ slow-path outcomes jointly span every outcome class.
 On the fast path a tracked flip (TOGGLE or STICKY) into a latch golden
 never touches again takes the frozen exit: it is not simulated, and its
 payload is that of a tracker seeded at the flip.  Any other tracked
-trial enters from a ladder rung and ends at the first confirmed
-taint-inert digest boundary, reconstructing the rest from the golden
-run.  So records are asserted equal against both a ``fastpath=False``
-and a ``fastpath=True`` untracked baseline, and the tracked fast path is
-held to the tracked slow path (the oracle) on every payload and every
-final machine state as well: on the mini-campaigns, on CLI-default
-campaigns (where both exits are shown to be taken), on forced digest
-collisions, over a hypothesis search of (site, testcase, inject cycle,
-injection mode, tracked or not) and around the frozen exit's boundary.  The tracker watches the
-reads of its tainted latches only; a hypothesis search holds it to a
-tracker that sees every read.
+trial enters from a ladder rung and ends at the first rung boundary
+where its taint is inert (it equals the rung outside the tainted
+latches), reconstructing the rest from the golden run.  So records are
+asserted equal against both a ``fastpath=False`` and a ``fastpath=True``
+untracked baseline, and the tracked fast path is held to the tracked
+slow path (the oracle) on every payload and every final machine state
+as well: on the mini-campaigns, on CLI-default campaigns (where both
+exits are shown to be taken), over a hypothesis search of (site,
+testcase, inject cycle, injection mode, tracked or not) and around the
+frozen exit's boundary.  The tracker watches the reads of its tainted
+latches only; a hypothesis search holds it to a tracker that sees every
+read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu.access import trace
-from repro.cpu.core import Power6Core
 from repro.cpu.tainttrace import TaintTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.rtl.fault import InjectionMode
@@ -280,84 +280,6 @@ def test_cli_default_takes_both_tracked_exits(cli_default):
     assert exits[1003].value(reason="tracked") > 0
 
 
-class _MatchesAny:
-    """A digest equal to every other digest: each probe is a hit."""
-
-    def __eq__(self, other):
-        return True
-
-    def __ne__(self, other):
-        return False
-
-    __hash__ = object.__hash__
-
-
-def _match_every_digest(monkeypatch) -> None:
-    monkeypatch.setattr(Power6Core, "state_digest",
-                        lambda core: _MatchesAny())
-
-
-def test_false_tracked_hits_are_confirmed_away(monkeypatch):
-    """Every tracked exit is checked exactly before it is trusted.
-
-    ``state_digest`` is patched after prepare to return a value equal to
-    every golden digest, so each tracked probe reports a hit.  Hits on a
-    trial that really differs from golden must be refused and counted in
-    ``sfi_digest_collisions_total{exit="tracked"}``, and records and
-    payloads must still be the slow path's."""
-    overrides, seed, flips = CASES["toggle"]
-    oracle = _tracked_trials(SfiExperiment(CampaignConfig(
-        **_BASE, **overrides, fastpath=False, provenance=True)), seed, flips)
-    registry = MetricsRegistry()
-    experiment = SfiExperiment(CampaignConfig(
-        **_BASE, **overrides, provenance=True), metrics=registry)
-
-    _match_every_digest(monkeypatch)
-    trials = _tracked_trials(experiment, seed, flips)
-    monkeypatch.undo()
-
-    collisions = registry.get("sfi_digest_collisions_total")
-    assert collisions is not None
-    assert collisions.value(exit="tracked") > 0
-    oracle = [trial[:2] for trial in oracle]
-    trials = [trial[:2] for trial in trials]
-    differ = [position for position, (a, b) in enumerate(zip(oracle, trials))
-              if a != b]
-    assert not differ, f"a false tracked hit reached positions {differ}"
-
-
-@pytest.mark.parametrize("backend", ["scalar", "bitplane"])
-def test_false_untracked_hits_are_confirmed_away(monkeypatch, backend,
-                                                 baseline_records):
-    """Every untracked ``golden`` exit is checked exactly before it is
-    trusted, on the scalar path and on the bit-plane backend's peeled
-    lanes, which run the scalar trial.
-
-    With ``state_digest`` patched after prepare as above, every digest
-    probe of an untracked drain is a hit.  Hits on a trial that really
-    differs from golden must be refused and counted in
-    ``sfi_digest_collisions_total{exit="golden"}``, and the records must
-    still be the slow path's."""
-    overrides, seed, flips = CASES["toggle"]
-    oracle = baseline_records("toggle", False)
-    registry = MetricsRegistry()
-    experiment = SfiExperiment(CampaignConfig(**_BASE, **overrides,
-                                              backend=backend),
-                               metrics=registry)
-    sites = random_sample(experiment.latch_map, flips,
-                          random.Random(seed ^ 0x5F1))
-    _match_every_digest(monkeypatch)
-    records = experiment.run_campaign(sites, seed).records
-    monkeypatch.undo()
-
-    collisions = registry.get("sfi_digest_collisions_total")
-    assert collisions is not None
-    assert collisions.value(exit="golden") > 0
-    differ = [position for position, (a, b) in enumerate(zip(oracle, records))
-              if a != b]
-    assert not differ, f"a false digest hit reached positions {differ}"
-
-
 # ----------------------------------------------------------------------
 # Property: any (site, testcase, inject cycle, injection mode, tracked).
 
@@ -404,7 +326,7 @@ def test_tracked_frozen_exit_boundary(mode_experiments, data):
     exactly when golden's last touch of the injected latch is at or
     before the inject cycle, and its record, payload and final state
     equal the slow path's, within two cycles of that touch and after the
-    last digest boundary (where no digest is left to exit at)."""
+    last rung boundary (where no rung is left to exit at)."""
     fast = mode_experiments[(InjectionMode.TOGGLE, True)]
     latch_map = fast.latch_map
     testcase = data.draw(st.integers(0, len(fast.suite) - 1),
@@ -421,7 +343,7 @@ def test_tracked_frozen_exit_boundary(mode_experiments, data):
                        label="offset")
     if offset == "tail":
         site = data.draw(st.integers(0, len(latch_map) - 1), label="site")
-        stride = fast.config.digest_stride
+        stride = fast.config.ckpt_stride
         cycle = data.draw(st.integers((end - 1) // stride * stride, end - 1),
                           label="inject_cycle")
     else:
