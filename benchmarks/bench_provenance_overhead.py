@@ -39,6 +39,7 @@ import time
 from repro.cpu import CoreParams
 from repro.cpu.core import Power6Core as Core
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.provenance import ProvenanceReport
 from repro.sfi import CampaignConfig, SfiExperiment
 from repro.sfi.sampling import random_sample
 
@@ -117,9 +118,9 @@ def test_provenance_overhead(benchmark):
             fast_exp.run_campaign(fast_sites, seed=_SEED)
         exits = {reason: int(count) for (reason,), count in
                  registry.get("sfi_early_exits_total").series().items()}
-        return walls, results, payloads, exits, on_exp
+        return walls, results, payloads, exits
 
-    walls, results, payloads, exits, on_exp = benchmark.pedantic(
+    walls, results, payloads, exits = benchmark.pedantic(
         run, rounds=1, iterations=1)
     seed_wall, off_wall, on_wall, fast_wall = (
         walls["seed"], walls["off"], walls["on"], walls["fast"])
@@ -129,7 +130,9 @@ def test_provenance_overhead(benchmark):
     off_overhead = (off_wall - seed_wall) / seed_wall
     on_ratio = on_wall / off_wall
     fast_speedup = on_wall / fast_wall
-    report = on_exp.provenance_report
+    report = ProvenanceReport()
+    for payload in payloads["on"].values():
+        report.absorb(payload)
     detail = {
         "trials": flips,
         "suite_size": 2,

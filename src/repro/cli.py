@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from random import Random
 
 from repro.analysis import (
     contribution_table,
@@ -39,10 +40,12 @@ from repro.analysis import (
 from repro.rtl import InjectionMode
 from repro.sfi import (
     CampaignConfig,
+    CampaignSupervisor,
     ClassifyOptions,
     SfiExperiment,
     per_kind_campaigns,
     per_unit_campaigns,
+    random_sample,
 )
 from repro.sfi.outcomes import OUTCOME_ORDER, Outcome
 from repro.stats import wilson_interval
@@ -172,106 +175,85 @@ class _ExecutedCounter:
 
 
 def cmd_campaign(args) -> int:
+    from repro.sfi.supervisor import PrintProgress, TeeProgress
+    if args.resume and not args.journal:
+        print("--resume requires --journal", file=sys.stderr)
+        return 2
     config = _config(args)
     start = time.perf_counter()
-    observed = bool(args.metrics or args.metrics_jsonl or args.trace_log)
-    # Metrics/trace sinks route through the supervised engine even at
-    # workers=1, so shard wall-time histograms and streaming records
-    # exist on every instrumented run.
-    supervised = (args.workers > 1 or args.journal is not None
-                  or args.resume or observed or args.listen is not None)
     registry = None
     trace_writer = None
-    if observed:
+    if args.metrics or args.metrics_jsonl or args.trace_log:
         from repro.obs import MetricsRegistry, TraceWriter, set_default_registry
         registry = MetricsRegistry()
         set_default_registry(registry)
         if args.trace_log:
             trace_writer = TraceWriter(args.trace_log)
     try:
-        if supervised:
-            from random import Random
-
-            from repro.sfi.parallel import run_parallel_campaign
-            from repro.sfi.sampling import random_sample
-            from repro.sfi.supervisor import PrintProgress, TeeProgress
-            if args.resume and not args.journal:
-                print("--resume requires --journal", file=sys.stderr)
-                return 2
-            probe = SfiExperiment(config)
-            # Site selection is a pure function of (seed, flips), so a
-            # resumed run regenerates the same plan its journal was
-            # written against.  The explicitly seeded Random is the
-            # determinism contract REPRO-D01 enforces repo-wide.
-            sites = random_sample(probe.latch_map, args.flips,
-                                  Random(args.seed ^ 0x5F1))
-            counter = _ExecutedCounter()
-            observers = [counter]
-            if not args.json:
-                observers.append(PrintProgress(
-                    every=max(1, args.flips // 10)))
-            if trace_writer is not None:
-                observers.append(_TraceLogProgress(trace_writer))
-            telemetry_on = getattr(args, "telemetry", 0.0) > 0
-            trace = None
+        probe = SfiExperiment(config)
+        # Site selection is a pure function of (seed, flips), so a
+        # resumed run regenerates the same plan its journal was
+        # written against.  The explicitly seeded Random is the
+        # determinism contract REPRO-D01 enforces repo-wide.
+        sites = random_sample(probe.latch_map, args.flips,
+                              Random(args.seed ^ 0x5F1))
+        counter = _ExecutedCounter()
+        observers = [counter]
+        if not args.json:
+            observers.append(PrintProgress(every=max(1, args.flips // 10)))
+        if trace_writer is not None:
+            observers.append(_TraceLogProgress(trace_writer))
+        telemetry_on = getattr(args, "telemetry", 0.0) > 0
+        trace = None
+        if telemetry_on:
+            from repro.obs.fleet import SpanRecorder
+            trace = SpanRecorder()
+        transport = None
+        if args.listen is not None:
+            from repro.sfi.service.coordinator import SocketTransport
+            convergence = None
             if telemetry_on:
-                from repro.obs.fleet import SpanRecorder
-                trace = SpanRecorder()
-            transport = None
-            if args.listen is not None:
-                from repro.sfi.service.coordinator import SocketTransport
-                convergence = None
-                if telemetry_on:
-                    from repro.obs.convergence import ConvergenceTracker
-                    convergence = ConvergenceTracker()
-                host, port = _parse_endpoint(args.listen,
-                                             default_host="0.0.0.0")
-                transport = SocketTransport(
-                    host=host, port=port,
-                    lease_items=args.lease_items,
-                    worker_wait=args.worker_wait,
-                    min_workers=args.min_workers,
-                    metrics=registry,
-                    telemetry_interval=args.telemetry,
-                    campaign=args.journal or "",
-                    convergence=convergence)
-                if not args.json:
-                    print(f"[coordinator] listening for workers on "
-                          f"{host}:{transport.port}")
-            result = run_parallel_campaign(
-                config, sites, seed=args.seed,
-                workers=args.workers,
-                population_bits=len(probe.latch_map),
-                journal=args.journal,
-                resume=args.resume,
-                shard_timeout=args.shard_timeout,
-                max_retries=args.max_retries,
+                from repro.obs.convergence import ConvergenceTracker
+                convergence = ConvergenceTracker()
+            host, port = _parse_endpoint(args.listen, default_host="0.0.0.0")
+            transport = SocketTransport(
+                host=host, port=port,
+                lease_items=args.lease_items,
+                worker_wait=args.worker_wait,
+                min_workers=args.min_workers,
                 metrics=registry,
-                reference_cycles=[r.cycles for r in probe.references],
-                transport=transport,
-                trace=trace,
-                progress=TeeProgress(*observers) if observers else None)
-            executed = counter.executed
-            recovered = counter.recovered
-            if trace is not None and args.journal:
-                from repro.obs.fleet import write_span_log
-                spans = list(trace.drain())
-                if transport is not None:
-                    spans.extend(transport.worker_spans)
-                span_path = args.journal + ".spans"
-                write_span_log(span_path, spans, campaign=args.journal)
-                if not args.json:
-                    print(f"{len(spans)} fleet spans -> {span_path}")
-            if registry is not None and transport is not None \
-                    and transport.fleet is not None:
-                # Fold the worker-streamed cumulatives into the exported
-                # snapshot (same merge semantics as shard results).
-                registry.merge(transport.fleet.fleet)
-        else:
-            experiment = SfiExperiment(config)
-            result = experiment.run_random_campaign(args.flips,
-                                                    seed=args.seed)
-            executed, recovered = result.total, 0
+                telemetry_interval=args.telemetry,
+                campaign=args.journal or "",
+                convergence=convergence)
+            if not args.json:
+                print(f"[coordinator] listening for workers on "
+                      f"{host}:{transport.port}")
+        result = CampaignSupervisor(
+            config, workers=args.workers,
+            population_bits=len(probe.latch_map),
+            journal=args.journal,
+            resume=args.resume,
+            shard_timeout=args.shard_timeout,
+            max_retries=args.max_retries,
+            metrics=registry,
+            reference_cycles=[r.cycles for r in probe.references],
+            transport=transport,
+            trace=trace,
+            progress=TeeProgress(*observers)).run(sites, seed=args.seed)
+        if trace is not None and args.journal:
+            from repro.obs.fleet import write_span_log
+            spans = list(trace.drain())
+            if transport is not None:
+                spans.extend(transport.worker_spans)
+            span_path = args.journal + ".spans"
+            write_span_log(span_path, spans, campaign=args.journal)
+            if not args.json:
+                print(f"{len(spans)} fleet spans -> {span_path}")
+        if registry is not None and transport is not None \
+                and transport.fleet is not None:
+            # Fold the worker-streamed cumulatives into the exported
+            # snapshot (same merge semantics as shard results).
+            registry.merge(transport.fleet.fleet)
     finally:
         if trace_writer is not None:
             trace_writer.close()
@@ -285,8 +267,9 @@ def cmd_campaign(args) -> int:
     if not args.json:
         # Rate over the injections this process actually ran: a resumed
         # campaign's journal-recovered records cost no wall-clock here.
+        recovered = counter.recovered
         print(f"{result.total} injections in {elapsed:.1f}s "
-              f"({1000 * elapsed / max(1, executed):.0f} ms each"
+              f"({1000 * elapsed / max(1, counter.executed):.0f} ms each"
               + (f"; {recovered} recovered from journal" if recovered
                  else "") + ")")
         if trace_writer is not None:
@@ -424,11 +407,9 @@ def cmd_explain(args) -> int:
     journaled one when available.
     """
     from dataclasses import fields
-    from random import Random
 
     from repro.analysis import render_propagation_story
     from repro.sfi.campaign import injection_rng, plan_injections
-    from repro.sfi.sampling import random_sample
     from repro.sfi.storage import CampaignStorageError, read_journal
 
     seed, flips, suite_size = args.seed, args.flips, args.suite_size
@@ -487,26 +468,14 @@ def cmd_propagation(args) -> int:
     from repro.analysis import render_provenance_report, write_provenance_jsonl
 
     config = _config(args, provenance=True)
-    if args.workers > 1:
-        from random import Random
-
-        from repro.sfi.sampling import random_sample
-        from repro.sfi.supervisor import CampaignSupervisor
-        probe = SfiExperiment(config)
-        sites = random_sample(probe.latch_map, args.flips,
-                              Random(args.seed ^ 0x5F1))
-        supervisor = CampaignSupervisor(config, workers=args.workers,
-                                        population_bits=len(probe.latch_map))
-        supervisor.run(sites, seed=args.seed)
-        report = supervisor.provenance_report
-        payloads = supervisor.provenance_payloads
-    else:
-        experiment = SfiExperiment(config)
-        payloads = {}
-        experiment.provenance_hook = \
-            lambda pos, payload: payloads.setdefault(pos, payload)
-        experiment.run_random_campaign(args.flips, seed=args.seed)
-        report = experiment.provenance_report
+    probe = SfiExperiment(config)
+    sites = random_sample(probe.latch_map, args.flips,
+                          Random(args.seed ^ 0x5F1))
+    supervisor = CampaignSupervisor(config, workers=args.workers,
+                                    population_bits=len(probe.latch_map))
+    supervisor.run(sites, seed=args.seed)
+    report = supervisor.provenance_report
+    payloads = supervisor.provenance_payloads
     if args.jsonl:
         write_provenance_jsonl(payloads, args.jsonl)
     if args.json:

@@ -12,7 +12,7 @@ SFI methodology minimises).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from repro.cpu.core import CoreSnapshot, Power6Core
@@ -41,7 +41,6 @@ class EngineStats:
     injections: int = 0
     # Checkpoint-ladder accounting (the fast path's replay cache).
     rungs_saved: int = 0
-    rung_evictions: int = 0
     ladder_hits: int = 0
     ladder_misses: int = 0
     cycles_skipped: int = 0
@@ -69,16 +68,17 @@ class _StickyFault:
 class AwanEmulator:
     """A loaded model plus the engine-side execution machinery."""
 
-    def __init__(self, core: Power6Core, max_rungs: int = 256) -> None:
+    def __init__(self, core: Power6Core) -> None:
         self.core = core
         self.latch_map = LatchMap(core)
         self.stats = EngineStats()
-        self.max_rungs = max_rungs
         self._checkpoints: dict[str, CoreSnapshot] = {}
-        # Checkpoint ladder: mid-execution snapshots keyed by
-        # (checkpoint name, cycle), LRU-evicted beyond ``max_rungs`` so
-        # a long reference run cannot grow engine memory without bound.
-        self._ladder: OrderedDict[tuple[str, int], CoreSnapshot] = OrderedDict()
+        # Checkpoint ladder: each checkpoint's mid-execution snapshots by
+        # cycle, and those cycles in ascending order for the bisect.
+        # Every rung is kept: a campaign saves rungs only while it
+        # prepares, so its stride, not a cap, bounds their memory.
+        self._ladder: dict[str, dict[int, CoreSnapshot]] = {}
+        self._rung_cycles: dict[str, list[int]] = {}
         self._sticky: list[_StickyFault] = []
 
     # ------------------------------------------------------------------
@@ -101,19 +101,22 @@ class AwanEmulator:
         return name in self._checkpoints
 
     def saved_states(self) -> tuple[dict[str, CoreSnapshot],
-                                    list[tuple[tuple[str, int],
-                                               CoreSnapshot]]]:
+                                    dict[str, dict[int, CoreSnapshot]]]:
         """Every saved model state: the checkpoints by name, and the
-        ladder's ``((name, cycle), snapshot)`` rungs in LRU order."""
-        return dict(self._checkpoints), list(self._ladder.items())
+        ladder's rungs by checkpoint name and cycle."""
+        return dict(self._checkpoints), {
+            name: dict(rungs) for name, rungs in self._ladder.items()}
 
     def load_saved_states(self, checkpoints: dict[str, CoreSnapshot],
-                          rungs) -> None:
+                          rungs: dict[str, dict[int, CoreSnapshot]]) -> None:
         """Replace every saved model state with ``checkpoints`` and
         ``rungs``, as :meth:`saved_states` returns them (possibly from
         another engine of the same model)."""
         self._checkpoints = dict(checkpoints)
-        self._ladder = OrderedDict(rungs)
+        self._ladder = {name: dict(by_cycle)
+                        for name, by_cycle in rungs.items()}
+        self._rung_cycles = {name: sorted(by_cycle)
+                             for name, by_cycle in rungs.items()}
 
     # ------------------------------------------------------------------
     # Checkpoint ladder (fast-path replay cache).
@@ -125,58 +128,43 @@ class AwanEmulator:
 
     def rung_count(self, name: str | None = None) -> int:
         if name is None:
-            return len(self._ladder)
-        return sum(1 for key in self._ladder if key[0] == name)
+            return sum(len(rungs) for rungs in self._ladder.values())
+        return len(self._ladder.get(name, ()))
 
     def save_rung(self, name: str) -> None:
         """Snapshot the current (mid-execution) state as a ladder rung
         for checkpoint ``name`` at the current cycle."""
-        if self.max_rungs < 1:
-            return
-        key = (name, self.core.cycles)
-        self._ladder[key] = self.core.snapshot()
-        self._ladder.move_to_end(key)
+        cycle = self.core.cycles
+        rungs = self._ladder.setdefault(name, {})
+        if cycle not in rungs:
+            insort(self._rung_cycles.setdefault(name, []), cycle)
+        rungs[cycle] = self.core.snapshot()
         self.stats.rungs_saved += 1
         self.stats.host_interactions += 1
-        while len(self._ladder) > self.max_rungs:
-            self._ladder.popitem(last=False)
-            self.stats.rung_evictions += 1
 
     def rung(self, name: str, cycle: int) -> CoreSnapshot | None:
-        """The rung of ``name`` saved at exactly ``cycle``, or None
-        (never saved, or evicted).  A lookup for comparison, not a
-        restore: the ladder's LRU order is left as it is."""
-        return self._ladder.get((name, cycle))
+        """The rung of ``name`` saved at exactly ``cycle``, or None.  A
+        lookup for comparison, not a restore."""
+        return self._ladder.get(name, {}).get(cycle)
 
     def restore_nearest(self, name: str, cycle: int) -> int:
         """Restore the highest rung of ``name`` at or below ``cycle``
         (falling back to the base checkpoint); returns the restored
         cycle so the caller fast-forwards only the remainder."""
-        best: tuple[str, int] | None = None
-        for key in self._ladder:
-            if key[0] == name and key[1] <= cycle and \
-                    (best is None or key[1] > best[1]):
-                best = key
-        if best is None:
+        cycles = self._rung_cycles.get(name, ())
+        index = bisect_right(cycles, cycle)
+        if not index:
             self.stats.ladder_misses += 1
             self.reload(name)
             return self.core.cycles
-        self._ladder.move_to_end(best)
-        self.core.restore(self._ladder[best])
+        best = cycles[index - 1]
+        self.core.restore(self._ladder[name][best])
         self._sticky.clear()
         self.stats.ladder_hits += 1
-        self.stats.cycles_skipped += best[1]
+        self.stats.cycles_skipped += best
         self.stats.checkpoints_loaded += 1
         self.stats.host_interactions += 1
-        return best[1]
-
-    def drop_rungs(self, name: str | None = None) -> None:
-        """Forget ladder rungs (all of them, or one checkpoint's)."""
-        if name is None:
-            self._ladder.clear()
-            return
-        for key in [k for k in self._ladder if k[0] == name]:
-            del self._ladder[key]
+        return best
 
     # ------------------------------------------------------------------
     # Clocking.

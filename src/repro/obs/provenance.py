@@ -8,9 +8,9 @@ infection-footprint time series, the detection event and latency, and a
 masking-attribution ledger.  This module owns the shared vocabulary for
 those payloads (the masking taxonomy and node kinds) and the campaign
 side: :class:`ProvenanceReport` folds payloads into per-unit-pair edge
-matrices and latency/footprint statistics with commutative merge
-semantics, so reports assembled from any sharding of a campaign — any
-worker count, any arrival order — are identical.
+matrices and latency/footprint statistics, one payload at a time and
+commutatively, so a report absorbed from any sharding of a campaign —
+any worker count, any arrival order — is identical.
 
 Layering: this module is dependency-free (no ``repro.cpu`` / ``repro.sfi``
 imports); the simulator and campaign layers import *it*.
@@ -60,9 +60,9 @@ class ProvenanceReport:
     """Campaign-level aggregate of per-injection provenance payloads.
 
     Every field is a sum, count, min/max or counter, so :meth:`absorb`
-    and :meth:`merge` are commutative and associative: the supervisor can
-    fold partial reports from shards in completion order and still match
-    a serial run bit for bit.
+    is commutative: the campaign supervisor absorbs each payload once,
+    in whatever order the shards deliver them, and its report still
+    matches a serial run's bit for bit.
     """
 
     def __init__(self) -> None:
@@ -114,29 +114,6 @@ class ProvenanceReport:
         self.residual_bits_sum += payload.get("residual_tainted", 0)
         self.cross_core_edges += payload.get("cross_core_edges", 0)
 
-    def merge(self, other: ProvenanceReport) -> None:
-        """Fold another (partial) report into this one."""
-        self.injections += other.injections
-        self.outcomes.update(other.outcomes)
-        self.unit_edges.update(other.unit_edges)
-        self.edges_dropped += other.edges_dropped
-        self.detections += other.detections
-        self.detection_latency_sum += other.detection_latency_sum
-        for mine, theirs, pick in (("detection_latency_min",
-                                    other.detection_latency_min, min),
-                                   ("detection_latency_max",
-                                    other.detection_latency_max, max)):
-            if theirs is not None:
-                current = getattr(self, mine)
-                setattr(self, mine,
-                        theirs if current is None else pick(current, theirs))
-        self.detected_by.update(other.detected_by)
-        self.masking.update(other.masking)
-        self.peak_bits_sum += other.peak_bits_sum
-        self.peak_bits_max = max(self.peak_bits_max, other.peak_bits_max)
-        self.residual_bits_sum += other.residual_bits_sum
-        self.cross_core_edges += other.cross_core_edges
-
     # ------------------------------------------------------------------
     # Derived views.
 
@@ -156,7 +133,7 @@ class ProvenanceReport:
         return sorted(seen)
 
     # ------------------------------------------------------------------
-    # Serialisation (for JSONL sidecars and cross-process transfer).
+    # Serialisation (``repro-sfi propagation --json`` and equality).
 
     def to_dict(self) -> dict:
         return {
@@ -176,27 +153,6 @@ class ProvenanceReport:
             "residual_bits_sum": self.residual_bits_sum,
             "cross_core_edges": self.cross_core_edges,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ProvenanceReport:
-        report = cls()
-        report.injections = data.get("injections", 0)
-        report.outcomes = Counter(data.get("outcomes", {}))
-        report.unit_edges = Counter(
-            {(src, dst): count
-             for src, dst, count in data.get("unit_edges", [])})
-        report.edges_dropped = data.get("edges_dropped", 0)
-        report.detections = data.get("detections", 0)
-        report.detection_latency_sum = data.get("detection_latency_sum", 0)
-        report.detection_latency_min = data.get("detection_latency_min")
-        report.detection_latency_max = data.get("detection_latency_max")
-        report.detected_by = Counter(data.get("detected_by", {}))
-        report.masking = Counter(data.get("masking", {}))
-        report.peak_bits_sum = data.get("peak_bits_sum", 0)
-        report.peak_bits_max = data.get("peak_bits_max", 0)
-        report.residual_bits_sum = data.get("residual_bits_sum", 0)
-        report.cross_core_edges = data.get("cross_core_edges", 0)
-        return report
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProvenanceReport):

@@ -16,7 +16,6 @@ from repro.sfi.chip_campaign import (
     ChipExperiment,
     ChipInjectionRecord,
 )
-from repro.sfi.parallel import run_parallel_campaign
 from repro.sfi.storage import (
     RECORD_ROW_FIELDS,
     CampaignJournal,
@@ -79,7 +78,6 @@ __all__ = [
     "scan_journal",
     "verify_journal",
     "plan_injections",
-    "run_parallel_campaign",
     "macro_campaign",
     "CampaignResult",
     "ClassifyOptions",

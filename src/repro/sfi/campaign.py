@@ -31,7 +31,7 @@ from repro.emulator.bitplane import (
     compile_netlist,
 )
 from repro.emulator.host import CommHost
-from repro.obs.provenance import MaskingEvent, ProvenanceReport
+from repro.obs.provenance import MaskingEvent
 from repro.rtl.fault import InjectionMode
 
 from repro.sfi.classify import ClassifyOptions, classify
@@ -141,9 +141,8 @@ class CampaignConfig:
     # faulty state has rejoined the golden trajectory.
     # None (or 0): no mid-execution rungs, only the cycle-0 checkpoint,
     # so only the frozen exit is left and every other trial drains.
+    # The one knob for ladder memory: every rung prepare saves is kept.
     ckpt_stride: int | None = 64
-    # Ladder memory bound (LRU-evicted rungs across all testcases).
-    ladder_max_rungs: int = 256
     # --- Fault provenance (taint propagation DAG per injection) -------
     # When True, every trial is taint-tracked and produces a provenance
     # payload (propagation DAG, infection footprint, detection latency,
@@ -226,9 +225,8 @@ class PreparedState:
     references: list[ReferenceRun] = field(default_factory=list)
     goldens: list[GoldenTrace] = field(default_factory=list)
     checkpoints: dict[str, CoreSnapshot] = field(default_factory=dict)
-    # ((checkpoint name, cycle), snapshot) in ladder order.
-    rungs: list[tuple[tuple[str, int], CoreSnapshot]] = field(
-        default_factory=list)
+    # Checkpoint name -> cycle -> snapshot.
+    rungs: dict[str, dict[int, CoreSnapshot]] = field(default_factory=dict)
     schedules: list = field(default_factory=list)
 
 
@@ -240,40 +238,15 @@ _INJECTION_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 _CYCLES_SAVED_BUCKETS = (0.0, 16.0, 64.0, 256.0, 1024.0, 4096.0,
                          16384.0, float("inf"))
 
-# Cycles from flip to first checker fire / FIR set / recovery start.
-_DETECTION_LATENCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                              256.0, 512.0, 1024.0, 4096.0, float("inf"))
-
-# Peak simultaneously tainted storage bits of one injection.
-_PEAK_BITS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
-                      512.0, 1024.0, float("inf"))
-
 # Trial lanes per resolved bit-plane wave (63 = a full plane word).
 _WAVE_OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 63.0,
                            float("inf"))
 
 
-def observe_provenance_metrics(inst, payload: dict) -> None:
-    """Fold one provenance payload into the shared metric series.
-
-    ``inst`` is any instrument bundle exposing ``detection_latency``,
-    ``infection_peak`` and ``taint_edges`` (the experiment's and the
-    supervisor's both do, so serial and sharded campaigns feed one
-    dashboard).
-    """
-    detection = payload.get("detection")
-    if detection is not None:
-        inst.detection_latency.observe(detection["latency"])
-    inst.infection_peak.observe(payload.get("peak_bits", 0))
-    nodes = payload.get("nodes", [])
-    for src, dst, _cycle, count in payload.get("edges", []):
-        inst.taint_edges.inc(count, src_unit=nodes[src]["unit"],
-                             dst_unit=nodes[dst]["unit"])
-
-
 class _ExperimentInstruments:
-    """The experiment-level series (shared metric names with the
-    supervisor's outcome counters, so either path feeds one dashboard)."""
+    """The experiment-level series: per-trial outcomes, timings and
+    fast-path exits (shared names with the supervisor's series, which
+    alone fold a campaign's provenance payloads)."""
 
     def __init__(self, registry) -> None:
         self.injections = registry.counter(
@@ -303,18 +276,6 @@ class _ExperimentInstruments:
             "sfi_fastpath_saved_cycles",
             "simulation cycles avoided per injection by the fast path",
             buckets=_CYCLES_SAVED_BUCKETS)
-        self.detection_latency = registry.histogram(
-            "sfi_detection_latency_cycles",
-            "cycles from injection to first detection event",
-            buckets=_DETECTION_LATENCY_BUCKETS)
-        self.infection_peak = registry.histogram(
-            "sfi_infection_peak_bits",
-            "peak simultaneously tainted storage bits per injection",
-            buckets=_PEAK_BITS_BUCKETS)
-        self.taint_edges = registry.counter(
-            "sfi_taint_edges_total",
-            "taint propagation DAG edge traversals by unit pair",
-            ("src_unit", "dst_unit"))
         self.waves = registry.counter(
             "sfi_waves_total",
             "bit-plane waves resolved against a compiled golden schedule")
@@ -330,13 +291,13 @@ class _ExperimentInstruments:
 
 
 # This process's prepared machine, the one slot of Figure 1's "prepare
-# once": every SfiExperiment built on the default AwanEmulator takes it
-# at the end of a successful __init__ (the CLI's or a service's probe, a
-# remote worker's own machine, the machine a pool worker loads from its
-# parent's PreparedState), replacing the previous one.  Shard runners
-# reuse it for its config (prepared_machine), so a serial supervised
-# campaign runs on the probe its caller already prepared, and a pool
-# worker on its parent's.  Reuse is sound because a prepared machine is
+# once": every SfiExperiment takes it at the end of a successful
+# __init__ (the CLI's or a service's probe, a remote worker's own
+# machine, the machine a pool worker loads from its parent's
+# PreparedState), replacing the previous one.  Shard runners reuse it
+# for its config (prepared_machine), so a serial supervised campaign
+# runs on the probe its caller already prepared, and a pool worker on
+# its parent's.  Reuse is sound because a prepared machine is
 # frozen: ``checkpoint`` and ``save_rung`` run only inside ``_prepare``,
 # so the ladder is fixed before the first trial, and every trial
 # restores a rung or checkpoint before it clocks, so no trial sees what
@@ -358,11 +319,10 @@ def prepared_machine(config: CampaignConfig) -> SfiExperiment:
 class SfiExperiment:
     """A prepared machine + workload, ready to run injection campaigns.
 
-    Built on the default :class:`AwanEmulator`, a new experiment becomes
-    its process's prepared machine for its config
-    (:func:`prepared_machine`): a supervised campaign of the same config
-    that runs in this process runs on it, with only the sinks of its
-    shard (:meth:`sinks`), instead of preparing a second machine.
+    A new experiment becomes its process's prepared machine for its
+    config (:func:`prepared_machine`): a supervised campaign of the same
+    config that runs in this process runs on it, with only the sinks of
+    its shard (:meth:`sinks`), instead of preparing a second machine.
 
     ``prepared`` (another machine's :attr:`prepared`, for the same
     config) installs that state instead of preparing: a pool worker
@@ -376,7 +336,7 @@ class SfiExperiment:
     """
 
     def __init__(self, config: CampaignConfig | None = None,
-                 emulator_cls=AwanEmulator, metrics=None,
+                 metrics=None,
                  prepared: PreparedState | None = None) -> None:
         self.config = config or CampaignConfig()
         self.core = Power6Core(self.config.core_params)
@@ -384,15 +344,8 @@ class SfiExperiment:
         # otherwise accumulate events for the whole drain window.
         self.core.event_log = EventLog(
             capacity=None, max_events=self.config.trace_max_events)
-        self.emulator = emulator_cls(self.core)
-        if hasattr(self.emulator, "max_rungs"):
-            self.emulator.max_rungs = self.config.ladder_max_rungs
-        # The fast path needs the ladder API; a foreign emulator
-        # class without it silently keeps the original slow path.
-        self.fastpath = bool(
-            self.config.fastpath
-            and hasattr(self.emulator, "restore_nearest")
-            and hasattr(self.emulator, "save_rung"))
+        self.emulator = AwanEmulator(self.core)
+        self.fastpath = self.config.fastpath
         self.host = CommHost(self.emulator, self.config.poll_interval)
         self.latch_map = self.emulator.latch_map
         # Position of each latch in the core's latch order, to look up a
@@ -408,7 +361,7 @@ class SfiExperiment:
         if self.bitplane and not self.fastpath:
             raise ValueError(
                 "bitplane backend requires the fast-path machinery "
-                "(fastpath=True and a ladder-capable emulator)")
+                "(fastpath=True)")
         if self.bitplane and self.config.provenance:
             raise ValueError(
                 "bitplane backend is incompatible with provenance "
@@ -420,22 +373,19 @@ class SfiExperiment:
         # Per-trial side channels, refreshed by every run_one call: the
         # fast-path extras (exit reason + saved cycles) and the
         # provenance payload of a provenance-enabled trial.  run_plan
-        # forwards them through the matching hooks (the supervisor's
-        # shard workers journal and merge through these) and folds
-        # payloads into ``provenance_report``.
+        # hands each to its hook and folds nothing campaign-wide: the
+        # supervisor journals the extras and folds the payloads.
         self.last_fastpath: dict | None = None
         self.last_provenance: dict | None = None
         self.fastpath_hook = None
         self.provenance_hook = None
-        self.provenance_report: ProvenanceReport | None = None
         prepare_start = time.perf_counter()
         self._install(prepared if prepared is not None else self._prepare())
         self.prepare_seconds = time.perf_counter() - prepare_start
         if metrics is not None:
             self.instrument(metrics)
-        if emulator_cls is AwanEmulator:
-            global _PREPARED
-            _PREPARED = self
+        global _PREPARED
+        _PREPARED = self
 
     def instrument(self, registry) -> None:
         """Attach a metrics registry (and a sampled core profiler)."""
@@ -775,9 +725,8 @@ class SfiExperiment:
           the taint is provably inert (:meth:`_taint_inert`; every
           tainted latch is held).
 
-        A boundary whose rung the ladder evicted offers no exit.  The
-        caller re-applies the held latches' trial values to the golden
-        final state.  None means the drain completed (quiesce or
+        The caller re-applies the held latches' trial values to the
+        golden final state.  None means the drain completed (quiesce or
         exhausted budget) and the caller classifies normally.
         """
         config = self.config
@@ -1040,14 +989,13 @@ class SfiExperiment:
                      for item in plan]
         order = scheduled
         if self.fastpath:
-            # Visit injections testcase-by-testcase in cycle order so
-            # ladder rungs stay warm (monotone cycles touch each rung
-            # once); every item is self-contained, so execution order
-            # cannot change any record, and results/hook positions are
-            # still reported against the caller's plan.
+            # Visit injections testcase-by-testcase in cycle order, so
+            # consecutive trials restore the same or the next rung;
+            # every item is self-contained, so execution order cannot
+            # change any record, and results/hook positions are still
+            # reported against the caller's plan.
             order = sorted(scheduled, key=lambda pair: (
                 pair[0].testcase_index, pair[1], pair[0].position))
-        report = ProvenanceReport() if self.config.provenance else None
         records: dict[int, InjectionRecord] = {}
         if self.bitplane:
             self._run_waves(scheduled, records, record_hook)
@@ -1062,21 +1010,14 @@ class SfiExperiment:
             if self.last_fastpath is not None \
                     and self.fastpath_hook is not None:
                 self.fastpath_hook(item.position, self.last_fastpath)
-            payload = self.last_provenance
-            if payload is not None:
-                if report is not None:
-                    report.absorb(payload)
-                if inst is not None:
-                    observe_provenance_metrics(inst, payload)
-                if self.provenance_hook is not None:
-                    self.provenance_hook(item.position, payload)
+            if self.last_provenance is not None \
+                    and self.provenance_hook is not None:
+                self.provenance_hook(item.position, self.last_provenance)
             records[item.position] = record
             if record_hook is not None:
                 record_hook(item.position, record)
         for item, _ in scheduled:
             result.add(records[item.position])
-        if report is not None:
-            self.provenance_report = report
         if inst is not None:
             elapsed = time.perf_counter() - campaign_start
             inst.campaign_seconds.set(elapsed)

@@ -10,7 +10,6 @@ the estimation-error curve that justifies the 10k-flip operating point.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
 from repro.sfi.campaign import SfiExperiment
@@ -34,30 +33,13 @@ class SampleSizePoint:
 def sample_size_experiment(experiment: SfiExperiment,
                            sizes: list[int],
                            samples_per_size: int = 10,
-                           seed: int = 0,
-                           workers: int = 1,
-                           progress=None,
-                           metrics=None) -> list[SampleSizePoint]:
+                           seed: int = 0) -> list[SampleSizePoint]:
     """Run the Figure 2 experiment over ``sizes``.
 
-    With ``workers > 1`` each sample campaign runs under the supervised
-    parallel engine (fault-tolerant, same records as a serial run);
-    ``progress`` is a :class:`~repro.sfi.supervisor.CampaignProgress`
-    observing every campaign of the sweep.  ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`) instruments the experiment if it
-    isn't already and adds sweep-level series: campaigns completed per
-    sample size and total sweep wall time.
+    Every sample campaign runs serially on ``experiment``
+    (:meth:`~repro.sfi.campaign.SfiExperiment.run_campaign`), with
+    whatever metrics it is instrumented with.
     """
-    sweep_campaigns = sweep_seconds = None
-    if metrics is not None:
-        if experiment.metrics is None:
-            experiment.instrument(metrics)
-        sweep_campaigns = metrics.counter(
-            "sfi_sweep_campaigns_total",
-            "sample-size sweep campaigns completed", ("flips",))
-        sweep_seconds = metrics.gauge(
-            "sfi_sweep_seconds", "wall time of the last sample-size sweep")
-    sweep_start = time.perf_counter()
     points: list[SampleSizePoint] = []
     for size in sizes:
         point = SampleSizePoint(flips=size, samples=samples_per_size)
@@ -67,20 +49,8 @@ def sample_size_experiment(experiment: SfiExperiment,
             rng = random.Random(f"{seed}:{size}:{sample_idx}")
             sites = random_sample(experiment.latch_map, size, rng)
             campaign_seed = rng.randrange(1 << 30)
-            if workers > 1:
-                from repro.sfi.parallel import run_parallel_campaign
-                result = run_parallel_campaign(
-                    experiment.config, sites, seed=campaign_seed,
-                    workers=workers,
-                    population_bits=len(experiment.latch_map),
-                    **({"progress": progress} if progress else {}))
-            else:
-                hook = (progress.on_record if progress is not None else None)
-                result = experiment.run_campaign(sites, seed=campaign_seed,
-                                                 record_hook=hook)
+            result = experiment.run_campaign(sites, seed=campaign_seed)
             point.results.append(result)
-            if sweep_campaigns is not None:
-                sweep_campaigns.inc(flips=str(size))
             counts = result.counts()
             for outcome in OUTCOME_ORDER:
                 per_outcome_counts[outcome].append(counts[outcome])
@@ -89,6 +59,4 @@ def sample_size_experiment(experiment: SfiExperiment,
             point.means[outcome] = mean
             point.stdev_over_mean[outcome] = (std / mean) if mean else 0.0
         points.append(point)
-    if sweep_seconds is not None:
-        sweep_seconds.set(time.perf_counter() - sweep_start)
     return points

@@ -46,13 +46,10 @@ from functools import partial
 from repro.obs.provenance import ProvenanceReport
 from repro.sfi.campaign import (
     _CYCLES_SAVED_BUCKETS,
-    _DETECTION_LATENCY_BUCKETS,
-    _PEAK_BITS_BUCKETS,
     CampaignConfig,
     InjectionPlan,
     SfiExperiment,
     injection_rng,
-    observe_provenance_metrics,
     plan_injections,
     prepared_machine,
 )
@@ -224,6 +221,14 @@ _SHARD_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 _QUEUE_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0,
                   60.0, float("inf"))
 
+# Cycles from flip to first checker fire / FIR set / recovery start.
+_DETECTION_LATENCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
+                              256.0, 512.0, 1024.0, 4096.0, float("inf"))
+
+# Peak simultaneously tainted storage bits of one injection.
+_PEAK_BITS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
+                      512.0, 1024.0, float("inf"))
+
 
 def _outcome_value(record) -> str:
     outcome = getattr(record, "outcome", None)
@@ -231,7 +236,9 @@ def _outcome_value(record) -> str:
 
 
 class _SupervisorInstruments:
-    """Supervisor-side series: shard lifecycle, failure policy, throughput."""
+    """Supervisor-side series: shard lifecycle, failure policy,
+    throughput, the fast-path extras every shard reports, and the only
+    series a campaign's provenance payloads feed."""
 
     def __init__(self, registry) -> None:
         self.injections = registry.counter(
@@ -262,7 +269,8 @@ class _SupervisorInstruments:
         # Same names/shapes as the experiment-level series in
         # repro.sfi.campaign: workers run uninstrumented, so the parent
         # folds their sidecar reports into the one dashboard a serial
-        # instrumented run would feed.
+        # instrumented run would feed.  The provenance series exist only
+        # here (observe_provenance_metrics).
         self.early_exits = registry.counter(
             "sfi_early_exits_total",
             "fast-path trials ended before a full drain, by exit reason",
@@ -285,6 +293,19 @@ class _SupervisorInstruments:
             ("src_unit", "dst_unit"))
 
 
+def observe_provenance_metrics(inst: _SupervisorInstruments,
+                               payload: dict) -> None:
+    """Fold one provenance payload into the provenance metric series."""
+    detection = payload.get("detection")
+    if detection is not None:
+        inst.detection_latency.observe(detection["latency"])
+    inst.infection_peak.observe(payload.get("peak_bits", 0))
+    nodes = payload.get("nodes", [])
+    for src, dst, _cycle, count in payload.get("edges", []):
+        inst.taint_edges.inc(count, src_unit=nodes[src]["unit"],
+                             dst_unit=nodes[dst]["unit"])
+
+
 # ----------------------------------------------------------------------
 # Worker side.
 
@@ -296,20 +317,22 @@ def run_shard(config: CampaignConfig, items: list[InjectionPlan], seed: int,
     report coverage fractions.
 
     The machine is :func:`~repro.sfi.campaign.prepared_machine`'s: a
-    serial shard (``workers <= 1``, and every transport's in-process
-    fallback) and the pool parent's own leases run on the machine its
-    caller already prepared for ``config``, such as the CLI's probe; a
-    spawned pool worker runs on the copy of that machine it loaded
-    before its first lease (:func:`_shard_worker`), and a remote worker
-    prepares once and keeps its machine across leases.  Since the
+    serial shard (``workers <= 1``, which every CLI campaign at its
+    default takes, and every transport's in-process fallback) and the
+    pool parent's own leases run on the machine its caller already
+    prepared for ``config``, such as the CLI's probe; a spawned pool
+    worker runs on the copy of that machine it loaded before its first
+    lease (:func:`_shard_worker`), and a remote worker prepares once and
+    keeps its machine across leases.  Since the
     machine may be the caller's, it runs with exactly the sinks ``emit``
     supplies (:meth:`~repro.sfi.campaign.SfiExperiment.sinks`), and the
     caller's hooks and registry are back, untouched, on exit.  When
     ``emit`` carries an ``extra(kind, position, payload)`` attribute
     (the supervisor's sidecar channel), the fast-path and provenance
     payloads go through it — out of band, so the record stream itself
-    stays bit-identical to a hookless run; when it carries a ``metrics``
-    registry, the experiment series accrue there.
+    stays bit-identical to a hookless run — and the supervisor alone
+    journals the extras and folds the payloads; when it carries a
+    ``metrics`` registry, the experiment series accrue there.
     """
     experiment = prepared_machine(config)
     extra = getattr(emit, "extra", None)
@@ -671,10 +694,10 @@ class CampaignSupervisor:
     ``reference_cycles`` (fault-free cycle count per testcase, e.g. from
     a probe experiment) lets the parent pre-sort the pending plan by
     (testcase, injection cycle) before sharding, so each fast-path
-    worker sees a narrow monotone cycle band and its checkpoint-ladder
-    rungs stay warm.  The sort is purely a scheduling hint: every plan
-    item is self-contained, so the merged result is bit-identical with
-    or without it.
+    worker sees a narrow monotone cycle band and restores neighbouring
+    ladder rungs in turn.  The sort is purely a scheduling hint: every
+    plan item is self-contained, so the merged result is bit-identical
+    with or without it.
     """
 
     def __init__(self, config: CampaignConfig, *,
@@ -727,10 +750,12 @@ class CampaignSupervisor:
         # Highest fencing token revoked so far: a lease manager taking
         # over from another transport issues tokens above it.
         self._fence_floor = 0
-        #: Merged provenance aggregate of the last run (None unless
-        #: ``config.provenance``); per-position payloads in
-        #: ``provenance_payloads``.  Commutative folding makes both
-        #: identical across worker counts and arrival orders.
+        #: Provenance aggregate of the last run (None unless
+        #: ``config.provenance``): the one fold of the campaign's
+        #: payloads, each absorbed once as it arrives from any shard;
+        #: per-position payloads in ``provenance_payloads``.  Folding is
+        #: commutative, so both are identical across worker counts and
+        #: arrival orders.
         self.provenance_report: ProvenanceReport | None = None
         self.provenance_payloads: dict[int, dict] = {}
 
@@ -847,9 +872,10 @@ class CampaignSupervisor:
                       seed: int) -> list[InjectionPlan]:
         """Order pending items by (testcase, injection cycle) when the
         fast path is on and per-testcase reference lengths are known, so
-        contiguous shards carry monotone cycle bands (warm ladder rungs
-        in every worker).  Records are order-independent (each item's
-        RNG stream is self-contained), so this never changes results."""
+        contiguous shards carry monotone cycle bands (neighbouring ladder
+        rungs in every worker).  Records are order-independent (each
+        item's RNG stream is self-contained), so this never changes
+        results."""
         cycles = self.reference_cycles
         if not cycles or not self.config.fastpath:
             return pending

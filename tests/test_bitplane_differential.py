@@ -184,12 +184,12 @@ def test_bitplane_simulates_fewer_cycles(slow_records):
 
 
 def test_records_identical_without_ladder_rungs():
-    """With ``ladder_max_rungs=0`` the ladder holds no rung, so every
+    """With ``ckpt_stride=None`` the ladder holds no rung, so every
     peeled lane replays from its testcase's cycle-0 checkpoint, and the
     records are still the slow path's."""
     seed, flips = 4, 24
     experiment, result = run_campaign({}, seed, flips, backend="bitplane",
-                                      ladder_max_rungs=0)
+                                      ckpt_stride=None)
     assert experiment.emulator.rung_count() == 0
     sites = [record.site_index for record in result.records]
     slow = run_campaign({}, seed, flips, sites=sites, fastpath=False)[1]

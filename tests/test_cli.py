@@ -66,6 +66,18 @@ class TestCli:
         code, out = run_cli(capsys, "beam", "--events", "15", *BASE)
         assert "beam events" in out and "Vanished" in out
 
+    def test_workload_table1(self, capsys):
+        code, out = run_cli(capsys, "workload", "--programs", "1")
+        assert code == 0
+        assert "Table 1" in out
+        assert "Load" in out and "Branch" in out and "CPI" in out
+        code, out = run_cli(capsys, "workload", "--programs", "1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"avp", "avp_cpi", "spec", "spec_cpi"}
+        assert payload["avp_cpi"] > 0
+        assert set(payload["spec"]) == set(payload["spec_cpi"])
+
     def test_trace(self, capsys):
         code, out = run_cli(capsys, "trace", "--flips", "40", "--show", "2",
                             *BASE)

@@ -1,12 +1,11 @@
-"""Parallel campaign sharding and execution."""
+"""Parallel campaign sharding and execution under the supervisor."""
 
 import random
 
 import pytest
 
-from repro.sfi import CampaignConfig
+from repro.sfi import CampaignConfig, CampaignSupervisor
 from repro.sfi.campaign import partition_plan
-from repro.sfi.parallel import run_parallel_campaign
 
 from tests.conftest import SMALL_PARAMS
 
@@ -36,25 +35,25 @@ class TestParallelExecution:
                               core_params=SMALL_PARAMS)
 
     def test_single_worker_falls_back_to_serial(self, config):
-        result = run_parallel_campaign(config, [10, 20, 30], seed=1, workers=1)
+        result = CampaignSupervisor(config, workers=1).run([10, 20, 30], 1)
         assert result.total == 3
 
     def test_single_shard_keeps_population_bits(self, config):
         """The serial fallback must report the same coverage denominator
         as a parallel run (regression: it used to drop population_bits)."""
-        explicit = run_parallel_campaign(config, [10, 20, 30], seed=1,
-                                         workers=1, population_bits=5000)
+        explicit = CampaignSupervisor(config, workers=1,
+                                      population_bits=5000).run(
+            [10, 20, 30], 1)
         assert explicit.population_bits == 5000
-        implicit = run_parallel_campaign(config, [10, 20, 30], seed=1,
-                                         workers=1)
+        implicit = CampaignSupervisor(config, workers=1).run([10, 20, 30], 1)
         assert implicit.population_bits > 0  # workers' own latch count
 
     @pytest.mark.slow
     def test_two_workers_merge_all_records(self, config):
         rng = random.Random(3)
         sites = [rng.randrange(5000) for _ in range(24)]
-        result = run_parallel_campaign(config, sites, seed=1, workers=2,
-                                       population_bits=5000)
+        result = CampaignSupervisor(config, workers=2,
+                                    population_bits=5000).run(sites, 1)
         assert result.total == 24
         assert result.population_bits == 5000
         assert sum(result.counts().values()) == 24
@@ -62,8 +61,8 @@ class TestParallelExecution:
     @pytest.mark.slow
     def test_parallel_is_deterministic(self, config):
         sites = list(range(100, 112))
-        a = run_parallel_campaign(config, sites, seed=7, workers=2)
-        b = run_parallel_campaign(config, sites, seed=7, workers=2)
+        a = CampaignSupervisor(config, workers=2).run(sites, 7)
+        b = CampaignSupervisor(config, workers=2).run(sites, 7)
         assert [r.outcome for r in a.records] == [r.outcome for r in b.records]
 
     @pytest.mark.slow
@@ -71,8 +70,8 @@ class TestParallelExecution:
         """Per-site RNG streams are keyed by (seed, site, occurrence),
         so the merged campaign is bit-identical for any ``workers``."""
         sites = list(range(200, 212)) + [205, 205]  # repeats included
-        serial = run_parallel_campaign(config, sites, seed=9, workers=1)
-        parallel = run_parallel_campaign(config, sites, seed=9, workers=3)
+        serial = CampaignSupervisor(config, workers=1).run(sites, 9)
+        parallel = CampaignSupervisor(config, workers=3).run(sites, 9)
         assert [r.site_name for r in serial.records] == \
             [r.site_name for r in parallel.records]
         assert [r.inject_cycle for r in serial.records] == \

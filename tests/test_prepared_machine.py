@@ -1,12 +1,12 @@
 """One prepared machine per process, prepared once per campaign.
 
-Every ``SfiExperiment`` built on the default emulator becomes its
-process's prepared machine for its config, and ``run_shard`` runs on it,
-so a serial supervised campaign runs on the probe its caller already
-prepared instead of preparing a second machine.  These tests pin who
-fills the slot, who reuses it, that a borrowed machine runs with only
-its shard's sinks, and that reuse cannot change a record: a machine
-that already ran campaigns answers exactly like a fresh one.
+Every ``SfiExperiment`` becomes its process's prepared machine for its
+config, and ``run_shard`` runs on it, so a serial supervised campaign
+runs on the probe its caller already prepared instead of preparing a
+second machine.  These tests pin who fills the slot, who reuses it,
+that a borrowed machine runs with only its shard's sinks, and that
+reuse cannot change a record: a machine that already ran campaigns
+answers exactly like a fresh one.
 
 A local pool ships its parent's machine to every worker, which loads it
 instead of preparing.  The tests below hold a loaded machine to a fresh
@@ -32,7 +32,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.emulator import AwanEmulator, SoftwareSimulator
 from repro.emulator.bitplane import CompiledSchedule
 from repro.obs import MetricsRegistry
 from repro.sfi import CampaignConfig, CampaignSupervisor, SfiExperiment
@@ -185,17 +184,6 @@ def test_supervisor_of_another_config_builds_its_own_machine(tmp_path,
     assert ran == [prepared[1]]
     assert ran[0].config == other
     assert prepared_machine(other) is ran[0]
-
-
-def test_foreign_emulator_machine_never_reaches_run_shard(machines):
-    prepared, ran = machines
-    config = _config(1603)
-    simulated = SfiExperiment(config, emulator_cls=SoftwareSimulator)
-    CampaignSupervisor(config, workers=1).run(
-        sample_sites(simulated, 6, 7), seed=7)
-    assert len(prepared) == 2 and prepared[0] is simulated
-    assert ran == [prepared[1]]
-    assert type(ran[0].emulator) is AwanEmulator
 
 
 # ----------------------------------------------------------------------

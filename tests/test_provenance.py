@@ -3,7 +3,7 @@
 The differential guarantees (provenance never changes a record or a
 journal byte) live in ``test_provenance_differential.py``; this file
 covers the provenance artefacts themselves — payload structure, the
-masking taxonomy, detection-latency accounting, report merge algebra,
+masking taxonomy, detection-latency accounting, report absorb order,
 the story/matrix renderers, the JSONL sidecar format, the fast-path
 journal extras surfaced by the monitor, and the chip-campaign wiring.
 """
@@ -33,7 +33,7 @@ from repro.cpu.tainttrace import TaintTracker, detection_info, taint_trace
 from repro.obs import MaskingEvent, MetricsRegistry, ProvenanceReport
 from repro.obs.monitor import read_journal_progress, render_monitor_frame
 from repro.rtl.fault import InjectionMode
-from repro.sfi import CampaignConfig, SfiExperiment
+from repro.sfi import CampaignConfig, CampaignSupervisor, SfiExperiment
 from repro.sfi.campaign import injection_rng, plan_injections
 from repro.sfi.chip_campaign import ChipExperiment
 from repro.sfi.outcomes import Outcome
@@ -101,28 +101,18 @@ class TestProvenanceReport:
         assert report.peak_bits_max == 12
         assert report.units() == ["FXU", "RUT"]
 
-    def test_merge_matches_absorb_any_order(self):
+    def test_absorb_order_does_not_matter(self):
         first = _payload()
         second = _payload(detection=None, outcome="Vanished", peak_bits=3)
         serial = ProvenanceReport()
         serial.absorb(first)
         serial.absorb(second)
-        left, right = ProvenanceReport(), ProvenanceReport()
-        left.absorb(first)
-        right.absorb(second)
-        merged = ProvenanceReport()
-        merged.merge(right)  # reversed arrival order
-        merged.merge(left)
-        assert merged == serial
-        assert merged.mean_detection_latency == 322
-        assert merged.detection_latency_min == 322
-
-    def test_dict_roundtrip(self):
-        report = ProvenanceReport()
-        report.absorb(_payload())
-        clone = ProvenanceReport.from_dict(
-            json.loads(json.dumps(report.to_dict())))
-        assert clone == report
+        reversed_order = ProvenanceReport()
+        reversed_order.absorb(second)  # reversed arrival order
+        reversed_order.absorb(first)
+        assert reversed_order == serial
+        assert reversed_order.mean_detection_latency == 322
+        assert reversed_order.detection_latency_min == 322
 
     def test_empty_report_means_are_nan(self):
         import math
@@ -371,21 +361,22 @@ class TestCampaignMetrics:
                                 provenance=True,
                                 injection_mode=InjectionMode.STICKY,
                                 sticky_cycles=64)
-        experiment = SfiExperiment(config, metrics=registry)
+        experiment = SfiExperiment(config)
         sites = random_sample(experiment.latch_map, 12, Random(8 ^ 0x5F1))
-        experiment.run_campaign(sites, 8)
-        assert experiment.provenance_report is not None
-        assert experiment.provenance_report.injections == 12
+        supervisor = CampaignSupervisor(config, workers=1, metrics=registry)
+        supervisor.run(sites, 8)
+        assert supervisor.provenance_report is not None
+        assert supervisor.provenance_report.injections == 12
         latency = registry.get("sfi_detection_latency_cycles")
         peak = registry.get("sfi_infection_peak_bits")
         edges = registry.get("sfi_taint_edges_total")
         assert latency is not None and peak is not None
         assert sum(s.count for s in peak.series().values()) == 12
-        if experiment.provenance_report.unit_edges:
+        if supervisor.provenance_report.unit_edges:
             labelled = edges.series()
             assert labelled
             assert sum(labelled.values()) == sum(
-                experiment.provenance_report.unit_edges.values())
+                supervisor.provenance_report.unit_edges.values())
 
 
 # ----------------------------------------------------------------------

@@ -160,13 +160,14 @@ class TestMessages:
 
     def test_config_from_older_payload_drops_removed_fields(self):
         """A coordinator or queued spec from an older build still sends
-        fields this build removed (``wave_window``, ``digest_stride``);
-        they are dropped."""
+        fields this build removed (``wave_window``, ``digest_stride``,
+        ``ladder_max_rungs``); they are dropped."""
         config = CampaignConfig(suite_size=2, backend="bitplane",
                                 core_params=SMALL_PARAMS)
         payload = json.loads(json.dumps(config_to_dict(config)))
         payload["wave_window"] = None
         payload["digest_stride"] = 16
+        payload["ladder_max_rungs"] = 256
         assert config_from_dict(payload) == config
 
 

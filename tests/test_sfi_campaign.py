@@ -33,6 +33,25 @@ class TestPreparation:
                 suite_size=1, core_params=SMALL_PARAMS,
                 mode_overrides={"mode_bogus": 1}))
 
+    def test_prepare_keeps_every_ladder_rung(self):
+        """However many rungs the suite needs (here more than 256), every
+        testcase holds one at each stride boundary before its golden
+        end, the first testcase's included, so no trial falls back to
+        cycle 0 or loses a drain exit."""
+        stride = 4
+        experiment = SfiExperiment(CampaignConfig(
+            suite_size=2, suite_seed=99, core_params=SMALL_PARAMS,
+            ckpt_stride=stride))
+        emulator = experiment.emulator
+        assert emulator.rung_count() > 256
+        for index, golden in enumerate(experiment.goldens):
+            name = f"tc{index}"
+            boundaries = range(stride, golden.end_cycle, stride)
+            assert emulator.rung_count(name) == len(boundaries)
+            for cycle in boundaries:
+                assert emulator.rung(name, cycle) is not None, (name, cycle)
+            assert emulator.restore_nearest(name, stride) == stride
+
 
 class TestRunOne:
     def test_record_fields(self, experiment):

@@ -196,7 +196,7 @@ def test_restore_round_trips_event_log(running_core):
 # Ladder rungs: no aliasing between rungs or with the live core.
 
 def test_ladder_rungs_do_not_alias(running_core):
-    emulator = AwanEmulator(running_core, max_rungs=8)
+    emulator = AwanEmulator(running_core)
     emulator.checkpoint("tc")
     digests = {}
     for _ in range(3):
@@ -273,7 +273,7 @@ def test_rung_restore_matches_replay_from_base(running_core):
     """A restored rung is bit-identical to replaying from the base
     checkpoint for the same number of cycles (the fast path's core
     soundness claim, stated directly against the digest)."""
-    emulator = AwanEmulator(running_core, max_rungs=8)
+    emulator = AwanEmulator(running_core)
     emulator.checkpoint("tc")
     for _ in range(120):
         running_core.cycle()
