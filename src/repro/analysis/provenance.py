@@ -16,6 +16,11 @@ from collections import deque
 from pathlib import Path
 
 from repro.obs.provenance import ProvenanceReport
+from repro.sfi.storage import (
+    CampaignStorageError,
+    JournalCursor,
+    scan_journal,
+)
 
 _PROVENANCE_FORMAT = 1
 _PROVENANCE_KIND = "sfi-provenance"
@@ -188,24 +193,26 @@ def write_provenance_jsonl(payloads: dict[int, dict],
 
 
 def read_provenance_jsonl(path: str | Path) -> dict[int, dict]:
-    """Read a sidecar written by :func:`write_provenance_jsonl`."""
-    path = Path(path)
-    with path.open() as handle:
-        lines = [line for line in handle if line.strip()]
-    if not lines:
+    """Read a sidecar written by :func:`write_provenance_jsonl`.
+
+    The torn tail is skipped; any other damage raises
+    :class:`ProvenanceFormatError`.  The first line of a position wins.
+    """
+    cursor = JournalCursor()
+    try:
+        delta = scan_journal(path, cursor, kind=_PROVENANCE_KIND)
+    except CampaignStorageError as exc:
+        raise ProvenanceFormatError(str(exc)) from exc
+    if cursor.header is None:
         raise ProvenanceFormatError(f"{path}: empty provenance file")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) \
-            or header.get("format") != _PROVENANCE_FORMAT \
-            or header.get("kind") != _PROVENANCE_KIND:
+    if delta.skipped:
         raise ProvenanceFormatError(
-            f"{path}: not a provenance sidecar this build can read "
-            f"(header {header!r})")
+            f"{path}:{delta.skipped[0]}: malformed sidecar line")
     payloads: dict[int, dict] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        entry = json.loads(line)
-        if "pos" not in entry or "payload" not in entry:
+    for number, entry in delta.entries:
+        if not isinstance(entry, dict) or "payload" not in entry \
+                or not isinstance(entry.get("pos"), int):
             raise ProvenanceFormatError(
-                f"{path}:{number}: sidecar line missing pos/payload")
-        payloads[entry["pos"]] = entry["payload"]
+                f"{path}:{number}: sidecar line without int pos/payload")
+        payloads.setdefault(entry["pos"], entry["payload"])
     return payloads

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.cpu.events import EventKind
+from repro.cpu.events import first_detection
 from repro.sfi.outcomes import Outcome
 from repro.sfi.results import CampaignResult, InjectionRecord
 
@@ -31,20 +31,9 @@ def render_cause_effect(record: InjectionRecord) -> str:
 
 
 def detection_event(record: InjectionRecord):
-    """First detection-class event after the injection, or None."""
-    seen_injection = False
-    for event in record.trace:
-        if event.kind is EventKind.INJECTION:
-            seen_injection = True
-            continue
-        if not seen_injection:
-            continue
-        if event.kind in (EventKind.ERROR_DETECTED,
-                          EventKind.CORRECTED_LOCAL,
-                          EventKind.HANG_DETECTED,
-                          EventKind.CHECKSTOP):
-            return event
-    return None
+    """First detection-class event after the injection, or None
+    (:func:`~repro.cpu.events.first_detection`)."""
+    return first_detection(record.trace)
 
 
 def detection_latency(record: InjectionRecord) -> int | None:

@@ -43,6 +43,30 @@ class MachineEvent:
         return f"cycle {self.cycle:>7}: {self.kind.value:<18} {self.detail}"
 
 
+#: Event kinds that count as "the machine noticed" an injected fault.
+DETECTION_KINDS = frozenset({
+    EventKind.ERROR_DETECTED,
+    EventKind.CORRECTED_LOCAL,
+    EventKind.HANG_DETECTED,
+    EventKind.CHECKSTOP,
+})
+
+
+def first_detection(events) -> MachineEvent | None:
+    """The first detection event after the INJECTION marker, or None.
+
+    ``events`` is a sequence.  If a bounded ring evicted the marker,
+    every surviving event is post-injection by construction.
+    """
+    seen = not any(event.kind is EventKind.INJECTION for event in events)
+    for event in events:
+        if event.kind is EventKind.INJECTION:
+            seen = True
+        elif seen and event.kind in DETECTION_KINDS:
+            return event
+    return None
+
+
 class EventLog:
     """Bounded in-order event recorder attached to a core.
 

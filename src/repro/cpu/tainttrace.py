@@ -43,18 +43,10 @@ from repro.rtl.latch import Latch, LatchKind
 from repro.rtl.parity import EccStatus
 
 from repro.cpu.access import Recorder, trace, watch
-from repro.cpu.events import EventKind
+from repro.cpu.events import EventKind, first_detection
 from repro.cpu.pervasive import R_IDLE
 
 _VALUE = Latch.value  # the slot descriptor: storage behind the property
-
-#: Event kinds that count as "the machine noticed" for detection latency.
-DETECTION_KINDS = frozenset({
-    EventKind.ERROR_DETECTED,
-    EventKind.CORRECTED_LOCAL,
-    EventKind.HANG_DETECTED,
-    EventKind.CHECKSTOP,
-})
 
 _MEMORY_WIDTH = 32  # tainted storage width of one memory / array word
 
@@ -113,27 +105,18 @@ def _merged(parts: list[_NodeMaps]) -> _NodeMaps:
 
 
 def detection_info(events, inject_cycle: int) -> dict | None:
-    """First detection event after the INJECTION marker, as payload dict.
-
-    Returns ``{"cycle", "latency", "detector", "kind"}`` or ``None`` when
-    the machine never noticed.  The detector is the leading token of the
-    event detail (the checker name; recovery context in parentheses is
-    dropped).  If the INJECTION marker was evicted from a bounded ring,
-    every surviving event is post-injection by construction.
-    """
-    seen = not any(event.kind is EventKind.INJECTION for event in events)
-    for event in events:
-        if event.kind is EventKind.INJECTION:
-            seen = True
-            continue
-        if seen and event.kind in DETECTION_KINDS:
-            detector = (event.detail.split(" ")[0] if event.detail
-                        else event.kind.value)
-            return {"cycle": event.cycle,
-                    "latency": event.cycle - inject_cycle,
-                    "detector": detector,
-                    "kind": event.kind.value}
-    return None
+    """:func:`~repro.cpu.events.first_detection` as the payload dict
+    ``{"cycle", "latency", "detector", "kind"}``, or None.  The detector
+    is the leading token of the event detail (the checker name; recovery
+    context in parentheses is dropped)."""
+    event = first_detection(events)
+    if event is None:
+        return None
+    return {"cycle": event.cycle,
+            "latency": event.cycle - inject_cycle,
+            "detector": (event.detail.split(" ")[0] if event.detail
+                         else event.kind.value),
+            "kind": event.kind.value}
 
 
 class TaintTracker(Recorder):

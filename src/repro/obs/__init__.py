@@ -8,9 +8,12 @@ layer, a sampled core profiler, and the journal-tailing monitor behind
 
 This package only *observes*: it never imports the execution layers
 (``repro.sfi``, ``repro.cpu``), which instead accept a registry or a
-trace writer and report into it.  Sole carve-out: the monitor shares
-the read-only journal-cursor primitives in ``repro.sfi.storage`` with
-the warehouse tailer, so both consume journals identically.
+trace writer and report into it.  Two read-only carve-outs: the
+campaign-file reader of ``repro.sfi.storage``, which the monitor and the
+span and trace-log readers share with resume, ``journal verify`` and the
+warehouse, and the detection rule of ``repro.cpu.events``
+(``first_detection``), which trace chains share with provenance payloads
+and warehouse rows.
 """
 
 from repro.obs.convergence import (

@@ -33,10 +33,11 @@ import binascii
 import json
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum, unique
 
 from repro.obs.metrics import MetricError, MetricsRegistry
+from repro.sfi.storage import JournalCursor, scan_journal
 
 __all__ = [
     "FleetRegistry",
@@ -598,24 +599,18 @@ def write_span_log(path, spans: list, *, campaign: str = "") -> None:
 
 
 def read_span_log(path) -> list:
-    """Read a span sidecar; skips torn/malformed lines like the other
-    sidecar readers."""
+    """Read a span sidecar through the campaign-file reader; skips the
+    header, the torn tail and malformed lines like the other sidecar
+    readers, and a missing sidecar reads as empty."""
+    delta = scan_journal(path, JournalCursor(), header=False)
     spans = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                    if payload.get("kind") == "header":
-                        continue
-                    spans.append(Span.from_dict(payload))
-                except (ValueError, KeyError, TypeError):
-                    continue
-    except OSError:
-        return []
+    for _number, payload in delta.entries:
+        if not isinstance(payload, dict) or payload.get("kind") == "header":
+            continue
+        try:
+            spans.append(Span.from_dict(payload))
+        except (ValueError, KeyError, TypeError):
+            continue
     return spans
 
 

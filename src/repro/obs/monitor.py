@@ -8,11 +8,11 @@ Both read files only — they attach to a campaign from the outside, so a
 wedged campaign can still be observed and a monitor crash cannot hurt
 the run.
 
-Journal parsing here is deliberately schema-light (header dict + lines
-with ``pos`` and a ``record`` whose ``outcome`` is a string): it works
-for core and chip journals alike and tolerates the torn trailing line a
-live writer may momentarily expose.  Polling is incremental: each
-:class:`JournalProgress` carries a byte-offset
+The journal is read through :mod:`repro.sfi.storage`'s one reader, so
+the monitor shares the warehouse's end-of-file and record-line rules,
+but it never decodes a record (it reads only the ``record``'s ``unit``
+and ``outcome``): it works for core and chip journals alike.  Polling
+is incremental: each :class:`JournalProgress` carries a byte-offset
 :class:`~repro.sfi.storage.JournalCursor`, so a poll reads only the
 bytes appended since the previous one (the same cursor API the
 warehouse tailer uses) instead of re-parsing the whole journal.
@@ -20,7 +20,6 @@ warehouse tailer uses) instead of re-parsing the whole journal.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import time
@@ -31,11 +30,16 @@ from pathlib import Path
 from repro.obs.convergence import ConvergenceTracker, render_convergence
 from repro.obs.exporters import load_jsonl_snapshot, parse_prometheus_text
 from repro.obs.metrics import Histogram, MetricsRegistry
-# The one place obs reaches into an execution-layer module: the journal
-# cursor primitives in repro.sfi.storage are themselves pure read-only
-# file code (no simulation imports), and sharing them keeps the monitor
-# and the warehouse tailer consuming journals byte-for-byte identically.
-from repro.sfi.storage import CampaignStorageError, JournalCursor, scan_journal
+# obs reaches into an execution-layer module for the campaign-file reader
+# only: it is pure read-only file code (no simulation imports), and
+# sharing it keeps the monitor and the warehouse tailer consuming
+# journals byte-for-byte identically.
+from repro.sfi.storage import (
+    CampaignStorageError,
+    JournalCursor,
+    journal_entry,
+    scan_journal,
+)
 
 __all__ = [
     "JournalProgress",
@@ -111,11 +115,15 @@ def advance_journal_progress(progress: JournalProgress) -> JournalProgress:
         progress.positions.clear()
     if progress.cursor.header is not None:
         progress.header = progress.cursor.header
+    total = progress.header.get("total_sites")
     for _number, payload in delta.entries:
-        if "pos" not in payload or payload["pos"] in progress.positions:
+        try:
+            position, record = journal_entry(payload, total, decoder=None)
+        except CampaignStorageError:
             continue
-        progress.positions.add(payload["pos"])
-        record = payload.get("record", {})
+        if position in progress.positions:
+            continue
+        progress.positions.add(position)
         outcome = record.get("outcome") if isinstance(record, dict) else None
         progress.outcomes[outcome or "?"] += 1
         unit = record.get("unit") if isinstance(record, dict) else None
@@ -244,22 +252,10 @@ def lease_sidecar_lines(journal_path: str | Path) -> list[str]:
     sidecar exists and has events; empty otherwise (serial campaigns
     have no sidecar and the monitor shows nothing new).
     """
-    sidecar = Path(str(journal_path) + ".leases")
-    try:
-        text = sidecar.read_text()
-    except OSError:
-        return []
-    counts: Counter = Counter()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line).get("event")
-        except (ValueError, AttributeError):
-            continue  # torn tail of a live writer
-        if event:
-            counts[event] += 1
+    delta = scan_journal(str(journal_path) + ".leases", JournalCursor(),
+                         header=False)
+    counts = Counter(event.get("event") for _number, event in delta.entries
+                     if isinstance(event, dict) and event.get("event"))
     if not counts:
         return []
     return [f"leases: grants={counts.get('grant', 0)} "

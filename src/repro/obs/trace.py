@@ -25,8 +25,11 @@ Chain schema (one JSON object per line)::
 
 This module is deliberately decoupled from ``repro.sfi``: it reads
 records duck-typed (``site_name``/``unit``/``outcome``/``trace`` with
-``cycle``/``kind``/``detail`` events), so it imports nothing above the
-stdlib and never creates an import cycle with the layers it observes.
+``cycle``/``kind``/``detail`` events, ``kind`` an
+:class:`~repro.cpu.events.EventKind`).  It imports only the detection
+rule of :mod:`repro.cpu.events` and the campaign-file reader of
+:mod:`repro.sfi.storage`, whose own imports are leaf modules, so it
+never creates an import cycle with the layers it observes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+
+from repro.cpu.events import first_detection
+from repro.sfi.storage import JournalCursor, scan_journal
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
@@ -44,10 +50,6 @@ __all__ = [
 ]
 
 TRACE_FORMAT_VERSION = 1
-
-#: Event kinds that count as the first *detection* of an injected fault.
-_DETECTION_KINDS = frozenset(
-    {"error-detected", "corrected-local", "hang", "checkstop"})
 
 
 def _kind_str(kind) -> str:
@@ -112,16 +114,8 @@ def chain_from_record(record, position: int | None = None) -> dict:
     }
     if position is not None:
         chain["position"] = position
-    detection_cycle = None
-    seen_injection = False
-    for event in events:
-        kind = _kind_str(event.kind)
-        if kind == "injection":
-            seen_injection = True
-            continue
-        if seen_injection and detection_cycle is None \
-                and kind in _DETECTION_KINDS:
-            detection_cycle = event.cycle
+    detection = first_detection(events)
+    detection_cycle = detection.cycle if detection is not None else None
     chain["end_cycle"] = events[-1].cycle if events else record.inject_cycle
     chain["detection_cycle"] = detection_cycle
     chain["detection_latency"] = (
@@ -176,14 +170,10 @@ class TraceWriter:
 
 
 def read_trace_log(path: str | os.PathLike) -> list[dict]:
-    """Load every span chain from a trace log (strict: no torn lines)."""
-    chains = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            chains.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}:{lineno}: malformed trace line: {exc}") from exc
-    return chains
+    """Load every span chain from a trace log (strict: a line that does
+    not parse, the torn tail included, raises ValueError)."""
+    delta = scan_journal(path, JournalCursor(), header=False)
+    if delta.skipped or delta.torn is not None:
+        number = delta.skipped[0] if delta.skipped else delta.torn
+        raise ValueError(f"{path}:{number}: malformed trace line")
+    return [chain for _number, chain in delta.entries]

@@ -24,7 +24,6 @@ from repro.sfi.storage import (
     JournalCursor,
     JournalDelta,
     JournalVerifyReport,
-    record_from_dict,
     record_to_row,
     scan_journal,
     verify_journal,
@@ -73,7 +72,6 @@ __all__ = [
     "JournalDelta",
     "JournalVerifyReport",
     "RECORD_ROW_FIELDS",
-    "record_from_dict",
     "record_to_row",
     "scan_journal",
     "verify_journal",

@@ -12,7 +12,9 @@ from __future__ import annotations
 import os
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.avp.runner import AvpBaselineError
 from repro.avp.suite import make_suite
@@ -125,13 +127,12 @@ class ChipExperiment:
     """A prepared two-core chip with per-core AVP workloads.
 
     With ``fastpath`` on (the default) the fault-free reference run also
-    builds a chip-wide checkpoint ladder: a :class:`ChipSnapshot` every
-    ``ckpt_stride`` cycles, thinned (drop every other rung, double the
-    stride) whenever it outgrows ``ladder_max_rungs``, so preparation
-    memory stays bounded on long workloads.  :meth:`run_one` then
-    restores the highest rung at or below the injection cycle and
-    fast-forwards only the remainder — equivalence-preserving, because
-    the pre-injection prefix is deterministic and fault-free.
+    builds a chip-wide checkpoint ladder: a :class:`ChipSnapshot` at
+    every ``ckpt_stride`` boundary before the reference end, every rung
+    kept.  :meth:`run_one` then restores the highest rung at or below
+    the injection cycle and fast-forwards only the remainder —
+    equivalence-preserving, because the pre-injection prefix is
+    deterministic and fault-free.
     """
 
     def __init__(self, core_params: CoreParams | None = None,
@@ -139,8 +140,7 @@ class ChipExperiment:
                  drain_cycles: int = 1500,
                  trace_max_events: int | None = 512,
                  fastpath: bool = True,
-                 ckpt_stride: int | None = 64,
-                 ladder_max_rungs: int = 64) -> None:
+                 ckpt_stride: int | None = 64) -> None:
         self.chip = Power6Chip(core_params, core_count)
         # Ring-bound each core's event log: a hang-heavy injection on
         # either core must not grow memory for the whole drain window.
@@ -150,7 +150,6 @@ class ChipExperiment:
         self.drain_cycles = drain_cycles
         self.fastpath = bool(fastpath and ckpt_stride)
         self.ckpt_stride = ckpt_stride
-        self.ladder_max_rungs = max(1, ladder_max_rungs)
         self.ladder_hits = 0
         self.ladder_misses = 0
         # One testcase per core (distinct seeds: distinct workloads).
@@ -169,25 +168,19 @@ class ChipExperiment:
         chip.load_programs([t.program for t in self.testcases])
         self._checkpoint = chip.snapshot()
         self._rungs: list[tuple[int, ChipSnapshot]] = []
-        self._rung_stride = self.ckpt_stride or 0
         if self.fastpath:
             # Stepped reference run: chunks stop at every stride boundary
             # to save a ladder rung.  The trajectory (and the final cycle
             # count) is identical to one uninterrupted chip.run().
             cycles = 0
             while not chip.quiesced and cycles < _CHIP_REFERENCE_BUDGET:
-                step = min(self._rung_stride - cycles % self._rung_stride,
+                step = min(self.ckpt_stride - cycles % self.ckpt_stride,
                            _CHIP_REFERENCE_BUDGET - cycles)
                 ran = chip.run(max_cycles=step)
                 cycles += ran
                 if ran < step or chip.quiesced:
                     break
                 self._rungs.append((cycles, chip.snapshot()))
-                if len(self._rungs) > self.ladder_max_rungs:
-                    # Thin the ladder: keep every other rung, double the
-                    # stride, so memory stays bounded on long workloads.
-                    self._rungs = self._rungs[1::2]
-                    self._rung_stride *= 2
             self.reference_cycles = cycles
         else:
             self.reference_cycles = chip.run()
@@ -213,13 +206,9 @@ class ChipExperiment:
                 provenance: bool = False) -> ChipInjectionRecord:
         chip = self.chip
         start_cycle = 0
-        rung = None
-        for cycle, snap in self._rungs:
-            if cycle > inject_cycle:
-                break
-            rung = (cycle, snap)
-        if rung is not None:
-            start_cycle, snap = rung
+        index = bisect_right(self._rungs, inject_cycle, key=itemgetter(0))
+        if index:
+            start_cycle, snap = self._rungs[index - 1]
             chip.restore(snap)
             self.ladder_hits += 1
         else:

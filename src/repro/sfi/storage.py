@@ -6,10 +6,25 @@ line per record with the full cause-and-effect trace) so later analysis
 and re-scoring need no re-simulation.
 
 A journal (:class:`CampaignJournal`) is appended one record at a time
-*while* the campaign runs.  A crash can leave a torn final line, so
-every reader (:func:`read_journal`, :meth:`CampaignJournal.recover`)
-tolerates exactly that (and nothing else): the fragment is skipped with
-a warning and its injection re-runs on resume.
+*while* the campaign runs, like its ``.leases``, ``.provenance`` and
+``.spans`` sidecars and a trace log.  Every reader of these files reads
+them through :func:`scan_journal`, the one line scanner, under two rules:
+
+* **End of file.**  A line ends at its newline.  A last fragment without
+  its newline that parses as a whole JSON object is a line too (no
+  shorter cut of a line parses: its outer brace is still open).  Any
+  other last fragment, or a newline-terminated last line that does not
+  parse, is the torn tail, which a scan leaves unconsumed: a tailer
+  re-reads it on its next poll.
+* **Record line** (:func:`journal_entry`).  A JSON object with an
+  ``int`` ``pos`` in ``[0, total_sites)`` and a ``record`` that decodes;
+  where a position appears twice, the first line wins.
+
+Readers differ only in what they do with a bad line: resume and
+:func:`read_journal` skip the torn tail with a warning (resume cuts it),
+drop out-of-plan lines and raise on any other; :func:`verify_journal`
+reports them, the warehouse counts them as skipped, the monitor skips
+them.
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.cpu.events import EventKind, MachineEvent
+from repro.cpu.events import EventKind, MachineEvent, first_detection
 from repro.rtl.latch import LatchKind
 
 from repro.sfi.outcomes import Outcome
@@ -85,93 +100,16 @@ def _record_from_dict(payload: dict) -> InjectionRecord:
             f"campaign record is missing or has a bad field: {exc!r}") from exc
 
 
-def _parse_line(path: Path, number: int, line: str, *, is_last: bool):
-    """Parse one record line; a torn *final* line (crash mid-append) is
-    skipped with a warning, anything else malformed is an error."""
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        if is_last:
-            warnings.warn(
-                f"{path}: skipping truncated trailing line {number} "
-                f"(crash mid-write?)", RuntimeWarning, stacklevel=4)
-            return None
-        raise CampaignStorageError(
-            f"{path}:{number}: malformed JSON line: {exc}") from exc
-
-
-def _parse_journal(path: Path, decoder,
-                   kind: str) -> tuple[dict, dict, list[str] | None]:
-    """Read and decode the journal at ``path``: ``(header, covered,
-    clean)``.
-
-    ``covered`` maps campaign position -> decoded record for every
-    complete line.  ``clean`` is None when the file needs no repair,
-    else the text of a repaired copy: the header and those lines, each
-    newline-terminated.  A torn final line is skipped with a warning; a
-    missing file, a missing or foreign header, a malformed interior line
-    or a line without ``pos`` and ``record`` raises
-    :class:`CampaignStorageError`.
-    """
-    try:
-        with path.open() as handle:
-            lines = handle.readlines()
-    except FileNotFoundError as exc:
-        raise CampaignStorageError(f"{path}: no such journal") from exc
-    if not lines or not lines[0].strip():
-        raise CampaignStorageError(f"{path}: empty journal")
-    header = _parse_line(path, 1, lines[0], is_last=len(lines) == 1)
-    if (not isinstance(header, dict)
-            or header.get("format") != _JOURNAL_FORMAT_VERSION
-            or header.get("kind") != kind):
-        raise CampaignStorageError(
-            f"{path}: not a {kind} journal this build can read "
-            f"(header {header!r})")
-    decoder = decoder or _record_from_dict
-    covered: dict[int, object] = {}
-    kept = [lines[0]]
-    body = [(number, line) for number, line in enumerate(lines[1:], 2)
-            if line.strip()]
-    for offset, (number, line) in enumerate(body):
-        payload = _parse_line(path, number, line,
-                              is_last=offset == len(body) - 1)
-        if payload is None:
-            continue
-        if (not isinstance(payload, dict) or "pos" not in payload
-                or "record" not in payload):
-            raise CampaignStorageError(
-                f"{path}:{number}: journal line missing pos/record")
-        covered[payload["pos"]] = decoder(payload["record"])
-        kept.append(line)
-    kept = [line if line.endswith("\n") else line + "\n" for line in kept]
-    return header, covered, None if kept == lines else kept
-
-
-def read_journal(path: str | Path, record_decoder=None,
-                 kind: str = _JOURNAL_KIND) -> tuple[dict, dict]:
-    """Read a journal without reopening it for writing.
-
-    Returns ``(header, covered)`` decoded exactly as
-    :meth:`CampaignJournal.recover` decodes them, but never rewrites the
-    file, drops no torn tail and opens no append handle — safe on a
-    journal another process is still appending to (``repro-sfi trace
-    --journal`` / ``monitor``).  A torn final line is simply skipped.
-    """
-    header, covered, _ = _parse_journal(Path(path), record_decoder, kind)
-    return header, covered
-
-
 # ----------------------------------------------------------------------
-# Incremental consumption: byte-offset cursors for live tailing.
+# The campaign-file reader: byte-offset cursors, one line scanner, the
+# end-of-file rule and the record-line rule (module docstring).
 #
 # `repro-sfi monitor` and the warehouse tailer both poll a journal that
 # another process is appending to.  Re-reading the whole file per poll is
 # O(records) per poll — quadratic over a campaign — so consumers keep a
-# `JournalCursor` and ask only for what arrived since.  The cursor only
-# ever advances over *newline-terminated* lines: a torn tail (a crash or
-# an append caught mid-`write`) is left unconsumed and re-examined on the
-# next poll, which is exactly the "verified tail" rule `verify_journal`
-# enforces offline.  Readers never write the journal.
+# `JournalCursor` and ask only for what arrived since; a whole-file read
+# is a scan from a fresh `JournalCursor()`.  Readers never write the
+# journal.
 
 
 #: Tail-window length of :attr:`JournalCursor.check` — the checksum
@@ -181,6 +119,9 @@ def read_journal(path: str | Path, record_decoder=None,
 #: least as long" (shrink-then-grow between polls).
 _CURSOR_CHECK_BYTES = 64
 
+#: What :func:`_parse` returns for a line that is not JSON.
+_UNPARSED = object()
+
 
 def _cursor_check(tail: bytes) -> str:
     """Checksum of the consumed tail window (empty tail -> '')."""
@@ -189,19 +130,27 @@ def _cursor_check(tail: bytes) -> str:
     return "sha256:" + hashlib.sha256(tail).hexdigest()[:16]
 
 
+def _parse(raw: bytes):
+    """The JSON value of one line, or :data:`_UNPARSED`."""
+    try:
+        return json.loads(raw)
+    except ValueError:  # malformed JSON or undecodable bytes
+        return _UNPARSED
+
+
 @dataclass
 class JournalCursor:
     """Resumable read position in an append-only JSON-lines journal.
 
-    ``offset`` counts bytes of complete (newline-terminated) lines
-    already consumed, ``line`` counts those lines, and ``header`` caches
-    the decoded header once line 1 has been consumed.  ``check`` is a
-    checksum over the last :data:`_CURSOR_CHECK_BYTES` consumed bytes:
-    a bare size comparison cannot see a journal that was rewritten
-    shorter *and then grew past the cursor* between two polls, but the
-    rewrite changes the bytes under the cursor, so the checksum does.
-    The cursor is a plain value: persist it (e.g. the warehouse stores
-    it per campaign) and resume scanning later, across processes.
+    ``offset`` counts bytes of the lines already consumed, ``line``
+    counts those lines, and ``header`` caches the decoded header once
+    line 1 has been consumed.  ``check`` is a checksum over the last
+    :data:`_CURSOR_CHECK_BYTES` consumed bytes: a bare size comparison
+    cannot see a journal that was rewritten shorter *and then grew past
+    the cursor* between two polls, but the rewrite changes the bytes
+    under the cursor, so the checksum does.  The cursor is a plain
+    value: persist it (e.g. the warehouse stores it per campaign) and
+    resume scanning later, across processes.
     """
 
     offset: int = 0
@@ -209,60 +158,47 @@ class JournalCursor:
     header: dict | None = None
     check: str = ""
 
-    def to_dict(self) -> dict:
-        return {"offset": self.offset, "line": self.line,
-                "header": self.header, "check": self.check}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "JournalCursor":
-        return cls(offset=int(payload.get("offset", 0)),
-                   line=int(payload.get("line", 0)),
-                   header=payload.get("header"),
-                   check=str(payload.get("check", "") or ""))
-
 
 @dataclass
 class JournalDelta:
     """What one :func:`scan_journal` poll produced.
 
-    ``entries`` holds ``(line_number, payload)`` for every complete,
-    well-formed JSON-object line (payload-level ``pos``/``record``
-    validation is the caller's job — the monitor and the warehouse skip
-    different subsets).  ``skipped`` lists line numbers of complete lines
-    that failed to decode — interior corruption, never the torn tail,
-    which by construction lacks its newline and is not consumed at all.
-    ``rewound`` reports that the file shrank below the cursor — or was
-    rewritten under it: the tail checksum no longer matches even though
-    the size grew back (journal recovery rewrote it) — so the caller
+    ``entries`` holds ``(line_number, payload)`` for every consumed line
+    that parses as JSON, the header aside (each reader applies
+    :func:`journal_entry` itself); ``skipped`` lists the numbers of
+    consumed lines that do not parse; ``torn`` is the line number of the
+    unconsumed torn tail, or None.  ``rewound`` reports that the file
+    shrank below the cursor or was rewritten under it, so the caller
     must discard derived state.
     """
 
     entries: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
+    torn: int | None = None
     rewound: bool = False
 
 
 def scan_journal(path: str | Path, cursor: JournalCursor, *,
-                 kind: str = _JOURNAL_KIND) -> JournalDelta:
-    """Read journal lines appended since ``cursor``, advancing it.
+                 kind: str | None = _JOURNAL_KIND,
+                 header: bool = True) -> JournalDelta:
+    """Read the lines of a campaign file appended since ``cursor``,
+    advancing it over them under the end-of-file rule.
 
-    Only newline-terminated bytes are consumed; a torn final line stays
-    un-consumed until a later append completes it (or recovery drops
-    it — the resulting shrink is detected and reported as ``rewound``
-    after resetting the cursor to the start).  A rewrite the poll never
-    *saw* as a shrink — the file shrank and then grew past the cursor
-    between two polls — is caught the same way: the consumed tail bytes
-    under the cursor no longer match :attr:`JournalCursor.check`.  On
-    the first poll the header line is validated against ``kind`` (pass
-    ``kind=None`` to accept any journal header); a malformed or foreign
-    header raises :class:`CampaignStorageError` and leaves the cursor
-    untouched.
+    A shrink below the cursor (recovery cut the torn tail), or a rewrite
+    that shrank and grew past it between two polls (the consumed tail
+    bytes no longer match :attr:`JournalCursor.check`), resets the
+    cursor to the start and reports ``rewound``.  With ``header``
+    (journals and the ``.provenance`` sidecar) line 1 is checked against
+    ``kind`` (``kind=None`` accepts any journal header); a missing file
+    or a malformed or foreign header raises :class:`CampaignStorageError`
+    and leaves the cursor untouched.  Without it (the ``.leases`` and
+    ``.spans`` sidecars, trace logs) every line is an entry and a missing
+    file reads as empty.
     """
     path = Path(path)
     try:
         with path.open("rb") as handle:
-            handle.seek(0, os.SEEK_END)
-            size = handle.tell()
+            size = handle.seek(0, os.SEEK_END)
             rewound = False
             tail = b""
             if size < cursor.offset:
@@ -282,45 +218,126 @@ def scan_journal(path: str | Path, cursor: JournalCursor, *,
             handle.seek(cursor.offset)
             chunk = handle.read()
     except FileNotFoundError as exc:
+        if not header:
+            return JournalDelta()
         raise CampaignStorageError(f"{path}: no such journal") from exc
     delta = JournalDelta(rewound=rewound)
-    cut = chunk.rfind(b"\n")
-    if cut < 0:
-        return delta
-    complete = chunk[:cut + 1]
-    lines = complete.split(b"\n")[:-1]
-    header = cursor.header
-    start_line = cursor.line
-    for index, raw in enumerate(lines):
-        number = start_line + index + 1
-        if not raw.strip():
-            continue
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            if number == 1:
-                raise CampaignStorageError(
-                    f"{path}:1: malformed journal header: {exc}") from exc
-            delta.skipped.append(number)
-            continue
-        if number == 1:
-            if (not isinstance(payload, dict)
-                    or payload.get("format") != _JOURNAL_FORMAT_VERSION
-                    or (kind is not None and payload.get("kind") != kind)):
-                raise CampaignStorageError(
-                    f"{path}: not a {kind or 'journal'} this build can "
-                    f"read (header {payload!r})")
-            header = payload
-            continue
-        if not isinstance(payload, dict):
-            delta.skipped.append(number)
-            continue
-        delta.entries.append((number, payload))
-    cursor.offset += len(complete)
-    cursor.line += len(lines)
-    cursor.header = header
-    cursor.check = _cursor_check((tail + complete)[-_CURSOR_CHECK_BYTES:])
+    first = cursor.header
+    number = cursor.line
+    start = end = 0  # where the next line starts; bytes consumed
+    if chunk[:1] == b"\n" and tail[-1:] not in (b"", b"\n"):
+        start = end = 1  # ends a line consumed before its newline came
+    unparsed = None  # (number, start) of a line that does not parse
+    while start < len(chunk):
+        stop = chunk.find(b"\n", start) + 1 or len(chunk)
+        raw = chunk[start:stop]
+        blank = not raw.strip()
+        payload = None if blank else _parse(raw)
+        if unparsed is not None and not blank:
+            delta.skipped.append(unparsed[0])  # not the last line after all
+            unparsed = None
+        if not raw.endswith(b"\n") and (blank
+                                         or not isinstance(payload, dict)):
+            if not blank:
+                delta.torn = number + 1
+            break
+        number += 1
+        if not blank:
+            if header and number == 1:
+                if (not isinstance(payload, dict)
+                        or payload.get("format") != _JOURNAL_FORMAT_VERSION
+                        or (kind is not None and payload.get("kind") != kind)):
+                    text = raw.strip().decode(errors="replace")
+                    raise CampaignStorageError(
+                        f"{path}: not a {kind or 'journal'} this build can "
+                        f"read (header {text!r})")
+                first = payload
+            elif payload is _UNPARSED:
+                unparsed = (number, start)
+            else:
+                delta.entries.append((number, payload))
+        start = end = stop
+    if unparsed is not None:
+        delta.torn, end = unparsed
+        number = delta.torn - 1
+    cursor.offset += end
+    cursor.line = number
+    cursor.header = first
+    cursor.check = _cursor_check((tail + chunk[:end])[-_CURSOR_CHECK_BYTES:])
     return delta
+
+
+class _OutOfPlan(CampaignStorageError):
+    """A record line at a position outside its campaign's plan."""
+
+
+def journal_entry(payload, total: int | None,
+                  decoder=_record_from_dict) -> tuple:
+    """The record-line rule: ``(position, record)`` of one journal line,
+    else :class:`CampaignStorageError`.
+
+    ``total`` is the header's ``total_sites`` (None bounds nothing).
+    ``decoder=None`` leaves the record undecoded: the monitor, which also
+    tails chip journals, checks only that there is one.
+    """
+    if not isinstance(payload, dict) or "pos" not in payload \
+            or "record" not in payload:
+        raise CampaignStorageError("journal line missing pos/record")
+    position = payload["pos"]
+    if not isinstance(position, int):
+        raise CampaignStorageError(f"position {position!r} is not an integer")
+    if position < 0 or (isinstance(total, int) and position >= total):
+        raise _OutOfPlan(
+            f"position {position} outside plan range [0, {total})")
+    record = payload["record"]
+    return position, record if decoder is None else decoder(record)
+
+
+def _read_records(path: Path, decoder, kind: str) -> tuple[JournalCursor,
+                                                           dict]:
+    """``(cursor, covered)`` of a whole journal for :func:`read_journal`
+    and :meth:`CampaignJournal.recover`; ``covered`` maps position ->
+    decoded record.  Out-of-plan lines are dropped and the torn tail is
+    skipped with a warning; any other bad line raises
+    :class:`CampaignStorageError`."""
+    cursor = JournalCursor()
+    delta = scan_journal(path, cursor, kind=kind)
+    if cursor.header is None:
+        raise CampaignStorageError(
+            f"{path}: empty journal (no complete header line)")
+    if delta.skipped:
+        raise CampaignStorageError(
+            f"{path}:{delta.skipped[0]}: malformed JSON line")
+    if delta.torn is not None:
+        warnings.warn(
+            f"{path}: skipping truncated trailing line {delta.torn} "
+            f"(crash mid-write?)", RuntimeWarning, stacklevel=3)
+    total = cursor.header.get("total_sites")
+    covered: dict[int, object] = {}
+    for number, payload in delta.entries:
+        try:
+            position, record = journal_entry(
+                payload, total, decoder or _record_from_dict)
+        except _OutOfPlan:
+            continue
+        except CampaignStorageError as exc:
+            raise CampaignStorageError(f"{path}:{number}: {exc}") from exc
+        covered.setdefault(position, record)
+    return cursor, covered
+
+
+def read_journal(path: str | Path, record_decoder=None,
+                 kind: str = _JOURNAL_KIND) -> tuple[dict, dict]:
+    """Read a journal without reopening it for writing.
+
+    Returns ``(header, covered)`` read exactly as
+    :meth:`CampaignJournal.recover` reads them, but never writes the
+    file and opens no append handle — safe on a journal another process
+    is still appending to (``repro-sfi trace --journal`` /
+    ``explain --journal``).
+    """
+    cursor, covered = _read_records(Path(path), record_decoder, kind)
+    return cursor.header, covered
 
 
 # ----------------------------------------------------------------------
@@ -337,42 +354,23 @@ RECORD_ROW_FIELDS = (
     "detect_latency",
 )
 
-_DETECTION_EVENT_KINDS = (
-    EventKind.ERROR_DETECTED, EventKind.CORRECTED_LOCAL,
-    EventKind.HANG_DETECTED, EventKind.CHECKSTOP,
-)
-
-
 def record_to_row(record: InjectionRecord) -> tuple:
     """Flatten one :class:`InjectionRecord` to the stable warehouse row.
 
-    ``detector``/``detect_latency`` replicate
-    :func:`repro.analysis.tracing.detection_event` semantics (first
-    detection-class event *after* the injection event; detector name is
-    the first word of the event detail) — duplicated here rather than
-    imported so the storage layer stays free of analysis imports.
+    ``detector``/``detect_latency`` describe the record's
+    :func:`~repro.cpu.events.first_detection` event; the detector name is
+    the first word of the event detail.
     """
     detector = None
     latency = None
-    seen_injection = False
-    for event in record.trace:
-        if event.kind is EventKind.INJECTION:
-            seen_injection = True
-            continue
-        if seen_injection and event.kind in _DETECTION_EVENT_KINDS:
-            detector = event.detail.split(" ")[0]
-            latency = event.cycle - record.inject_cycle
-            break
+    event = first_detection(record.trace)
+    if event is not None:
+        detector = event.detail.split(" ")[0]
+        latency = event.cycle - record.inject_cycle
     return (record.site_index, record.site_name, record.unit,
             record.kind.value, record.ring, record.testcase_seed,
             record.inject_cycle, record.outcome.value, len(record.trace),
             detector, latency)
-
-
-def record_from_dict(payload: dict) -> InjectionRecord:
-    """Decode one journaled ``record`` payload (public alias used by the
-    warehouse and by pure-Python cross-check folds in tests/CI)."""
-    return _record_from_dict(payload)
 
 
 # ----------------------------------------------------------------------
@@ -386,8 +384,8 @@ class CampaignJournal:
     its campaign ``position`` alongside the record, written in a single
     ``write`` call and flushed immediately.  A campaign killed at any
     point — even mid-``write`` — recovers by :meth:`recover`: complete
-    lines are kept, a torn final line is dropped, and the supervisor
-    re-runs exactly the positions that are missing.
+    lines are kept, the torn tail is cut, and the supervisor re-runs
+    exactly the positions that are missing.
     """
 
     def __init__(self, path: str | Path, header: dict,
@@ -430,30 +428,33 @@ class CampaignJournal:
         for resumption.
 
         Returns ``(journal, covered)``, where ``covered`` maps campaign
-        position -> decoded record for every complete line (as
-        :func:`read_journal` decodes them) whose position lies in the
-        plan, ``[0, total)``.  A journal of another seed or total raises
-        :class:`CampaignStorageError` and is left as it is; otherwise it
-        is rewritten without its torn final line, if any, and reopened
-        for appending.
+        position -> decoded record for every record line in the plan,
+        ``[0, total)``, read as :func:`read_journal` reads them.  A
+        journal of another seed or total raises
+        :class:`CampaignStorageError` and is left as it is; otherwise its
+        torn tail, if any, is cut, an unterminated last line is
+        terminated, and it is reopened for appending.
         """
         path = Path(path)
-        header, covered, clean = _parse_journal(path, record_decoder, kind)
+        cursor, covered = _read_records(path, record_decoder, kind)
+        header = cursor.header
         if header.get("seed") != seed or header.get("total_sites") != total:
             raise CampaignStorageError(
                 f"{path}: journal is for a different campaign "
                 f"(seed={header.get('seed')}, "
                 f"total={header.get('total_sites')}; this run has "
                 f"seed={seed}, total={total})")
-        if clean is not None:
-            # Rewrite without the torn tail, every line terminated, so
-            # future appends start on a line of their own.
-            with path.open("w") as handle:
-                handle.writelines(clean)
+        with path.open("r+b") as handle:
+            # Cut the torn tail and terminate a kept unterminated last
+            # line, so future appends start on a line of their own.
+            handle.seek(cursor.offset - 1)
+            terminated = handle.read(1) == b"\n"
+            if handle.read(1) or not terminated:
+                handle.truncate(cursor.offset)
+                handle.seek(cursor.offset)
+                handle.write(b"" if terminated else b"\n")
                 handle.flush()
                 os.fsync(handle.fileno())
-        covered = {position: record for position, record in covered.items()
-                   if 0 <= position < total}
         return cls(path, header, path.open("a")), covered
 
     # -- appending -----------------------------------------------------
@@ -542,11 +543,9 @@ def verify_journal(path: str | Path) -> JournalVerifyReport:
     Flags, as human-readable issues:
 
     * a missing/invalid header, or a journal of the wrong kind;
-    * malformed interior lines (only the *final* line may be torn — a
-      crash mid-append — and that is reported separately as
+    * lines that do not parse (the torn tail is reported separately as
       ``torn_tail``, since recovery handles it);
-    * lines missing ``pos``/``record`` keys, undecodable records, or
-      positions outside ``[0, total_sites)``;
+    * lines that break the record-line rule (:func:`journal_entry`);
     * duplicate positions — the same ``(site, occurrence)`` injection
       journaled twice, i.e. exactly what fencing exists to prevent;
     * fencing-token regressions in the lease log (grant tokens must be
@@ -554,57 +553,24 @@ def verify_journal(path: str | Path) -> JournalVerifyReport:
     """
     path = Path(path)
     report = JournalVerifyReport(path=str(path))
+    cursor = JournalCursor()
     try:
-        with path.open() as handle:
-            lines = handle.readlines()
-    except FileNotFoundError:
-        report.issues.append(f"{path}: no such journal")
+        delta = scan_journal(path, cursor)
+    except CampaignStorageError as exc:
+        report.issues.append(str(exc))
         return report
-    if not lines or not lines[0].strip():
+    if cursor.header is None:
         report.issues.append(f"{path}: empty journal (no header)")
         return report
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        report.issues.append(f"{path}:1: malformed header: {exc}")
-        return report
-    if (not isinstance(header, dict)
-            or header.get("format") != _JOURNAL_FORMAT_VERSION
-            or header.get("kind") != _JOURNAL_KIND):
+    report.torn_tail = delta.torn is not None
+    for number in delta.skipped:
         report.issues.append(
-            f"{path}:1: not a {_JOURNAL_KIND} journal this build can "
-            f"read (header {header!r})")
-        return report
-    total = header.get("total_sites")
-
+            f"{path}:{number}: malformed JSON on interior line")
+    total = cursor.header.get("total_sites")
     seen: dict[int, int] = {}  # position -> first line number
-    body = [(number, line) for number, line in enumerate(lines[1:], 2)
-            if line.strip()]
-    for offset, (number, line) in enumerate(body):
-        is_last = offset == len(body) - 1
+    for number, payload in delta.entries:
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            if is_last:
-                report.torn_tail = True
-            else:
-                report.issues.append(
-                    f"{path}:{number}: malformed JSON on interior line")
-            continue
-        if not isinstance(payload, dict) or "pos" not in payload \
-                or "record" not in payload:
-            report.issues.append(
-                f"{path}:{number}: journal line missing pos/record")
-            continue
-        position = payload["pos"]
-        if not isinstance(position, int) or position < 0 \
-                or (isinstance(total, int) and position >= total):
-            report.issues.append(
-                f"{path}:{number}: position {position!r} outside plan "
-                f"range [0, {total})")
-            continue
-        try:
-            record = _record_from_dict(payload["record"])
+            position, record = journal_entry(payload, total)
         except CampaignStorageError as exc:
             report.issues.append(f"{path}:{number}: {exc}")
             continue
@@ -616,7 +582,7 @@ def verify_journal(path: str | Path) -> JournalVerifyReport:
                 f"{seen[position]}) — double-journaled injection")
             continue
         seen[position] = number
-        report.records += 1
+    report.records = len(seen)
 
     _verify_lease_log(path.with_name(path.name + ".leases"), report)
     return report
@@ -624,24 +590,13 @@ def verify_journal(path: str | Path) -> JournalVerifyReport:
 
 def _verify_lease_log(lease_path: Path, report: JournalVerifyReport) -> None:
     """Replay a ``.leases`` sidecar: grant tokens must strictly increase
-    (a regression means two issues shared a token — fencing is void)."""
-    try:
-        with lease_path.open() as handle:
-            lease_lines = handle.readlines()
-    except FileNotFoundError:
-        return
+    (a regression means two issues shared a token — fencing is void).
+    Its torn tail is harmless."""
+    delta = scan_journal(lease_path, JournalCursor(), header=False)
+    for number in delta.skipped:
+        report.issues.append(f"{lease_path}:{number}: malformed lease event")
     last_grant = 0
-    for number, line in enumerate(lease_lines, 1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            if number == len(lease_lines):
-                continue  # torn tail of the sidecar; harmless
-            report.issues.append(
-                f"{lease_path}:{number}: malformed lease event")
-            continue
+    for number, event in delta.entries:
         if not isinstance(event, dict):
             report.issues.append(
                 f"{lease_path}:{number}: lease event is not an object")

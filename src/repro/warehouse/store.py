@@ -8,17 +8,19 @@ invariants, in descending order of importance:
   read-only cursor and never holds an append handle — it can run beside
   a live coordinator without perturbing the run, and a warehouse bug
   can corrupt at most the warehouse.
-* **Verified-tail fencing.**  Only bytes below the journal's last
-  newline are consumed (``scan_journal``): a torn tail — a crash or an
-  append caught mid-``write`` — is re-examined next poll, never
-  committed, so live streaming is byte-exact versus an offline ingest
-  of the finished journal.
+* **Verified-tail fencing.**  Journals and sidecars are read through
+  ``repro.sfi.storage``'s one reader (``scan_journal``) under its
+  end-of-file rule: a torn tail — a crash or an append caught
+  mid-``write`` — is re-examined next poll, never committed, so live
+  streaming is byte-exact versus an offline ingest of the finished
+  journal.
 * **Idempotence.**  Rows key on ``(campaign_id, pos)`` and inserts are
   ``OR IGNORE``; re-ingesting a journal (or racing two tailers) adds
-  nothing.  Line-level validation mirrors ``verify_journal``: exactly
-  the lines it would flag (malformed interior JSON, missing
-  ``pos``/``record``, undecodable records, out-of-range or duplicate
-  positions) are skipped and counted, never stored.
+  nothing.  Every line that ``verify_journal`` flags under the same
+  record-line rule (``journal_entry``) — a line that does not parse, a
+  line without ``pos``/``record``, an undecodable record, an
+  out-of-plan or duplicate position — is skipped and counted, never
+  stored.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.obs.fleet import read_span_log
 from repro.sfi.storage import (
     CampaignStorageError,
     JournalCursor,
-    record_from_dict,
+    journal_entry,
     record_to_row,
     scan_journal,
 )
@@ -200,9 +202,6 @@ class Warehouse:
             cursor.offset = row["journal_offset"]
             cursor.line = row["journal_line"]
             cursor.check = row["journal_check"]
-            if cursor.line:
-                cursor.header = {"kind": row["kind"], "seed": row["seed"],
-                                 "total_sites": row["total_sites"]}
         delta = scan_journal(journal, cursor)
         conn.execute("BEGIN IMMEDIATE")
         try:
@@ -213,7 +212,7 @@ class Warehouse:
                     stats.campaign_id)
             sidecar = Path(provenance) if provenance is not None else \
                 journal.with_name(journal.name + ".provenance")
-            if provenance is not None or sidecar.exists():
+            if sidecar.exists():
                 stats.provenance_rows = self._ingest_provenance(
                     sidecar, stats.campaign_id)
             spans = journal.with_name(journal.name + ".spans")
@@ -262,20 +261,15 @@ class Warehouse:
             row = conn.execute("SELECT * FROM campaigns WHERE name=?",
                                (name,)).fetchone()
         campaign_id = row["campaign_id"]
-        total = row["total_sites"] or None
         stats = IngestStats(name=name, campaign_id=campaign_id,
                             total_sites=row["total_sites"],
                             rewound=delta.rewound)
         stats.skipped = len(delta.skipped)
         rows = []
         for _number, payload in delta.entries:
-            position = payload.get("pos")
-            if "record" not in payload or not isinstance(position, int) \
-                    or position < 0 or (total and position >= total):
-                stats.skipped += 1
-                continue
             try:
-                record = record_from_dict(payload["record"])
+                position, record = journal_entry(payload,
+                                                 row["total_sites"])
             except CampaignStorageError:
                 stats.skipped += 1
                 continue
@@ -309,26 +303,14 @@ class Warehouse:
         """Fold the ``.leases`` sidecar in (idempotent by line number).
 
         The sidecar is append-only and rarely more than a few hundred
-        lines, so it is re-read whole; a torn final line is ignored
-        until a later poll sees it complete.
+        lines, so it is re-read whole; a torn tail is ignored until a
+        later poll sees it complete.
         """
-        try:
-            lines = path.read_text().splitlines()
-        except OSError:
-            return 0
-        rows = []
-        for seq, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail (or garbage verify_journal flags)
-            if not isinstance(event, dict) or "event" not in event:
-                continue
-            rows.append((campaign_id, seq, event["event"],
-                         event.get("token"), event.get("shard"),
-                         event.get("worker"), json.dumps(event)))
+        delta = scan_journal(path, JournalCursor(), header=False)
+        rows = [(campaign_id, seq, event["event"], event.get("token"),
+                 event.get("shard"), event.get("worker"), json.dumps(event))
+                for seq, event in delta.entries
+                if isinstance(event, dict) and "event" in event]
         conn = self._conn
         before = conn.total_changes
         conn.executemany(
@@ -356,20 +338,13 @@ class Warehouse:
 
     def _ingest_provenance(self, path: Path, campaign_id: int) -> int:
         """Join a provenance JSONL sidecar (``repro-sfi propagation
-        --jsonl``) onto the campaign's records, idempotently by pos."""
-        try:
-            lines = path.read_text().splitlines()
-        except OSError:
-            return 0
+        --jsonl``) onto the campaign's records, idempotently by pos; a
+        foreign header raises :class:`CampaignStorageError`."""
+        delta = scan_journal(path, JournalCursor(), kind="sfi-provenance")
         rows = []
-        for line in lines[1:]:  # line 1 is the sidecar header
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(entry, dict) or "pos" not in entry:
+        for _number, entry in delta.entries:
+            if not isinstance(entry, dict) \
+                    or not isinstance(entry.get("pos"), int):
                 continue
             payload = entry.get("payload") or {}
             detection = payload.get("detection") or {}

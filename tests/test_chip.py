@@ -76,6 +76,18 @@ class TestChipCampaign:
         assert chip_experiment.site_count(0) > 1000
         assert chip_experiment.site_count(1) == chip_experiment.site_count(0)
 
+    def test_ladder_keeps_a_rung_at_every_stride_boundary(self):
+        """At a short stride the chip ladder outgrows 64 rungs and still
+        holds one at every stride boundary before the reference end:
+        none is thinned away."""
+        stride = 4
+        experiment = ChipExperiment(core_params=SMALL_PARAMS, suite_seed=99,
+                                    ckpt_stride=stride)
+        boundaries = range(stride, experiment.reference_cycles, stride)
+        assert experiment.rung_count() == len(boundaries) > 64
+        assert [cycle for cycle, _snap in experiment._rungs] == \
+            list(boundaries)
+
     def test_run_one_isolation(self, chip_experiment):
         record = chip_experiment.run_one(0, 123, inject_cycle=15)
         assert record.core_index == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu.events import EventKind, EventLog, MachineEvent
+from repro.cpu.tainttrace import detection_info
 from repro.analysis import (
     detection_event,
     detection_latency,
@@ -10,9 +11,11 @@ from repro.analysis import (
     render_trace_summary,
     summarize_traces,
 )
+from repro.obs.trace import chain_from_record
 from repro.rtl import LatchKind
 from repro.sfi import Outcome
 from repro.sfi.results import CampaignResult, InjectionRecord
+from repro.sfi.storage import RECORD_ROW_FIELDS, record_to_row
 
 
 class TestEventLog:
@@ -166,6 +169,24 @@ class TestTracingAnalysis:
                          outcome=Outcome.SDC)
         assert detection_event(record) is None
         assert detection_latency(record) is None
+
+    def test_evicted_injection_marker_agrees_across_readers(self):
+        """A bounded ring evicted the INJECTION marker, so every surviving
+        event is post-injection: the tracing analysis, the warehouse row
+        and the trace chain report the cycle the provenance payload
+        (``detection_info``) reports."""
+        record = _record([MachineEvent(700, EventKind.RECOVERY_DONE, "r"),
+                          MachineEvent(720, EventKind.HANG_DETECTED,
+                                       "CORE_HANG_DETECT x"),
+                          MachineEvent(730, EventKind.CHECKSTOP, "late")],
+                         outcome=Outcome.HANG, inject_cycle=500)
+        cycle = detection_info(record.trace, record.inject_cycle)["cycle"]
+        assert cycle == 720
+        assert detection_event(record).cycle == cycle
+        row = dict(zip(RECORD_ROW_FIELDS, record_to_row(record)))
+        assert row["detector"] == "CORE_HANG_DETECT"
+        assert row["detect_latency"] == cycle - record.inject_cycle
+        assert chain_from_record(record)["detection_cycle"] == cycle
 
     def test_render_cause_effect_mentions_everything(self):
         record = _record([MachineEvent(10, EventKind.INJECTION, "u.x.0 -> 1"),
