@@ -954,28 +954,28 @@ def cmd_ingest(args) -> int:
     try:
         with Warehouse(args.db, metrics=registry) as warehouse:
             for journal in args.journal:
-                if args.follow:
-                    tailer = JournalTailer(warehouse, journal,
-                                           name=args.name,
-                                           provenance=args.provenance,
-                                           leases=not args.no_leases)
-                    stats = tailer.follow(interval=args.interval,
-                                          max_polls=args.max_polls)
-                    if stats is None:
-                        print(f"{journal}: journal never appeared",
-                              file=sys.stderr)
-                        failures += 1
-                        continue
-                else:
-                    try:
+                try:
+                    if args.follow:
+                        tailer = JournalTailer(warehouse, journal,
+                                               name=args.name,
+                                               provenance=args.provenance,
+                                               leases=not args.no_leases)
+                        stats = tailer.follow(interval=args.interval,
+                                              max_polls=args.max_polls)
+                    else:
                         stats = warehouse.ingest_journal(
                             journal, name=args.name,
                             provenance=args.provenance,
                             leases=not args.no_leases)
-                    except CampaignStorageError as exc:
-                        print(f"{journal}: {exc}", file=sys.stderr)
-                        failures += 1
-                        continue
+                except CampaignStorageError as exc:
+                    print(f"{journal}: {exc}", file=sys.stderr)
+                    failures += 1
+                    continue
+                if stats is None:
+                    print(f"{journal}: journal never appeared",
+                          file=sys.stderr)
+                    failures += 1
+                    continue
                 results.append(stats)
                 if not args.json:
                     state = "complete" if stats.complete else \

@@ -32,7 +32,15 @@ from repro.cpu.rut import CKPT_CR, CKPT_CTR, CKPT_LR, CKPT_PC, Rut
 
 @dataclass
 class CoreSnapshot:
-    """Complete machine state captured at a cycle boundary."""
+    """Complete machine state captured at a cycle boundary.
+
+    ``latches`` holds each latch's ``(value, par)`` pair in
+    :meth:`Power6Core.all_latches` order.  Equal pairs are one tuple
+    shared with the core's earlier snapshots (most latches hold the
+    same pair at every rung), so a prepared machine's rungs, and a pool
+    shipment through pickle's memo, store each distinct pair once.
+    Nothing writes into a snapshot; restore and compare only read it.
+    """
 
     latches: list[tuple[int, int]]
     memory: dict[int, int]
@@ -97,6 +105,9 @@ class Power6Core:
                 self._unit_of_latch[id(latch)] = unit_name
         self._arrays = [self.ifu.icache.array, self.lsu.dcache.array,
                         self.rut.ckpt]
+        # Every distinct (value, par) pair a snapshot of this core has
+        # taken, so later snapshots share it (see CoreSnapshot).
+        self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Structure queries (used by the emulator and the SFI framework).
@@ -328,8 +339,10 @@ class Power6Core:
     # Snapshot/restore (the emulator's checkpoint mechanism).
 
     def snapshot(self) -> CoreSnapshot:
+        share = self._pairs.setdefault
+        pairs = [(latch.value, latch.par) for latch in self._all_latches]
         return CoreSnapshot(
-            latches=[(latch.value, latch.par) for latch in self._all_latches],
+            latches=[share(pair, pair) for pair in pairs],
             memory=self.memory.snapshot(),
             arrays=[array.snapshot() for array in self._arrays],
             cycles=self.cycles,

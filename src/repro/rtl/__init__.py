@@ -1,7 +1,7 @@
 """Latch-level RTL modelling framework: typed latches with parity shadows,
 module hierarchy, scan rings, SEC-DED ECC, and fault-site addressing."""
 
-from repro.rtl.fault import FaultSite, InjectionMode, expand_sites
+from repro.rtl.fault import FaultSite, InjectionMode
 from repro.rtl.latch import Latch, LatchKind, make_bank
 from repro.rtl.module import HwModule
 from repro.rtl.parity import EccStatus, ecc_decode, ecc_encode, parity
@@ -18,7 +18,6 @@ __all__ = [
     "build_rings",
     "ecc_decode",
     "ecc_encode",
-    "expand_sites",
     "make_bank",
     "parity",
 ]

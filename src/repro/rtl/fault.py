@@ -73,17 +73,3 @@ class FaultSite:
             return self.latch.par
         return self.latch.bit(self.bit)
 
-
-def expand_sites(latches: list[Latch], include_parity: bool = True) -> list[FaultSite]:
-    """Every injectable (latch, bit) pair, declaration order.
-
-    Protected latches contribute one extra site for their parity bit when
-    ``include_parity`` is set.
-    """
-    sites = []
-    for latch in latches:
-        for bit in range(latch.width):
-            sites.append(FaultSite(latch, bit))
-        if include_parity and latch.protected:
-            sites.append(FaultSite(latch, latch.width))
-    return sites

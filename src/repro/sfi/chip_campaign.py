@@ -23,9 +23,9 @@ from repro.cpu.chip import ChipSnapshot, Power6Chip
 from repro.cpu.events import EventLog
 from repro.cpu.params import CoreParams
 from repro.cpu.tainttrace import TaintTracker, detection_info
+from repro.emulator.netlist import LatchMap
 from repro.obs.profile import CoreProfiler
 from repro.obs.provenance import MaskingEvent, ProvenanceReport
-from repro.rtl.fault import FaultSite, expand_sites
 
 from repro.sfi.classify import ClassifyOptions, classify
 from repro.sfi.outcomes import OUTCOME_ORDER, Outcome
@@ -154,8 +154,9 @@ class ChipExperiment:
         self.ladder_misses = 0
         # One testcase per core (distinct seeds: distinct workloads).
         self.testcases = make_suite(core_count, seed=suite_seed)
-        self._sites_per_core: list[list[FaultSite]] = [
-            expand_sites(core.all_latches()) for core in self.chip.cores]
+        # Each core's injectable bits, numbered as a single-core
+        # campaign numbers them (bits, then parity, latch by latch).
+        self._latch_maps = [LatchMap(core) for core in self.chip.cores]
         # Provenance sidecars of the last run_one / run_campaign (see
         # repro.obs.provenance); records themselves are unchanged.
         self.last_provenance: dict | None = None
@@ -195,7 +196,7 @@ class ChipExperiment:
     # ------------------------------------------------------------------
 
     def site_count(self, core_index: int) -> int:
-        return len(self._sites_per_core[core_index])
+        return len(self._latch_maps[core_index])
 
     def rung_count(self) -> int:
         return len(self._rungs)
@@ -219,7 +220,7 @@ class ChipExperiment:
             chip.cycle()
             if chip.quiesced:
                 break
-        site = self._sites_per_core[core_index][site_number]
+        site = self._latch_maps[core_index].site(site_number)
         site.inject()
         budget = (self.reference_cycles - inject_cycle) + self.drain_cycles
         self.last_provenance = None

@@ -25,6 +25,8 @@ import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from repro.cpu.core import Power6Core
+from repro.emulator.netlist import LatchMap
 from repro.sfi.campaign import CampaignConfig, plan_injections
 from repro.sfi.service.coordinator import SocketTransport
 from repro.sfi.service.messages import config_from_dict, config_to_dict
@@ -346,14 +348,19 @@ class ServiceServer:
                 except (KeyError, ValueError, TypeError) as exc:
                     return {"ok": False, "error": f"bad config: {exc}"}
                 sites = request.get("sites") or []
-                flips = int(request.get("flips", 0))
+                try:
+                    flips = int(request.get("flips", 0))
+                    seed = int(request.get("seed", 0))
+                except (ValueError, TypeError) as exc:
+                    return {"ok": False, "error": f"bad flips or seed: {exc}"}
                 if (not isinstance(sites, list) or not sites) \
                         and flips <= 0:
                     return {"ok": False,
                             "error": "submit needs sites or flips"}
-                spec = self.queue.submit(sites,
-                                         int(request.get("seed", 0)),
-                                         config, flips=flips)
+                refused = _bad_sites(sites, config)
+                if refused is not None:
+                    return {"ok": False, "error": refused}
+                spec = self.queue.submit(sites, seed, config, flips=flips)
                 self._wake.set()
                 return {"ok": True, "id": spec.id}
             if op == "status":
@@ -374,6 +381,22 @@ class ServiceServer:
                 self.shutdown()
                 return {"ok": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
+
+
+def _bad_sites(sites, config: CampaignConfig) -> str | None:
+    """Why a submitted site list cannot run, or None when it can: every
+    entry must be an int (not a bool) in ``[0, population)`` of the
+    config's core, since a trial injects whatever index it is given."""
+    if not isinstance(sites, list):
+        return f"sites must be a list, not {type(sites).__name__}"
+    if not sites:
+        return None
+    population = len(LatchMap(Power6Core(config.core_params)))
+    for position, site in enumerate(sites):
+        if type(site) is not int or not 0 <= site < population:
+            return (f"sites[{position}] = {site!r} is not a site index in "
+                    f"[0, {population})")
+    return None
 
 
 def control_request(host: str, port: int, request: dict,

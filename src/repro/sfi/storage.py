@@ -56,6 +56,12 @@ class CampaignStorageError(ValueError):
     unsupported format version."""
 
 
+class JournalNotReady(CampaignStorageError):
+    """A journal that does not exist yet, or has no complete header line
+    yet: a follower (``repro-sfi ingest --follow``) polls it again, where
+    any other storage error is final."""
+
+
 class FencedAppendError(CampaignStorageError):
     """An append carried a revoked fencing token.
 
@@ -220,7 +226,7 @@ def scan_journal(path: str | Path, cursor: JournalCursor, *,
     except FileNotFoundError as exc:
         if not header:
             return JournalDelta()
-        raise CampaignStorageError(f"{path}: no such journal") from exc
+        raise JournalNotReady(f"{path}: no such journal") from exc
     delta = JournalDelta(rewound=rewound)
     first = cursor.header
     number = cursor.line

@@ -36,6 +36,7 @@ from repro.obs.fleet import read_span_log
 from repro.sfi.storage import (
     CampaignStorageError,
     JournalCursor,
+    JournalNotReady,
     journal_entry,
     record_to_row,
     scan_journal,
@@ -189,8 +190,10 @@ class Warehouse:
         already present.  ``leases`` also folds the ``.leases`` sidecar
         in; ``provenance`` names a provenance JSONL sidecar to join
         (defaults to ``<journal>.provenance`` when that file exists).
-        Raises :class:`CampaignStorageError` while the journal does not
-        exist yet (the tailer turns that into a wait).
+        Raises :class:`JournalNotReady` while the journal does not exist
+        or has no complete header line yet (the tailer turns that into a
+        wait), and :class:`CampaignStorageError` on a foreign or
+        malformed journal or sidecar.
         """
         journal = Path(journal)
         name = name or str(journal.resolve())
@@ -248,7 +251,7 @@ class Warehouse:
         header = cursor.header
         if row is None:
             if header is None:
-                raise CampaignStorageError(
+                raise JournalNotReady(
                     f"{journal}: journal has no complete header line yet")
             conn.execute(
                 "INSERT INTO campaigns (name, journal_path, kind, seed, "
@@ -443,12 +446,14 @@ class JournalTailer:
 
     def poll(self) -> IngestStats | None:
         """One incremental pass; None while the journal does not exist
-        (or has no complete header line yet)."""
+        (or has no complete header line yet).  Any other
+        :class:`CampaignStorageError` (a foreign or malformed journal or
+        sidecar header) propagates: polling again cannot mend it."""
         try:
             self.last = self.warehouse.ingest_journal(
                 self.journal, name=self.name, leases=self.leases,
                 provenance=self.provenance)
-        except CampaignStorageError:
+        except JournalNotReady:
             return None
         return self.last
 

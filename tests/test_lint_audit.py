@@ -75,12 +75,11 @@ class TestBrokenModels:
     def test_partial_registration_is_mis_sized(self):
         core = ToyCore()
         latch_map = LatchMap(core)
-        # Drop one bit of one latch from the sampling view.
-        victim = latch_map.site(0).latch
-        for index in range(len(latch_map) - 1, -1, -1):
-            if latch_map.site(index).latch is victim:
-                del latch_map._sites[index]
-                break
+        # Drop one bit of one latch from the sampling view: the first
+        # latch's span ends one bit early, so every later latch starts
+        # one index sooner and the map holds one bit fewer.
+        latch_map._starts[1:] = [start - 1 for start in latch_map._starts[1:]]
+        latch_map._total -= 1
         findings = audit_fault_space(core, latch_map)
         assert rules_of(findings) == ["REPRO-A01"]
         assert "mis-sized" in findings[0].message

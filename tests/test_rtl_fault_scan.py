@@ -10,7 +10,6 @@ from repro.rtl import (
     LatchKind,
     ScanRing,
     build_rings,
-    expand_sites,
 )
 
 
@@ -46,12 +45,6 @@ class TestFaultSite:
         latch.write(0)  # logic rewrites
         site.hold(level)
         assert site.current() == level
-
-    def test_expand_sites_counts(self):
-        latches = [Latch("a", 4, protected=True), Latch("b", 3)]
-        sites = expand_sites(latches)
-        assert len(sites) == 4 + 1 + 3  # parity site for the protected one
-        assert len(expand_sites(latches, include_parity=False)) == 7
 
 
 class TestHwModule:

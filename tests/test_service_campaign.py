@@ -23,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.cpu import Power6Core
+from repro.emulator import LatchMap
 from repro.obs import MetricsRegistry
 from repro.sfi import (
     CampaignConfig,
@@ -409,6 +411,36 @@ class TestCampaignQueue:
             refused = server._handle(
                 {"op": "submit", "config": config_to_dict(CONFIG)})
             assert not refused["ok"] and "sites or flips" in refused["error"]
+        finally:
+            server._control.close()
+
+    def test_bad_sites_flips_and_seed_are_refused_at_submit(self, tmp_path):
+        """A site list is checked against the config's population before
+        it is spooled: a -1 would inject the last bit, and an index at
+        or past the population, a string or a bool names no site.  A
+        flips or seed that is not a number is refused too, rather than
+        raising out of the control loop, which would stop it."""
+        population = len(LatchMap(Power6Core(CONFIG.core_params)))
+        server = ServiceServer(tmp_path, ServerConfig())
+        try:
+            for bad in (-1, population, "7", True):
+                reply = server._handle(
+                    {"op": "submit", "sites": [3, bad], "seed": SEED,
+                     "config": config_to_dict(CONFIG)})
+                assert not reply["ok"], bad
+                assert f"sites[1] = {bad!r}" in reply["error"]
+            for field in ("flips", "seed"):
+                reply = server._handle(
+                    {"op": "submit", "sites": [3], field: "x",
+                     "config": config_to_dict(CONFIG)})
+                assert not reply["ok"] and "bad flips or seed" in \
+                    reply["error"], reply
+            assert server.queue.status() == []
+            reply = server._handle(
+                {"op": "submit", "sites": [0, population - 1],
+                 "seed": SEED, "config": config_to_dict(CONFIG)})
+            assert reply["ok"], reply
+            assert [row["sites"] for row in server.queue.status()] == [2]
         finally:
             server._control.close()
 

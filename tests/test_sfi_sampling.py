@@ -110,14 +110,14 @@ class TestEmptyPopulation:
         # the EmptyPopulationError path.
         with pytest.raises(KeyError):
             unit_sample(empty_map, "IFU", 5, random.Random(1))
-        empty_map._by_unit["IFU"] = []
+        empty_map._unit_spans["IFU"] = []
         from repro.sfi import EmptyPopulationError
         with pytest.raises(EmptyPopulationError, match="IFU"):
             unit_sample(empty_map, "IFU", 5, random.Random(1))
 
     def test_ring_fraction_empty_ring(self, empty_map):
         from repro.sfi import EmptyPopulationError
-        empty_map._by_ring["MODE"] = []
+        empty_map._ring_spans["MODE"] = []
         with pytest.raises(EmptyPopulationError, match="MODE"):
             ring_fraction_sample(empty_map, "MODE", 0.1, random.Random(1))
 

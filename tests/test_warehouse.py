@@ -333,6 +333,25 @@ class TestIngest:
         assert [tuple(row)[1:] for row in streamed_prov] == \
             [tuple(row)[1:] for row in offline_prov]
 
+    def test_follow_stops_on_a_foreign_header(self, tmp_path, capsys):
+        """Only a missing journal, or one without a complete header
+        line, is "not there yet"; a foreign header ends the follow."""
+        from repro.cli import main
+        missing = tmp_path / "missing.jsonl"
+        foreign = tmp_path / "foreign.jsonl"
+        foreign.write_text('{"format": 1, "kind": "other-journal"}\n')
+        with Warehouse(tmp_path / "w.sqlite") as warehouse:
+            assert JournalTailer(warehouse, missing).poll() is None
+            with pytest.raises(CampaignStorageError, match="header"):
+                JournalTailer(warehouse, foreign).poll()
+        code = main(["ingest", str(foreign), "--db",
+                     str(tmp_path / "cli.sqlite"), "--follow",
+                     "--interval", "0", "--max-polls", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "other-journal" in err and "header" in err
+        assert "never appeared" not in err
+
     def test_ingest_skips_exactly_what_verify_flags(self, tmp_path):
         """The warehouse stores precisely ``verify_journal``'s blessed
         records; every flagged line (and only those) is skipped."""
