@@ -22,7 +22,6 @@ from repro.emulator import AwanEmulator, CommHost, LatchMap, SoftwareSimulator
 from repro.rtl import FaultSite, InjectionMode, Latch, LatchKind
 from repro.sfi import (
     CampaignConfig,
-    CampaignProgress,
     CampaignResult,
     CampaignSupervisor,
     ClassifyOptions,
@@ -42,7 +41,6 @@ __all__ = [
     "AwanEmulator",
     "BeamExperiment",
     "CampaignConfig",
-    "CampaignProgress",
     "CampaignResult",
     "CampaignSupervisor",
     "Checker",

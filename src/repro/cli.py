@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from random import Random
 
 from repro.analysis import (
     contribution_table,
@@ -44,8 +43,8 @@ from repro.sfi import (
     ClassifyOptions,
     SfiExperiment,
     per_kind_campaigns,
+    campaign_sites,
     per_unit_campaigns,
-    random_sample,
 )
 from repro.sfi.outcomes import OUTCOME_ORDER, Outcome
 from repro.stats import wilson_interval
@@ -141,41 +140,7 @@ def cmd_info(args) -> int:
     return 0
 
 
-class _TraceLogProgress:
-    """Progress observer feeding an :class:`repro.obs.TraceWriter`
-    (composed with narration via TeeProgress)."""
-
-    def __init__(self, writer) -> None:
-        self.writer = writer
-
-    def on_record(self, position: int, record) -> None:
-        self.writer.write(position, record)
-
-    def __getattr__(self, name):
-        # Remaining CampaignProgress events are no-ops.
-        return lambda *args, **kwargs: None
-
-
-class _ExecutedCounter:
-    """Progress observer separating this run's work from journal
-    recovery, so the summary rate never divides by resumed records."""
-
-    def __init__(self) -> None:
-        self.executed = 0
-        self.recovered = 0
-
-    def on_start(self, total: int, pending: int) -> None:
-        self.recovered = total - pending
-
-    def on_record(self, position: int, record) -> None:
-        self.executed += 1
-
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: None
-
-
 def cmd_campaign(args) -> int:
-    from repro.sfi.supervisor import PrintProgress, TeeProgress
     if args.resume and not args.journal:
         print("--resume requires --journal", file=sys.stderr)
         return 2
@@ -183,26 +148,15 @@ def cmd_campaign(args) -> int:
     start = time.perf_counter()
     registry = None
     trace_writer = None
-    if args.metrics or args.metrics_jsonl or args.trace_log:
-        from repro.obs import MetricsRegistry, TraceWriter, set_default_registry
+    if args.metrics or args.metrics_jsonl:
+        from repro.obs import MetricsRegistry
         registry = MetricsRegistry()
-        set_default_registry(registry)
-        if args.trace_log:
-            trace_writer = TraceWriter(args.trace_log)
+    if args.trace_log:
+        from repro.obs import TraceWriter
+        trace_writer = TraceWriter(args.trace_log)
     try:
         probe = SfiExperiment(config)
-        # Site selection is a pure function of (seed, flips), so a
-        # resumed run regenerates the same plan its journal was
-        # written against.  The explicitly seeded Random is the
-        # determinism contract REPRO-D01 enforces repo-wide.
-        sites = random_sample(probe.latch_map, args.flips,
-                              Random(args.seed ^ 0x5F1))
-        counter = _ExecutedCounter()
-        observers = [counter]
-        if not args.json:
-            observers.append(PrintProgress(every=max(1, args.flips // 10)))
-        if trace_writer is not None:
-            observers.append(_TraceLogProgress(trace_writer))
+        sites = campaign_sites(probe.latch_map, args.flips, args.seed)
         telemetry_on = getattr(args, "telemetry", 0.0) > 0
         trace = None
         if telemetry_on:
@@ -228,7 +182,7 @@ def cmd_campaign(args) -> int:
             if not args.json:
                 print(f"[coordinator] listening for workers on "
                       f"{host}:{transport.port}")
-        result = CampaignSupervisor(
+        supervisor = CampaignSupervisor(
             config, workers=args.workers,
             population_bits=len(probe.latch_map),
             journal=args.journal,
@@ -239,7 +193,17 @@ def cmd_campaign(args) -> int:
             reference_cycles=[r.cycles for r in probe.references],
             transport=transport,
             trace=trace,
-            progress=TeeProgress(*observers)).run(sites, seed=args.seed)
+            progress=None if args.json else (
+                lambda event, detail: print(f"[supervisor] {detail}")))
+        result = supervisor.run(
+            sites, seed=args.seed,
+            record_hook=trace_writer.write if trace_writer else None)
+        # This run's own work, read before any fleet snapshot is merged
+        # in: journal-recovered records cost no wall-clock here.
+        executed = sum(supervisor.metrics.get("sfi_injections_total")
+                       .series().values())
+        recovered = round(supervisor.metrics.get(
+            "sfi_injections_recovered_total").value())
         if trace is not None and args.journal:
             from repro.obs.fleet import write_span_log
             spans = list(trace.drain())
@@ -265,11 +229,8 @@ def cmd_campaign(args) -> int:
             write_jsonl(registry, args.metrics_jsonl)
     elapsed = time.perf_counter() - start
     if not args.json:
-        # Rate over the injections this process actually ran: a resumed
-        # campaign's journal-recovered records cost no wall-clock here.
-        recovered = counter.recovered
         print(f"{result.total} injections in {elapsed:.1f}s "
-              f"({1000 * elapsed / max(1, counter.executed):.0f} ms each"
+              f"({1000 * elapsed / max(1, executed):.0f} ms each"
               + (f"; {recovered} recovered from journal" if recovered
                  else "") + ")")
         if trace_writer is not None:
@@ -433,8 +394,7 @@ def cmd_explain(args) -> int:
               f"(0..{flips - 1})", file=sys.stderr)
         return 2
     experiment = SfiExperiment(_config(args, suite_size=suite_size))
-    sites = random_sample(experiment.latch_map, flips,
-                          Random(seed ^ 0x5F1))
+    sites = campaign_sites(experiment.latch_map, flips, seed)
     plan = plan_injections(sites, len(experiment.suite))
     item = plan[args.position]
     inject_cycle = injection_rng(seed, item.site_index, item.occurrence) \
@@ -469,8 +429,7 @@ def cmd_propagation(args) -> int:
 
     config = _config(args, provenance=True)
     probe = SfiExperiment(config)
-    sites = random_sample(probe.latch_map, args.flips,
-                          Random(args.seed ^ 0x5F1))
+    sites = campaign_sites(probe.latch_map, args.flips, args.seed)
     supervisor = CampaignSupervisor(config, workers=args.workers,
                                     population_bits=len(probe.latch_map))
     supervisor.run(sites, seed=args.seed)

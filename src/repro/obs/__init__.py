@@ -50,8 +50,6 @@ from repro.obs.metrics import (
     Metric,
     MetricError,
     MetricsRegistry,
-    default_registry,
-    set_default_registry,
 )
 from repro.obs.monitor import (
     JournalProgress,
@@ -104,7 +102,6 @@ __all__ = [
     "advance_journal_progress",
     "chain_from_record",
     "critical_path",
-    "default_registry",
     "format_duration",
     "lease_sidecar_lines",
     "load_jsonl_snapshot",
@@ -121,7 +118,6 @@ __all__ = [
     "render_monitor_frame",
     "render_prometheus",
     "render_stats",
-    "set_default_registry",
     "spans_from_events",
     "write_jsonl",
     "write_prometheus",

@@ -17,10 +17,8 @@ Semantics follow the Prometheus data model where it matters:
 * **Histogram** — fixed upper-bound buckets plus ``sum``/``count``;
   exported cumulatively (``le``-style); ``merge_from`` sums bucket-wise.
 
-A process-wide default registry (:func:`default_registry`) lets distant
-layers share one sink without threading a registry through every
-constructor; components nevertheless accept an explicit registry so
-tests and parallel campaigns can isolate their series.
+Components take an explicit registry, so tests and parallel campaigns
+isolate their series.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ __all__ = [
     "Metric",
     "MetricError",
     "MetricsRegistry",
-    "default_registry",
-    "set_default_registry",
 ]
 
 #: Default histogram upper bounds (seconds-flavoured, like Prometheus').
@@ -343,23 +339,3 @@ class MetricsRegistry:
                 raise MetricError(
                     f"malformed metrics snapshot entry: {exc!r}") from exc
         return registry
-
-
-# ----------------------------------------------------------------------
-# Process-wide default registry.
-
-_default = MetricsRegistry()
-_default_lock = threading.Lock()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry components fall back to."""
-    return _default
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry; returns the previous one."""
-    global _default
-    with _default_lock:
-        previous, _default = _default, registry
-    return previous

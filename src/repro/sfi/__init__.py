@@ -30,7 +30,6 @@ from repro.sfi.storage import (
 )
 from repro.sfi.supervisor import (
     CampaignExecutionError,
-    CampaignProgress,
     CampaignSupervisor,
 )
 from repro.sfi.classify import ClassifyOptions, classify
@@ -41,6 +40,7 @@ from repro.sfi.results import CampaignResult, InjectionRecord
 from repro.sfi.sampling import (
     EmptyPopulationError,
     kind_sample,
+    campaign_sites,
     prior_weighted_sample,
     random_sample,
     ring_fraction_sample,
@@ -59,7 +59,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignExecutionError",
     "CampaignJournal",
-    "CampaignProgress",
     "CampaignStorageError",
     "CampaignSupervisor",
     "ChipCampaignResult",
@@ -85,6 +84,7 @@ __all__ = [
     "Outcome",
     "SampleSizePoint",
     "SfiExperiment",
+    "campaign_sites",
     "classify",
     "harden",
     "harden_rings",

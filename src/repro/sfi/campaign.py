@@ -37,7 +37,7 @@ from repro.rtl.fault import InjectionMode
 from repro.sfi.classify import ClassifyOptions, classify
 from repro.sfi.outcomes import Outcome
 from repro.sfi.results import CampaignResult, InjectionRecord
-from repro.sfi.sampling import random_sample
+from repro.sfi.sampling import campaign_sites
 
 
 @dataclass(frozen=True)
@@ -1036,6 +1036,5 @@ class SfiExperiment:
 
     def run_random_campaign(self, count: int, seed: int = 0) -> CampaignResult:
         """Whole-core uniform random campaign of ``count`` flips."""
-        rng = random.Random(seed ^ 0x5F1)
-        sites = random_sample(self.latch_map, count, rng)
-        return self.run_campaign(sites, seed)
+        return self.run_campaign(
+            campaign_sites(self.latch_map, count, seed), seed)

@@ -30,7 +30,6 @@ from repro.obs.provenance import MaskingEvent, ProvenanceReport
 from repro.sfi.classify import ClassifyOptions, classify
 from repro.sfi.outcomes import OUTCOME_ORDER, Outcome
 from repro.sfi.storage import CampaignJournal, CampaignStorageError
-from repro.sfi.supervisor import CampaignProgress
 
 _CHIP_JOURNAL_KIND = "sfi-chip-journal"
 
@@ -281,7 +280,6 @@ class ChipExperiment:
                      core_index: int | None = None, *,
                      journal: str | os.PathLike | None = None,
                      resume: bool = False,
-                     progress: CampaignProgress | None = None,
                      metrics=None,
                      provenance: bool = False) -> ChipCampaignResult:
         """Inject ``count`` random flips (into ``core_index``, or spread
@@ -306,7 +304,6 @@ class ChipExperiment:
         set, one ``core``-labelled :class:`~repro.obs.profile.CoreProfiler`
         per core samples the chip's cycle loops into the same registry.
         """
-        progress = progress or CampaignProgress()
         covered: dict[int, ChipInjectionRecord] = {}
         journal_obj: CampaignJournal | None = None
         if journal is not None:
@@ -315,12 +312,10 @@ class ChipExperiment:
                     journal, seed=seed, total=count,
                     record_decoder=_chip_record_from_dict,
                     kind=_CHIP_JOURNAL_KIND)
-                progress.on_resume(len(covered))
             else:
                 journal_obj = CampaignJournal.create(
                     journal, seed=seed, total_sites=count,
                     kind=_CHIP_JOURNAL_KIND)
-        progress.on_start(count, count - len(covered))
         inst = _ChipInstruments(metrics) if metrics is not None else None
         # One core-labelled profiler per core.  Chip trials are short and
         # every restore rewinds the cycle counter, so the default 2048-
@@ -374,7 +369,6 @@ class ChipExperiment:
                 if journal_obj is not None:
                     journal_obj.append(trial, record,
                                        record_encoder=_chip_record_to_dict)
-                progress.on_record(trial, record)
             for trial in range(count):
                 result.records.append(covered.get(trial) or records[trial])
         finally:

@@ -5,11 +5,12 @@ thousands of latch bits, so campaigns sample.  Random whole-core sampling
 reproduces the beam-calibration experiment (Table 2); per-unit and
 per-scan-ring sampling are the targeted modes of §3.1 and §3.2.
 
-Every drawing function takes an explicit ``random.Random`` — campaign
-reproducibility (and the REPRO-D01 lint rule) forbids the implicitly
-seeded module singleton.  Sampling an empty population raises
-:class:`EmptyPopulationError` naming the selector, instead of the opaque
-``ValueError`` ``rng.randrange(0)`` would surface.
+Every drawing function takes an explicit ``random.Random``, or seeds
+its own (:func:`campaign_sites`) — campaign reproducibility (and the
+REPRO-D01 lint rule) forbids the implicitly seeded module singleton.
+Sampling an empty population raises :class:`EmptyPopulationError`
+naming the selector, instead of the opaque ``ValueError``
+``rng.randrange(0)`` would surface.
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ def random_sample(latch_map: LatchMap, count: int, rng: random.Random,
     if count > population:
         raise ValueError(f"cannot draw {count} distinct sites from {population}")
     return rng.sample(range(population), count)
+
+
+def campaign_sites(latch_map: LatchMap, flips: int, seed: int) -> list[int]:
+    """The ``flips`` sites of the whole-core random campaign ``seed``.
+
+    A pure function of ``(seed, flips)``: a resumed, explained or served
+    campaign regenerates exactly the plan its journal was written
+    against.
+    """
+    return random_sample(latch_map, flips, random.Random(seed ^ 0x5F1))
 
 
 def unit_sample(latch_map: LatchMap, unit: str, count: int,

@@ -22,6 +22,7 @@ import os
 import socket
 import sys
 import threading
+import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from repro.sfi.campaign import CampaignConfig, plan_injections
 from repro.sfi.service.coordinator import SocketTransport
 from repro.sfi.service.messages import config_from_dict, config_to_dict
 from repro.sfi.service.wire import FrameError, recv_message, send_message
-from repro.sfi.supervisor import CampaignProgress, CampaignSupervisor
+from repro.sfi.supervisor import CampaignSupervisor
 
 
 @dataclass
@@ -40,8 +41,9 @@ class CampaignSpec:
 
     Either ``sites`` is explicit, or ``flips`` asks the server to sample
     that many sites at execute time — the sample is a pure function of
-    ``(seed, flips)`` (the same ``Random(seed ^ 0x5F1)`` the campaign
-    CLI uses), so a resumed or re-run spec regenerates its exact plan.
+    ``(seed, flips)`` (the campaign CLI's
+    :func:`~repro.sfi.sampling.campaign_sites`), so a resumed or re-run
+    spec regenerates its exact plan.
     """
 
     id: str
@@ -157,19 +159,6 @@ class _Cancelled(Exception):
     """Raised inside the running campaign to abort it cooperatively."""
 
 
-class _CancelProbe(CampaignProgress):
-    """Progress observer that aborts the campaign when the server's
-    cancel flag is set — checked per record, so a cancel lands within
-    one injection's latency and the journal keeps everything so far."""
-
-    def __init__(self, flag: threading.Event) -> None:
-        self.flag = flag
-
-    def on_record(self, position: int, record) -> None:
-        if self.flag.is_set():
-            raise _Cancelled
-
-
 @dataclass
 class ServerConfig:
     """Knobs for :class:`ServiceServer` (mirrors the CLI flags)."""
@@ -269,21 +258,26 @@ class ServiceServer:
             config,
             workers=self.config.workers_local or 1,
             journal=journal, resume=journal.exists(),
-            transport=transport, metrics=self.metrics,
-            progress=_CancelProbe(self._cancel_running))
+            transport=transport, metrics=self.metrics)
+
+        def cancel_probe(position: int, record) -> None:
+            # Checked per record: a cancel lands within one injection's
+            # latency, and the journal keeps everything so far.
+            if self._cancel_running.is_set():
+                raise _Cancelled
+
         try:
             sites = spec.sites
             if not sites and spec.flips > 0:
-                from random import Random
-
                 from repro.sfi.campaign import SfiExperiment
-                from repro.sfi.sampling import random_sample
+                from repro.sfi.sampling import campaign_sites
                 probe = SfiExperiment(config)
-                sites = random_sample(probe.latch_map, spec.flips,
-                                      Random(spec.seed ^ 0x5F1))
+                sites = campaign_sites(probe.latch_map, spec.flips,
+                                       spec.seed)
                 supervisor.population_bits = len(probe.latch_map)
             plan = plan_injections(sites, config.suite_size)
-            result = supervisor.run_plan(plan, spec.seed)
+            result = supervisor.run_plan(plan, spec.seed,
+                                         record_hook=cancel_probe)
         except _Cancelled:
             with self._lock:
                 self.queue.finish(spec.id, "cancelled",
@@ -330,7 +324,13 @@ class ServiceServer:
                 sock.settimeout(5.0)
                 request = recv_message(sock)
                 if request is not None:
-                    send_message(sock, self._handle(request))
+                    try:
+                        reply = self._handle(request)
+                    except Exception as exc:  # noqa: BLE001 - keep serving
+                        traceback.print_exc()
+                        reply = {"ok": False,
+                                 "error": f"{type(exc).__name__}: {exc}"}
+                    send_message(sock, reply)
             except (OSError, FrameError):
                 pass
             finally:
@@ -364,12 +364,19 @@ class ServiceServer:
                 self._wake.set()
                 return {"ok": True, "id": spec.id}
             if op == "status":
+                target = request.get("id")
+                if target is not None and not isinstance(target, str):
+                    return {"ok": False, "error": "status id must be a "
+                            f"string, not {type(target).__name__}"}
                 return {"ok": True,
-                        "campaigns": self.queue.status(request.get("id")),
+                        "campaigns": self.queue.status(target),
                         "running": self._running_id,
                         "worker_port": self.worker_port}
             if op == "cancel":
                 target = request.get("id")
+                if not isinstance(target, str):
+                    return {"ok": False, "error": "cancel id must be a "
+                            f"string, not {type(target).__name__}"}
                 state = self.queue.cancel(target)
                 if state is None:
                     return {"ok": False, "error": f"unknown id {target!r}"}

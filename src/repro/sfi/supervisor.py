@@ -43,6 +43,8 @@ import tempfile
 import time
 from functools import partial
 
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.monitor import format_duration
 from repro.obs.provenance import ProvenanceReport
 from repro.sfi.campaign import (
     _CYCLES_SAVED_BUCKETS,
@@ -62,154 +64,6 @@ from repro.sfi.storage import CampaignJournal
 
 class CampaignExecutionError(RuntimeError):
     """A campaign could not complete without dropping injections."""
-
-
-# ----------------------------------------------------------------------
-# Progress observation.
-
-class CampaignProgress:
-    """Observer hook for supervised campaigns.
-
-    Every method is a no-op; subclass and override the events you care
-    about.  The supervisor guarantees that every abnormal path — retry,
-    split, degradation — is reported here, so nothing fails silently.
-    """
-
-    def on_start(self, total: int, pending: int) -> None:
-        """Campaign begins: ``total`` planned injections, ``pending`` of
-        them still to run (the rest were recovered from a journal)."""
-
-    def on_resume(self, recovered: int) -> None:
-        """``recovered`` injections were loaded from the journal."""
-
-    def on_record(self, position: int, record) -> None:
-        """One injection completed (any execution path)."""
-
-    def on_shard_complete(self, shard_id: int, size: int, attempt: int) -> None:
-        """A shard finished all its injections."""
-
-    def on_shard_retry(self, shard_id: int, attempt: int, reason: str,
-                       delay: float) -> None:
-        """A shard failed (``reason``) and will re-run after ``delay``."""
-
-    def on_shard_split(self, shard_id: int, remaining: int) -> None:
-        """A shard exhausted its retries and was split into halves."""
-
-    def on_degrade(self, reason: str) -> None:
-        """Execution fell back to in-process serial mode."""
-
-
-class PrintProgress(CampaignProgress):
-    """Progress observer that narrates to stdout (the CLI's default).
-
-    Narration is rate-limited: at most one progress line per
-    ``min_interval`` seconds (default 0.5s) regardless of ``every``, so
-    a large fast campaign cannot flood stdout; the final line always
-    prints.  Each line carries the running injections/sec and an ETA
-    derived from it.
-    """
-
-    def __init__(self, every: int = 50, min_interval: float = 0.5,
-                 clock=time.monotonic) -> None:
-        self.every = max(1, every)
-        self.min_interval = min_interval
-        self._clock = clock
-        self._done = 0
-        self._total = 0
-        self._started_at: float | None = None
-        self._start_done = 0
-        self._last_line = float("-inf")
-
-    def on_start(self, total: int, pending: int) -> None:
-        self._total = total
-        self._done = total - pending
-        self._started_at = self._clock()
-        self._start_done = self._done
-        if total != pending:
-            print(f"[supervisor] resuming: {self._done}/{total} injections "
-                  f"already journaled")
-
-    @staticmethod
-    def _format_eta(seconds: float) -> str:
-        seconds = max(0, int(round(seconds)))
-        if seconds < 60:
-            return f"{seconds}s"
-        minutes, secs = divmod(seconds, 60)
-        if minutes < 60:
-            return f"{minutes}m{secs:02d}s"
-        hours, minutes = divmod(minutes, 60)
-        return f"{hours}h{minutes:02d}m"
-
-    def on_record(self, position: int, record) -> None:
-        self._done += 1
-        final = self._done == self._total
-        if not final and self._done % self.every:
-            return
-        now = self._clock()
-        if not final and now - self._last_line < self.min_interval:
-            return
-        self._last_line = now
-        line = f"[supervisor] {self._done}/{self._total} injections"
-        executed = self._done - self._start_done
-        elapsed = (now - self._started_at
-                   if self._started_at is not None else 0.0)
-        if executed > 0 and elapsed > 0:
-            rate = executed / elapsed
-            line += f" ({rate:.1f} inj/s"
-            if not final and rate > 0:
-                remaining = (self._total - self._done) / rate
-                line += f", ETA {self._format_eta(remaining)}"
-            line += ")"
-        print(line)
-
-    def on_shard_retry(self, shard_id: int, attempt: int, reason: str,
-                       delay: float) -> None:
-        print(f"[supervisor] shard {shard_id} attempt {attempt} failed "
-              f"({reason}); retrying in {delay:.2f}s")
-
-    def on_shard_split(self, shard_id: int, remaining: int) -> None:
-        print(f"[supervisor] shard {shard_id} exhausted retries; "
-              f"splitting {remaining} remaining injections")
-
-    def on_degrade(self, reason: str) -> None:
-        print(f"[supervisor] degraded to serial execution: {reason}")
-
-
-class TeeProgress(CampaignProgress):
-    """Forward every progress event to several observers (narration and
-    trace/metric sinks compose without knowing about each other)."""
-
-    def __init__(self, *observers: CampaignProgress) -> None:
-        self.observers = [obs for obs in observers if obs is not None]
-
-    def on_start(self, total: int, pending: int) -> None:
-        for observer in self.observers:
-            observer.on_start(total, pending)
-
-    def on_resume(self, recovered: int) -> None:
-        for observer in self.observers:
-            observer.on_resume(recovered)
-
-    def on_record(self, position: int, record) -> None:
-        for observer in self.observers:
-            observer.on_record(position, record)
-
-    def on_shard_complete(self, shard_id: int, size: int, attempt: int) -> None:
-        for observer in self.observers:
-            observer.on_shard_complete(shard_id, size, attempt)
-
-    def on_shard_retry(self, shard_id: int, attempt: int, reason: str,
-                       delay: float) -> None:
-        for observer in self.observers:
-            observer.on_shard_retry(shard_id, attempt, reason, delay)
-
-    def on_shard_split(self, shard_id: int, remaining: int) -> None:
-        for observer in self.observers:
-            observer.on_shard_split(shard_id, remaining)
-
-    def on_degrade(self, reason: str) -> None:
-        for observer in self.observers:
-            observer.on_degrade(reason)
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +185,10 @@ def run_shard(config: CampaignConfig, items: list[InjectionPlan], seed: int,
     (the supervisor's sidecar channel), the fast-path and provenance
     payloads go through it — out of band, so the record stream itself
     stays bit-identical to a hookless run — and the supervisor alone
-    journals the extras and folds the payloads; when it carries a
-    ``metrics`` registry, the experiment series accrue there.
+    journals the extras and folds them and the records into its series.
+    The experiment's own series accrue only where ``emit`` carries a
+    ``metrics`` registry, which the supervisor's never does, so no
+    record is counted twice.
     """
     experiment = prepared_machine(config)
     extra = getattr(emit, "extra", None)
@@ -530,13 +386,11 @@ class _ProcessPool:
         except Exception as exc:
             if exc is pool_error:
                 raise
-            if inst is not None:
-                inst.shard_wall.observe(time.monotonic() - started,
-                                        status="failed")
+            inst.shard_wall.observe(time.monotonic() - started,
+                                    status="failed")
             leases.reclaim(token, f"{type(exc).__name__}: {exc}")
             return
-        if self.supervisor.lease_done(leases, token, population) is not None \
-                and inst is not None:
+        if self.supervisor.lease_done(leases, token, population) is not None:
             inst.shard_wall.observe(time.monotonic() - started, status="ok")
 
     # -- the spawned workers -------------------------------------------
@@ -582,14 +436,12 @@ class _ProcessPool:
                 return f"cannot spawn workers ({exc})"
             self.inboxes[process] = inbox
             self._hold(process, lease)
-        if self.supervisor._inst is not None:
-            self.supervisor._inst.workers_running.set(len(self.inboxes))
+        self.supervisor._inst.workers_running.set(len(self.inboxes))
         return None
 
     def _observe_grant(self, lease: Lease) -> None:
-        if self.supervisor._inst is not None:
-            self.supervisor._inst.queue_wait.observe(
-                time.monotonic() - lease.queued_at)
+        self.supervisor._inst.queue_wait.observe(
+            time.monotonic() - lease.queued_at)
 
     def _hold(self, process, lease: Lease) -> None:
         """``process`` now runs ``lease``."""
@@ -650,9 +502,9 @@ class _ProcessPool:
         if entry is None:
             return
         process, started = entry
-        inst = self.supervisor._inst
-        if inst is not None and status is not None:
-            inst.shard_wall.observe(time.monotonic() - started, status=status)
+        if status is not None:
+            self.supervisor._inst.shard_wall.observe(
+                time.monotonic() - started, status=status)
         self.idle.append(process)
 
     def _forget(self, process) -> None:
@@ -698,6 +550,16 @@ class CampaignSupervisor:
     ladder rungs in turn.  The sort is purely a scheduling hint: every
     plan item is self-contained, so the merged result is bit-identical
     with or without it.
+
+    Its metric series in ``metrics`` (a registry of its own when None)
+    are the one record of a campaign's progress: records by outcome,
+    journal recoveries, throughput, shard lifecycle, retries, splits and
+    degradations.  ``progress(event, detail)`` narrates from them: a
+    ``"resume"`` banner, a periodic ``"progress"`` line (every tenth of
+    the plan, at most one per 0.5 s, the last always) with the
+    throughput and ETA of this run's records, and one ``"retry"``,
+    ``"split"`` or ``"degrade"`` line per failure-policy branch, so
+    nothing fails silently.
     """
 
     def __init__(self, config: CampaignConfig, *,
@@ -709,7 +571,7 @@ class CampaignSupervisor:
                  journal: str | os.PathLike | None = None,
                  resume: bool = False,
                  population_bits: int = 0,
-                 progress: CampaignProgress | None = None,
+                 progress=None,
                  runner=run_shard,
                  metrics=None,
                  reference_cycles: list[int] | None = None,
@@ -725,11 +587,10 @@ class CampaignSupervisor:
         self.journal_path = journal
         self.resume = resume
         self.population_bits = population_bits
-        self.progress = progress or CampaignProgress()
+        self.progress = progress or (lambda event, detail: None)
         self.runner = runner
-        self.metrics = metrics
-        self._inst = (_SupervisorInstruments(metrics)
-                      if metrics is not None else None)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._inst = _SupervisorInstruments(self.metrics)
         self.reference_cycles = reference_cycles
         #: Shard execution back end (see repro.sfi.service.transport):
         #: the in-process pool by default, the TCP lease coordinator for
@@ -761,13 +622,20 @@ class CampaignSupervisor:
 
     # -- public entry points ------------------------------------------
 
-    def run(self, sites: list[int], seed: int = 0) -> CampaignResult:
+    def run(self, sites: list[int], seed: int = 0,
+            record_hook=None) -> CampaignResult:
         """Run ``sites`` as a supervised campaign (see module docstring)."""
         plan = plan_injections(sites, self.config.suite_size)
-        return self.run_plan(plan, seed)
+        return self.run_plan(plan, seed, record_hook)
 
-    def run_plan(self, plan: list[InjectionPlan],
-                 seed: int = 0) -> CampaignResult:
+    def run_plan(self, plan: list[InjectionPlan], seed: int = 0,
+                 record_hook=None) -> CampaignResult:
+        """Run ``plan`` as a supervised campaign.
+
+        ``record_hook(position, record)`` is called once for each record
+        this run executes, after it is journaled and counted; records
+        recovered from the journal and fenced stale records never reach
+        it."""
         journal, records = self._open_journal(plan, seed)
         self._journal = journal
         inst = self._inst
@@ -780,12 +648,42 @@ class CampaignSupervisor:
             ProvenanceReport() if self.config.provenance else None)
         self.provenance_payloads = {}
         pending_fastpath: dict[int, dict] = {}
-        if inst is not None and records:
-            inst.recovered.inc(len(records))
+        total = len(plan)
+        every = max(1, total // 10)
+        last_line = float("-inf")
+
+        def counted() -> float:
+            return inst.recovered.value() + \
+                sum(inst.injections.series().values())
+
+        before = counted()  # the registry may count earlier runs
+
+        def narrate() -> None:
+            nonlocal last_line
+            done = round(counted() - before)
+            final = done == total
+            if not final and done % every:
+                return
+            now = time.perf_counter()
+            if not final and now - last_line < 0.5:
+                return
+            last_line = now
+            line = f"{done}/{total} injections"
+            rate = inst.rate.value()
+            if rate > 0:
+                eta = "" if final else \
+                    f", ETA {format_duration((total - done) / rate)}"
+                line += f" ({rate:.1f} inj/s{eta})"
+            self.progress("progress", line)
+
         try:
+            if records:
+                inst.recovered.inc(len(records))
+                self.progress("resume", f"resuming: "
+                              f"{round(counted() - before)}/{total} "
+                              f"injections already journaled")
             pending = [item for item in plan if item.position not in records]
             pending = self._cycle_sorted(pending, seed)
-            self.progress.on_start(len(plan), len(pending))
 
             def collect(position: int, record, fence: int | None = None) -> None:
                 nonlocal executed
@@ -796,17 +694,18 @@ class CampaignSupervisor:
                         position, record,
                         extra={"fastpath": sidecar} if sidecar else None,
                         fence=fence)
-                if inst is not None:
-                    executed += 1
-                    inst.injections.inc(outcome=_outcome_value(record))
-                    if sidecar is not None:
-                        inst.cycles_saved.observe(sidecar["saved_cycles"])
-                        if "exit" in sidecar:
-                            inst.early_exits.inc(reason=sidecar["exit"])
-                    elapsed = time.perf_counter() - started
-                    if elapsed > 0:
-                        inst.rate.set(executed / elapsed)
-                self.progress.on_record(position, record)
+                executed += 1
+                inst.injections.inc(outcome=_outcome_value(record))
+                if sidecar is not None:
+                    inst.cycles_saved.observe(sidecar["saved_cycles"])
+                    if "exit" in sidecar:
+                        inst.early_exits.inc(reason=sidecar["exit"])
+                elapsed = time.perf_counter() - started
+                if elapsed > 0:
+                    inst.rate.set(executed / elapsed)
+                narrate()
+                if record_hook is not None:
+                    record_hook(position, record)
 
             def absorb_extra(kind: str, position: int,
                              payload: dict) -> None:
@@ -820,8 +719,7 @@ class CampaignSupervisor:
                     self.provenance_payloads[position] = payload
                     if report is not None:
                         report.absorb(payload)
-                    if inst is not None:
-                        observe_provenance_metrics(inst, payload)
+                    observe_provenance_metrics(inst, payload)
 
             # The serial/degraded path hands `collect` straight to the
             # runner as its emit, so the sidecar channel rides the same
@@ -839,9 +737,8 @@ class CampaignSupervisor:
                                 if item.position not in records]
                     leftover.sort(key=lambda item: item.position)
                 if leftover:
-                    if inst is not None:
-                        inst.degrades.inc()
-                    self.progress.on_degrade(
+                    inst.degrades.inc()
+                    self._degrade(
                         f"transport {self.transport.name!r} returned "
                         f"{len(leftover)} injections; running in-process")
                     self.run_pool(leftover, seed, collect)
@@ -861,12 +758,14 @@ class CampaignSupervisor:
             if self.trace is not None and self.trace_root is not None:
                 self.trace.finish(self.trace_root)
                 self.trace.finish_all()  # no span outlives the campaign
-            if inst is not None:
-                inst.campaign_seconds.set(time.perf_counter() - started)
-                inst.workers_running.set(0)
+            inst.campaign_seconds.set(time.perf_counter() - started)
+            inst.workers_running.set(0)
             if journal is not None:
                 journal.close()
             self._journal = None
+
+    def _degrade(self, reason: str) -> None:
+        self.progress("degrade", f"degraded to serial execution: {reason}")
 
     def _cycle_sorted(self, pending: list[InjectionPlan],
                       seed: int) -> list[InjectionPlan]:
@@ -899,7 +798,6 @@ class CampaignSupervisor:
                 self.journal_path, seed=seed, total=len(plan))
             self.population_bits = self.population_bits or \
                 journal.header.get("population_bits", 0)
-            self.progress.on_resume(len(covered))
             return journal, covered
         journal = CampaignJournal.create(
             self.journal_path, seed=seed, total_sites=len(plan),
@@ -943,9 +841,9 @@ class CampaignSupervisor:
     def lease_manager(self, items: list[InjectionPlan], seed: int, *,
                       lease_items: int, log=None) -> LeaseManager:
         """A :class:`LeaseManager` under this campaign's failure policy:
-        it fences reclaimed tokens at the journal, reports each requeue
-        to progress and metrics, and issues tokens above any revoked
-        earlier in the campaign (e.g. by a transport that gave up)."""
+        it fences reclaimed tokens at the journal, counts and narrates
+        each requeue, and issues tokens above any revoked earlier in the
+        campaign (e.g. by a transport that gave up)."""
         return LeaseManager(
             items, seed=seed, lease_items=lease_items,
             max_retries=self.max_retries, backoff_base=self.backoff_base,
@@ -955,34 +853,32 @@ class CampaignSupervisor:
 
     def _report_requeue(self, requeue: Requeue) -> None:
         if requeue.action == "retry":
-            if self._inst is not None:
-                self._inst.retries.inc()
-            self.progress.on_shard_retry(requeue.shard_id, requeue.attempt,
-                                         requeue.reason, requeue.delay)
+            self._inst.retries.inc()
+            self.progress("retry", f"shard {requeue.shard_id} attempt "
+                          f"{requeue.attempt} failed ({requeue.reason}); "
+                          f"retrying in {requeue.delay:.2f}s")
         elif requeue.action == "split":
-            if self._inst is not None:
-                self._inst.splits.inc()
-            self.progress.on_shard_split(requeue.shard_id, requeue.items)
+            self._inst.splits.inc()
+            self.progress("split", f"shard {requeue.shard_id} exhausted "
+                          f"retries; splitting {requeue.items} remaining "
+                          f"injections")
         else:
-            self.progress.on_degrade(
+            self._degrade(
                 f"shard {requeue.shard_id} ({requeue.items} injection) "
                 f"exhausted {self.max_retries} retries ({requeue.reason}); "
                 f"running in-process")
 
     def lease_done(self, leases: LeaseManager, token: int,
                    population) -> Lease | None:
-        """A worker reported lease ``token`` finished: complete it, adopt
-        the worker's latch population and report the shard.  None when
-        the token was stale."""
+        """A worker reported lease ``token`` finished: complete it and
+        adopt the worker's latch population.  None when the token was
+        stale."""
         lease = leases.complete(token)
         if lease is None:
             return None
         if not self.population_bits and isinstance(population, int) \
                 and population > 0:
             self.population_bits = population
-        if not lease.remaining():
-            self.progress.on_shard_complete(
-                lease.shard_id, len(lease.items), lease.attempt + 1)
         return lease
 
     # -- serial / degraded path ---------------------------------------
@@ -993,9 +889,8 @@ class CampaignSupervisor:
         runner, on this process's prepared machine for the config)."""
         start = time.monotonic()
         population = self.runner(self.config, items, seed, collect)
-        if self._inst is not None:
-            self._inst.shard_wall.observe(time.monotonic() - start,
-                                          status="serial")
+        self._inst.shard_wall.observe(time.monotonic() - start,
+                                      status="serial")
         if not self.population_bits and isinstance(population, int):
             self.population_bits = population
 
@@ -1027,10 +922,9 @@ class CampaignSupervisor:
             self._machine_file = None
         leftover = leases.drain()
         if leftover:
-            if self._inst is not None:
-                self._inst.degrades.inc()
+            self._inst.degrades.inc()
             if reason is not None:
-                self.progress.on_degrade(reason)
+                self._degrade(reason)
             self._run_serial(leftover, seed, collect)
 
     def _spawn(self, lease: Lease, seed: int, out_queue):

@@ -42,7 +42,6 @@ from repro.sfi.service.wire import (
     FrameReader,
     encode_frame,
 )
-from repro.sfi.supervisor import PrintProgress
 from repro.stats import wilson_width
 from repro.warehouse import Warehouse, write_fixture_journal
 from repro.warehouse.queries import (
@@ -61,6 +60,7 @@ from tests.test_service_campaign import (
     _start_worker_thread,
     _wait_for_journal_lines,
 )
+from tests.test_supervisor import keep_records, narrated_run
 
 
 class FakeClock:
@@ -514,32 +514,29 @@ class TestConvergence:
 
 
 # ----------------------------------------------------------------------
-# PrintProgress after --resume (satellite).
+# Progress narration after --resume (satellite).
 
 class TestPrintProgressResume:
-    def test_rate_and_eta_count_only_records_since_resume(self, capsys):
-        clock = FakeClock()
-        progress = PrintProgress(every=10, min_interval=0.0, clock=clock)
-        progress.on_start(total=40, pending=20)
-        assert "resuming: 20/40" in capsys.readouterr().out
-        for _ in range(10):
-            clock.now += 1.0
-            progress.on_record(0, None)
-        out = capsys.readouterr().out
-        # 10 executed in 10s -> 1.0 inj/s and 10 to go -> ETA 10s.  The
-        # regression rated done/elapsed = 30/10 = 3.0 inj/s, ETA 3s.
-        assert "30/40 injections (1.0 inj/s, ETA 10s)" in out
+    def test_rate_and_eta_count_only_records_since_resume(
+            self, monkeypatch, tmp_path):
+        sites = [110 * k for k in range(1, 21)]
+        journal = tmp_path / "campaign.journal"
+        CampaignSupervisor(CONFIG, workers=1, journal=journal).run(
+            sites, seed=SEED)
+        keep_records(journal, 10)
+        progress = narrated_run(monkeypatch, sites, step=1.0,
+                                journal=journal, resume=True)
+        assert progress.details("resume") == \
+            ["resuming: 10/20 injections already journaled"]
+        # 2 executed in 2s -> 1.0 inj/s and 8 to go -> ETA 8s.  The
+        # regression rated done/elapsed = 12/2 = 6.0 inj/s, ETA 1s.
+        assert progress.details("progress")[0] == \
+            "12/20 injections (1.0 inj/s, ETA 8s)"
 
-    def test_fresh_run_unaffected(self, capsys):
-        clock = FakeClock()
-        progress = PrintProgress(every=5, min_interval=0.0, clock=clock)
-        progress.on_start(total=5, pending=5)
-        for _ in range(5):
-            clock.now += 2.0
-            progress.on_record(0, None)
-        out = capsys.readouterr().out
-        assert "resuming" not in out
-        assert "5/5 injections (0.5 inj/s)" in out
+    def test_fresh_run_unaffected(self, monkeypatch):
+        progress = narrated_run(monkeypatch, SITES[:5], step=2.0)
+        assert progress.details("resume") == []
+        assert "5/5 injections (0.5 inj/s)" in progress.details("progress")
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,10 @@ import pytest
 from repro.obs import (
     MetricError,
     MetricsRegistry,
-    default_registry,
     load_jsonl_snapshot,
     parse_prometheus_text,
     render_jsonl,
     render_prometheus,
-    set_default_registry,
     write_jsonl,
     write_prometheus,
 )
@@ -141,14 +139,6 @@ class TestRegistry:
         hist.observe(100.0)
         rebuilt = MetricsRegistry.from_snapshot(registry.snapshot())
         assert rebuilt.snapshot() == registry.snapshot()
-
-    def test_default_registry_swap(self):
-        replacement = MetricsRegistry()
-        previous = set_default_registry(replacement)
-        try:
-            assert default_registry() is replacement
-        finally:
-            set_default_registry(previous)
 
 
 def _sample_registry() -> MetricsRegistry:

@@ -414,6 +414,40 @@ class TestCampaignQueue:
         finally:
             server._control.close()
 
+    def test_malformed_control_requests_get_error_replies(
+            self, tmp_path, monkeypatch):
+        """A cancel or status whose id is not a string, and a request
+        that raises inside the handler, each get an error reply; the
+        listener keeps serving the next request."""
+        server = ServiceServer(tmp_path, ServerConfig())
+
+        def broken_cancel(campaign_id):
+            raise RuntimeError("spool unreadable")
+
+        thread = threading.Thread(target=server.run_forever, daemon=True)
+        thread.start()
+        try:
+            for request in ({"op": "cancel", "id": []},
+                            {"op": "cancel", "id": {}},
+                            {"op": "status", "id": 5}):
+                reply = control_request("127.0.0.1", server.control_port,
+                                        request, timeout=5.0)
+                assert reply["ok"] is False and "must be a string" in \
+                    reply["error"], (request, reply)
+            monkeypatch.setattr(server.queue, "cancel", broken_cancel)
+            reply = control_request("127.0.0.1", server.control_port,
+                                    {"op": "cancel", "id": "sfi-000001"},
+                                    timeout=5.0)
+            assert reply == {"ok": False,
+                             "error": "RuntimeError: spool unreadable"}
+            status = control_request("127.0.0.1", server.control_port,
+                                     {"op": "status"}, timeout=5.0)
+            assert status["ok"] and status["campaigns"] == []
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
     def test_bad_sites_flips_and_seed_are_refused_at_submit(self, tmp_path):
         """A site list is checked against the config's population before
         it is spooled: a -1 would inject the last bit, and an index at

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,13 +28,9 @@ from repro.sfi import (
     CampaignSupervisor,
     SfiExperiment,
 )
-from repro.sfi.storage import CampaignJournal
-from repro.sfi.supervisor import (
-    CampaignProgress,
-    PrintProgress,
-    TeeProgress,
-    run_shard,
-)
+from repro.sfi import supervisor as supervisor_module
+from repro.sfi.storage import CampaignJournal, read_journal
+from repro.sfi.supervisor import run_shard
 
 from tests.conftest import SMALL_PARAMS
 
@@ -98,29 +96,86 @@ def partial_then_sigkill_runner(config, items, seed, emit):
     return run_shard(config, items, seed, emit)
 
 
-class RecordingProgress(CampaignProgress):
+_RETRY = re.compile(r"shard (\d+) attempt (\d+) failed \((.*)\); "
+                    r"retrying in \d+\.\d\ds")
+_SPLIT = re.compile(r"shard (\d+) exhausted retries; "
+                    r"splitting (\d+) remaining injections")
+_RESUME = re.compile(r"resuming: (\d+)/\d+ injections already journaled")
+
+
+class RecordingProgress:
+    """The supervisor's ``progress(event, detail)`` narration; each
+    failure-policy line is parsed back into its fields (a line that
+    does not parse fails the test)."""
+
     def __init__(self):
-        self.retries, self.splits, self.degrades = [], [], []
-        self.completed, self.records = [], []
-        self.resumed = 0
+        self.events = []
 
-    def on_record(self, position, record):
-        self.records.append(position)
+    def __call__(self, event, detail):
+        self.events.append((event, detail))
 
-    def on_resume(self, recovered):
-        self.resumed = recovered
+    def details(self, event):
+        return [detail for kind, detail in self.events if kind == event]
 
-    def on_shard_complete(self, shard_id, size, attempt):
-        self.completed.append((shard_id, size, attempt))
+    @property
+    def retries(self):
+        """``(shard_id, attempt, reason)`` of each retry line."""
+        return [(int(m[1]), int(m[2]), m[3]) for m in
+                map(_RETRY.fullmatch, self.details("retry"))]
 
-    def on_shard_retry(self, shard_id, attempt, reason, delay):
-        self.retries.append((shard_id, attempt, reason))
+    @property
+    def splits(self):
+        """``(shard_id, remaining)`` of each split line."""
+        return [(int(m[1]), int(m[2])) for m in
+                map(_SPLIT.fullmatch, self.details("split"))]
 
-    def on_shard_split(self, shard_id, remaining):
-        self.splits.append((shard_id, remaining))
+    @property
+    def degrades(self):
+        prefix = "degraded to serial execution: "
+        details = self.details("degrade")
+        assert all(detail.startswith(prefix) for detail in details)
+        return [detail[len(prefix):] for detail in details]
 
-    def on_degrade(self, reason):
-        self.degrades.append(reason)
+    @property
+    def resumed(self):
+        banners = self.details("resume")
+        assert len(banners) <= 1
+        return sum(int(_RESUME.fullmatch(banner)[1]) for banner in banners)
+
+
+class _FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def narrated_run(monkeypatch, sites, step, **options):
+    """Run ``sites`` serially while the supervisor's clock reads ``step``
+    seconds more at each record; returns the narration."""
+    clock = _FakeClock()
+    monkeypatch.setattr(supervisor_module, "time", SimpleNamespace(
+        perf_counter=clock, monotonic=clock))
+
+    def ticking(config, items, seed, emit):
+        def tick(position, record):
+            clock.now += step
+            emit(position, record)
+
+        tick.extra = emit.extra
+        return run_shard(config, items, seed, tick)
+
+    progress = RecordingProgress()
+    CampaignSupervisor(CONFIG, workers=1, progress=progress, runner=ticking,
+                       **options).run(sites, seed=11)
+    return progress
+
+
+def keep_records(journal, count):
+    """Cut ``journal`` back to its header and first ``count`` records."""
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text("".join(lines[:1 + count]))
 
 
 @pytest.fixture()
@@ -215,62 +270,73 @@ class TestWorkerFailures:
 
 
 class TestPrintProgress:
-    """Rate limiting and ETA of the CLI's default narration."""
+    """The narration the CLI prints as ``[supervisor] {detail}``, read
+    from the supervisor's own series.  Ten records 0.15 s apart: a line
+    may fall on every record (a tenth of the plan), but at most one per
+    0.5 s, and the last always prints, without an ETA."""
 
-    @staticmethod
-    def _progress(clock_now, every=1, min_interval=10.0):
-        return PrintProgress(every=every, min_interval=min_interval,
-                             clock=lambda: clock_now[0])
+    TEN_SITES = [110 * k for k in range(1, 11)]
+    LINES = ["1/10 injections (6.7 inj/s, ETA 1s)",
+             "5/10 injections (6.7 inj/s, ETA 1s)",
+             "9/10 injections (6.7 inj/s, ETA 0s)",
+             "10/10 injections (6.7 inj/s)"]
 
-    def test_rate_limited_between_lines(self, capsys):
-        clock_now = [0.0]
-        progress = self._progress(clock_now)
-        progress.on_start(5, 5)
-        for position in range(4):
-            clock_now[0] += 1.0
-            progress.on_record(position, None)
-        out = capsys.readouterr().out
-        # Only the first record's line fits inside min_interval.
-        assert out.count("[supervisor]") == 1
+    def test_rate_limited_between_lines(self, monkeypatch):
+        progress = narrated_run(monkeypatch, self.TEN_SITES, step=0.15)
+        assert [detail.split(" (")[0] for detail
+                in progress.details("progress")] == \
+            [line.split(" (")[0] for line in self.LINES]
 
-    def test_final_line_always_prints(self, capsys):
-        clock_now = [0.0]
-        progress = self._progress(clock_now)
-        progress.on_start(3, 3)
-        for position in range(3):
-            clock_now[0] += 0.001  # far below min_interval
-            progress.on_record(position, None)
-        out = capsys.readouterr().out
-        assert "3/3 injections" in out
+    def test_final_line_always_prints(self, monkeypatch):
+        # 0.15 s after the line before it.
+        progress = narrated_run(monkeypatch, self.TEN_SITES, step=0.15)
+        assert progress.events[-1] == ("progress", self.LINES[-1])
 
-    def test_rate_and_eta_derived_from_clock(self, capsys):
-        clock_now = [0.0]
-        progress = self._progress(clock_now, min_interval=0.0)
-        progress.on_start(4, 4)
-        clock_now[0] += 2.0
-        progress.on_record(0, None)
-        out = capsys.readouterr().out
-        # 1 injection in 2s: 0.5 inj/s, 3 remaining -> 6s.
-        assert "0.5 inj/s" in out
-        assert "ETA 6s" in out
+    def test_rate_and_eta_derived_from_clock(self, monkeypatch):
+        progress = narrated_run(monkeypatch, self.TEN_SITES, step=0.15)
+        assert progress.events == [("progress", line) for line in self.LINES]
 
-    def test_eta_formatting(self):
-        assert PrintProgress._format_eta(42) == "42s"
-        assert PrintProgress._format_eta(95) == "1m35s"
-        assert PrintProgress._format_eta(3725) == "1h02m"
+    def test_resume_banner(self, monkeypatch, tmp_path):
+        journal = tmp_path / "campaign.journal"
+        CampaignSupervisor(CONFIG, workers=1, journal=journal).run(
+            self.TEN_SITES, seed=11)
+        keep_records(journal, 4)
+        progress = narrated_run(monkeypatch, self.TEN_SITES, step=0.15,
+                                journal=journal, resume=True)
+        assert progress.events[0] == \
+            ("resume", "resuming: 4/10 injections already journaled")
+        assert progress.resumed == 4
 
-    def test_resume_banner(self, capsys):
-        progress = self._progress([0.0])
-        progress.on_start(10, 6)
-        assert "resuming: 4/10" in capsys.readouterr().out
 
-    def test_tee_forwards_and_skips_none(self):
-        left, right = RecordingProgress(), RecordingProgress()
-        tee = TeeProgress(left, None, right)
-        tee.on_record(3, "rec")
-        tee.on_degrade("why")
-        assert left.records == right.records == [3]
-        assert left.degrades == right.degrades == ["why"]
+class TestRecordHook:
+    """``record_hook`` sees each position this run executes exactly once,
+    and none that the journal recovered."""
+
+    @pytest.mark.parametrize("workers, runner", [
+        (1, run_shard),
+        pytest.param(2, run_shard, marks=pytest.mark.slow),
+        pytest.param(2, partial_then_sigkill_runner,
+                     marks=pytest.mark.slow),
+    ], ids=["serial", "pool", "pool-failed-lease"])
+    def test_executed_positions_once(self, marker, tmp_path, workers,
+                                     runner):
+        journal = tmp_path / "campaign.journal"
+        CampaignSupervisor(CONFIG, workers=1, journal=journal).run(
+            SITES, seed=11)
+        keep_records(journal, 3)
+        recovered = set(read_journal(journal)[1])
+        seen = []
+        progress = RecordingProgress()
+        CampaignSupervisor(
+            CONFIG, workers=workers, journal=journal, resume=True,
+            backoff_base=0.0, progress=progress, runner=runner).run(
+            SITES, seed=11,
+            record_hook=lambda position, record: seen.append(position))
+        assert len(recovered) == 3
+        assert sorted(seen) == sorted(set(range(len(SITES))) - recovered)
+        if runner is partial_then_sigkill_runner:
+            assert [reason for _, _, reason in progress.retries] == \
+                ["worker died (exit -9)"]
 
 
 class TestInstrumentation:
@@ -333,6 +399,15 @@ class TestInstrumentation:
             status="serial") == 1
         assert sum(registry.get("sfi_injections_total")
                    .series().values()) == len(SITES)
+
+    def test_counts_without_a_registry(self):
+        supervisor = CampaignSupervisor(CONFIG, workers=1)
+        supervisor.run(SITES + [990, 1100, 1210, 1320], seed=11)
+        registry = supervisor.metrics
+        assert sum(registry.get("sfi_injections_total")
+                   .series().values()) == 12
+        assert registry.get("sfi_shard_wall_seconds").count(
+            status="serial") == 1
 
     def test_resume_counts_recovered(self, tmp_path):
         journal = tmp_path / "campaign.journal"
